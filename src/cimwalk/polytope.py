@@ -23,6 +23,8 @@ from functools import lru_cache
 from multiprocessing import Pool
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .graphs import (
     CycleError,
     Dag,
@@ -190,81 +192,62 @@ def _restricted(vs: VertexSet) -> tuple:
     """Columns that vary across the vertex set, and the matrix restricted to them.
 
     Constant coordinates contribute the same amount to every w.x, so their
-    weights can be fixed at zero without changing any margin.
+    weights can be fixed at zero without changing any margin.  The matrix is
+    a read-only integer array, one row per vertex.
     """
-    n = len(vs.matrix)
-    width = len(vs.coords)
-    first = vs.matrix[0]
-    varying = tuple(
-        k for k in range(width) if any(vs.matrix[i][k] != first[k] for i in range(1, n))
-    )
-    rmat = tuple(tuple(row[k] for k in varying) for row in vs.matrix)
+    full = np.array(vs.matrix, dtype=np.int64)
+    varying = tuple(int(k) for k in np.nonzero((full != full[0]).any(axis=0))[0])
+    rmat = full[:, list(varying)]
+    rmat.flags.writeable = False
     return varying, rmat
 
 
 def _solve_margin(rmat, u: int, v: int, exact: bool):
-    """Maximize the exposure margin of (u, v) over cost vectors in [-1, 1]^D.
+    """The largest exposure margin t* of (u, v), and a cost vector attaining it.
 
-    Variables are the split w = wp - wm plus the margin t, all nonnegative,
-    which keeps every right-hand side nonnegative so the solver starts from
-    the all-slack basis.  Returns (w, t).
+    The margin LP  max t  s.t.  w.(u - v) = 0,  w.(u - x) >= t for every other
+    vertex x,  w in [-1, 1]^d  is solved in its dual form
+
+        min |r|_1,  r = sum_x y_x (u - x) + z (u - v),  y >= 0,  sum_x y_x = 1,
+
+    with z free.  The residual is split as r = s+ - s-, so the rows are the d
+    coordinate equations s+ - s- - r = 0 and the convexity row, and the
+    tableau has d + 1 rows whatever the vertex count.  Columns run s-, y,
+    z+, z-, s+; this order takes the fewest Bland pivots on the p = 4
+    polytope.  Strong duality gives the same optimum t*, and minus the duals
+    of the coordinate rows is an optimal w of the margin LP.  Returns (w, t*).
     """
-    d = len(rmat[0])
-    pu, pv = rmat[u], rmat[v]
-    nvar = 2 * d + 1
-    rows, senses, rhs = [], [], []
-    for k in range(d):
-        row = [0] * nvar
-        row[k] = 1
-        rows.append(row)
-        senses.append("<=")
-        rhs.append(1)
-        row = [0] * nvar
-        row[d + k] = 1
-        rows.append(row)
-        senses.append("<=")
-        rhs.append(1)
-    diff = [pu[k] - pv[k] for k in range(d)]
-    for sign in (1, -1):
-        row = [0] * nvar
-        for k in range(d):
-            row[k] = sign * diff[k]
-            row[d + k] = -sign * diff[k]
-        rows.append(row)
-        senses.append("<=")
-        rhs.append(0)
-    for x in range(len(rmat)):
-        if x == u or x == v:
-            continue
-        row = [0] * nvar
-        for k in range(d):
-            a = pu[k] - rmat[x][k]
-            row[k] = -a
-            row[d + k] = a
-        row[2 * d] = 1
-        rows.append(row)
-        senses.append("<=")
-        rhs.append(0)
-    c = [0] * nvar
-    c[2 * d] = 1
-    res = simplex_max(c, rows, senses, rhs, exact=exact)
+    n, d = rmat.shape
+    k = n - 2
+    others = rmat[[x for x in range(n) if x != u and x != v]]
+    eye = np.eye(d, dtype=np.int64)
+    a = np.zeros((d + 1, d + k + 2 + d), dtype=np.int64)
+    a[:d, :d] = -eye
+    a[:d, d:d + k] = (others - rmat[u]).T
+    a[d, d:d + k] = 1
+    a[:d, d + k] = rmat[v] - rmat[u]
+    a[:d, d + k + 1] = rmat[u] - rmat[v]
+    a[:d, d + k + 2:] = eye
+    c = np.zeros(a.shape[1], dtype=np.int64)
+    c[:d] = -1
+    c[d + k + 2:] = -1
+    b = np.zeros(d + 1, dtype=np.int64)
+    b[d] = 1
+    res = simplex_max(c, a, ["="] * (d + 1), b, exact=exact)
     if res.status != OPTIMAL:
         raise LpError(f"margin LP ended with status {res.status}")
-    w = [res.x[k] - res.x[d + k] for k in range(d)]
-    return w, res.objective
+    return -np.array(res.duals[:d]), -res.objective
 
 
 def _normalized_margin(rmat, u: int, v: int, w):
-    scale = max(abs(x) for x in w) if w else 0
+    """(w / max|w|, its smallest gap to another vertex, its u-v imbalance)."""
+    scale = np.abs(w).max() if w.size else 0
     if not scale:
         return None, None, None
-    wn = [x / scale for x in w]
-    du = _dot(wn, rmat[u])
-    eq_gap = abs(du - _dot(wn, rmat[v]))
-    margin = min(
-        du - _dot(wn, rmat[x]) for x in range(len(rmat)) if x not in (u, v)
-    )
-    return wn, margin, eq_gap
+    wn = w / scale
+    scores = rmat @ wn
+    margin = (scores[u] - np.delete(scores, (u, v))).min()
+    return wn, margin, abs(scores[u] - scores[v])
 
 
 def _decide_exact(rmat, u: int, v: int):
@@ -290,7 +273,7 @@ def _decide_pair(rmat, u: int, v: int):
     if eq_gap > 1e-9 or _EXACT_LO < margin < _EXACT_HI:
         return _decide_exact(rmat, u, v)
     if margin > EDGE_TOL:
-        return True, float(margin), "float", tuple(wn), float(t)
+        return True, float(margin), "float", tuple(wn.tolist()), float(t)
     return False, float(margin), "float", None, float(t)
 
 
@@ -314,6 +297,11 @@ def certify_edge(u: int, v: int, vs: VertexSet, exact: bool = False) -> Optional
         is_edge, margin, mode, weights, objective = _decide_pair(rmat, u, v)
     if not is_edge:
         return None
+    return _certificate(vs, varying, u, v, margin, mode, weights, objective)
+
+
+def _certificate(vs, varying, u, v, margin, mode, weights, objective) -> EdgeCertificate:
+    """Lift restricted weights back to the full coordinates of vs."""
     full = [0.0] * len(vs.coords)
     for k, pos in enumerate(varying):
         full[pos] = weights[k]
@@ -343,12 +331,13 @@ def _midpoint_prefilter(matrix) -> set:
     to put both sums at the same maximum, so neither pair is an edge.  The
     same argument applies when u + v doubles a third vertex.
     """
+    rows = matrix.tolist()
     sums = {}
-    for i in range(len(matrix)):
-        for j in range(i + 1, len(matrix)):
-            s = tuple(a + b for a, b in zip(matrix[i], matrix[j]))
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            s = tuple(a + b for a, b in zip(rows[i], rows[j]))
             sums.setdefault(s, []).append((i, j))
-    doubles = {tuple(2 * a for a in row): i for i, row in enumerate(matrix)}
+    doubles = {tuple(2 * a for a in row): i for i, row in enumerate(rows)}
     skip = set()
     for s, plist in sums.items():
         if len(plist) > 1:
@@ -405,11 +394,8 @@ def certify_all_edges(vs: VertexSet, threads: Optional[int] = None) -> EdgeSurve
             exact_used += 1
         if not is_edge:
             continue
-        full = [0.0] * len(vs.coords)
-        for k, pos in enumerate(varying):
-            full[pos] = weights[k]
         edges.append((u, v))
-        certificates[(u, v)] = EdgeCertificate(u, v, tuple(full), margin, objective, mode)
+        certificates[(u, v)] = _certificate(vs, varying, u, v, margin, mode, weights, objective)
     edges.sort()
     stats = {
         "pairs": n * (n - 1) // 2,
@@ -475,15 +461,15 @@ def _canonical_skeleton(g: UndirectedGraph) -> tuple:
     return best
 
 
-def classify_edges(vs: VertexSet, edges: Iterable) -> dict:
+def classify_edges(vs: VertexSet, edges: Iterable, kinds: dict) -> dict:
     """Tag each certified edge with the first matching move family.
 
     Families are tried in a fixed order; every further family that also
     matches is kept in the tags list, so overlaps stay visible.  An edge
     pair whose vectors differ in exactly one coordinate (necessarily the
-    2-set of the gained edge) is an edge addition.
+    2-set of the gained edge) is an edge addition.  kinds is the pair map
+    _pair_move_kinds(vs), which the caller computes once per census.
     """
-    kinds = _pair_move_kinds(vs)
     tags = {}
     for (i, j) in edges:
         matched = [k for k in _FAMILY_ORDER if k in kinds.get((i, j), ())]
@@ -507,8 +493,8 @@ def edge_census(vs: VertexSet, threads: Optional[int] = None) -> dict:
     are usually reported: turn pairs by kind, edge pairs by addition status,
     and same-skeleton non-turn edges by skeleton isomorphism class."""
     survey = certify_all_edges(vs, threads)
-    tags = classify_edges(vs, survey.edges)
     kinds = _pair_move_kinds(vs)
+    tags = classify_edges(vs, survey.edges, kinds)
 
     edge_set = set(survey.edges)
     move_pairs = set(kinds)

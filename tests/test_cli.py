@@ -197,6 +197,15 @@ def test_analyze_polytope_validation(tmp_path):
     assert _run("analyze-polytope", "--skeleton", str(directed), "--out", out) == 2
 
 
+def test_analyze_polytope_rejects_p5_with_its_size(tmp_path, capsys):
+    out = tmp_path / "census.json"
+    assert _run("analyze-polytope", "--p", "5", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "8,782 vertices" in err and "38,557,371 vertex pairs" in err
+    assert "--skeleton" in err
+    assert not out.exists()
+
+
 def test_compare_validation(tmp_path):
     data, truth = _simulate(tmp_path, p=3, d=1.0, n=50, seed=6)
     result = tmp_path / "result.json"

@@ -101,3 +101,54 @@ def test_mixed_senses_with_equality():
     assert res.objective == pytest.approx(1.0)
     x, y = res.x
     assert x + y == pytest.approx(1.0) and x - y <= 0.25 + 1e-9
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_duals_of_small_known_optimum(exact):
+    # max 3x + 2y, x + y <= 4, x + 3y <= 6: the first row binds with price 3
+    res = simplex_max([3, 2], [[1, 1], [1, 3]], ["<=", "<="], [4, 6], exact=exact)
+    assert res.status == OPTIMAL
+    assert list(res.duals) == [3, 0]
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_duals_of_every_sense_and_a_negated_rhs(exact):
+    # max 3x + 2y + z, x + y + z <= 10, -x >= -4, y - z = 1: optimum 21.5 at
+    # (4, 3.5, 2.5); the '>=' row is stored negated, its dual keeps its sign
+    b = [10, -4, 1]
+    res = simplex_max([3, 2, 1], [[1, 1, 1], [-1, 0, 0], [0, 1, -1]],
+                      ["<=", ">=", "="], b, exact=exact)
+    assert res.status == OPTIMAL
+    assert res.objective == Fraction(43, 2)
+    assert list(res.duals) == [Fraction(3, 2), Fraction(-3, 2), Fraction(1, 2)]
+    assert sum(y * bi for y, bi in zip(res.duals, b)) == res.objective
+    if exact:
+        assert all(isinstance(y, Fraction) for y in res.duals)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_duals_of_ge_row_with_positive_rhs(exact):
+    # max -x - y, x + y >= 2, x - y = 0: optimum -2 at (1, 1)
+    res = simplex_max([-1, -1], [[1, 1], [1, -1]], [">=", "="], [2, 0], exact=exact)
+    assert res.status == OPTIMAL
+    assert list(res.duals) == [-1, 0]
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_redundant_row_gets_dual_zero(exact):
+    # the second equality repeats the first and is dropped after phase 1
+    res = simplex_max([1, 1], [[1, 1], [2, 2], [1, 0]], ["=", "=", "<="],
+                      [2, 4, Fraction(3, 2)], exact=exact)
+    assert res.status == OPTIMAL
+    assert res.objective == 2
+    assert list(res.duals) == [1, 0, 0]
+
+
+def test_duals_absent_unless_optimal():
+    assert simplex_max([1], [[-1]], ["<="], [1]).duals == ()
+    assert simplex_max([1], [[1], [1]], ["<=", ">="], [1, 2]).duals == ()
+
+
+def test_unknown_sense_is_rejected():
+    with pytest.raises(ValueError):
+        simplex_max([1], [[1]], ["<"], [1])

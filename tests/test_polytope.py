@@ -9,8 +9,9 @@ from cimwalk.imset import full_imset
 from cimwalk.lp import OPTIMAL, simplex_max
 from cimwalk.moves import representative
 from cimwalk.polytope import (EdgeCertificate, _midpoint_prefilter,
-                              _restricted, certify_all_edges, certify_edge,
-                              complete_minus_edge, cycle_graph, edge_census,
+                              _restricted, _solve_margin, certify_all_edges,
+                              certify_edge, complete_minus_edge, cycle_graph,
+                              edge_census,
                               enumerate_mecs, enumerate_mecs_with_skeleton,
                               exact_rank, face_objective, imset_vector,
                               maximizers, path_graph, poset_b_matrix,
@@ -306,3 +307,47 @@ def test_thread_count_env_fallback(monkeypatch):
     assert thread_count() >= 1
     monkeypatch.delenv("CIMWALK_THREADS")
     assert thread_count() >= 1
+
+
+def _assert_float_and_exact_agree(vs):
+    n = len(vs)
+    for u in range(n):
+        for v in range(u + 1, n):
+            flt = certify_edge(u, v, vs)
+            ext = certify_edge(u, v, vs, exact=True)
+            assert (flt is None) == (ext is None), (u, v)
+            for cert in (flt, ext):
+                assert cert is None or cert.check(vs)
+
+
+def test_float_and_exact_certification_agree_p3():
+    _assert_float_and_exact_agree(enumerate_mecs(3))
+
+
+@pytest.mark.parametrize("p", [4, 5, 6])
+def test_float_and_exact_certification_agree_cycle_faces(p):
+    _assert_float_and_exact_agree(enumerate_mecs_with_skeleton(cycle_graph(p)))
+
+
+def test_exact_margin_lp_duals_attain_the_margin():
+    # minus the coordinate-row duals of the exact dual LP must be a feasible,
+    # optimal cost vector of the margin LP: inside the unit box, level on
+    # (u, v), and exposing the pair with gap exactly t*
+    vs = enumerate_mecs(3)
+    _, rmat = _restricted(vs)
+    n = len(rmat)
+    for u in range(n):
+        for v in range(u + 1, n):
+            w, t = _solve_margin(rmat, u, v, exact=True)
+            assert all(abs(x) <= 1 for x in w)
+            scores = [sum(a * b for a, b in zip(w, row)) for row in rmat.tolist()]
+            assert scores[u] == scores[v]
+            assert t == min(scores[u] - s for x, s in enumerate(scores) if x not in (u, v))
+            assert (t > 0) == (_midpoint_mass(vs, u, v) == 0)
+
+
+def test_every_p4_certificate_checks():
+    vs = enumerate_mecs(4)
+    survey = certify_all_edges(vs, threads=2)
+    assert len(survey.certificates) == 4259
+    assert all(cert.check(vs) for cert in survey.certificates.values())
