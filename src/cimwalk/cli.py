@@ -30,7 +30,8 @@ from .ci_tests import CiTestError
 from .moves import MoveError
 from .polytope import (edge_census, enumerate_mecs, enumerate_mecs_with_skeleton,
                        thread_count)
-from .scoring import LocalScoreCache, ScoringError, score_mec, stats_from_csv
+from .scoring import (LocalScoreCache, ScoringError, require_full_rank,
+                      score_mec, stats_from_csv)
 from .search import (ALTERNATING, BEST_IMPROVEMENT, FIRST_IMPROVEMENT,
                      RECURRENT_PHASED, SearchConfig, SearchError, greedy_cim,
                      recurrent_phased_greedy_cim, skeletal_greedy_cim)
@@ -146,7 +147,7 @@ def _cmd_simulate(args) -> int:
     model = assign_weights(dag, rng)
     data, _ = sample(model, args.n, rng)
 
-    rows = [",".join(repr(float(v)) for v in row) for row in data]
+    rows = [",".join(map(repr, row)) for row in data.tolist()]
     _require(len(rows) == args.n and data.shape[1] == args.p,
              "internal: simulated data has wrong shape")
     with open(args.out, "w") as handle:
@@ -165,9 +166,17 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _load_stats(path: str):
+    # One degenerate-data policy for every command that fits a model:
+    # rank-deficient data are rejected before any search or scoring.
+    stats = stats_from_csv(path)
+    require_full_rank(stats, path)
+    return stats
+
+
 def _cmd_discover(args) -> int:
     t0 = time.time()
-    stats = stats_from_csv(args.data)
+    stats = _load_stats(args.data)
     phase_mode = RECURRENT_PHASED if args.algo == "recurrent-cim" else ALTERNATING
     try:
         config = SearchConfig(strategy=_STRATEGIES[args.strategy],
@@ -203,7 +212,7 @@ def _cmd_discover(args) -> int:
 
 def _cmd_score(args) -> int:
     t0 = time.time()
-    stats = stats_from_csv(args.data)
+    stats = _load_stats(args.data)
     try:
         with open(args.graph) as handle:
             p, arcs, edges = parse_graph_text(handle.read())

@@ -8,6 +8,7 @@ the entries on subsets of size two and three already determine the rest.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -75,11 +76,8 @@ class CharImset:
 
 def imset_entry(dag: Dag, nodes: Iterable) -> int:
     key = subset_key(nodes)
-    for i in key:
-        _check = all(0 <= v < dag.p for v in key)
-        if not _check:
-            raise ImsetError(f"subset {key} out of range for p={dag.p}")
-        break
+    if key[0] < 0 or key[-1] >= dag.p:
+        raise ImsetError(f"subset {key} out of range for p={dag.p}")
     s = set(key)
     for i in key:
         if s - {i} <= dag.parents[i]:
@@ -111,6 +109,15 @@ def full_imset(dag: Dag) -> CharImset:
     return CharImset(dag.p, frozenset(ones), restricted=False)
 
 
+def _triangles(edges: Iterable) -> set:
+    """Sorted triples (a, b, c) whose three pairs are all among the sorted
+    pairs in edges: for each edge (a, b), the common higher neighbours c."""
+    higher = defaultdict(set)
+    for a, b in edges:
+        higher[a].add(b)
+    return {(a, b, c) for a, b in edges for c in higher[a] & higher[b]}
+
+
 @lru_cache(maxsize=1_000_000)
 def mec_restricted_imset(mec: Mec) -> CharImset:
     """Restricted imset of a class straight from skeleton and v-structures.
@@ -118,16 +125,8 @@ def mec_restricted_imset(mec: Mec) -> CharImset:
     Size-2 entries are the skeleton edges.  A size-3 entry is 1 iff the
     triple is a complete triangle of the skeleton or a recorded v-structure.
     """
-    ones = set(mec.skeleton.edges)
-    for a, b, c in itertools.combinations(range(mec.p), 3):
-        if (
-            mec.skeleton.has_edge(a, b)
-            and mec.skeleton.has_edge(a, c)
-            and mec.skeleton.has_edge(b, c)
-        ):
-            ones.add((a, b, c))
-    for vs in mec.vstructs:
-        ones.add(vs.nodes())
+    ones = set(mec.skeleton.edges) | _triangles(mec.skeleton.edges)
+    ones.update(vs.nodes() for vs in mec.vstructs)
     return CharImset(mec.p, frozenset(ones), restricted=True)
 
 
@@ -152,10 +151,9 @@ def recover_mec(imset: CharImset) -> Mec:
             missing = next(pair for pair in ((a, b), (a, c), (b, c)) if pair not in edges)
             collider = next(v for v in key if v not in missing)
             vstructs.add(VStructure(collider, missing))
-    for a, b, c in itertools.combinations(range(imset.p), 3):
-        if (a, b) in edges and (a, c) in edges and (b, c) in edges:
-            if (a, b, c) not in imset.ones:
-                raise ImsetError(f"complete triangle {(a, b, c)} with zero entry")
+    unmarked = _triangles(edges) - imset.ones
+    if unmarked:
+        raise ImsetError(f"complete triangle {min(unmarked)} with zero entry")
     try:
         return Mec(skel, frozenset(vstructs))
     except GraphError as exc:  # pragma: no cover - guarded by the checks above

@@ -9,9 +9,10 @@ extension.
 
 from __future__ import annotations
 
-import csv
+import io
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -29,11 +30,16 @@ __all__ = [
     "score_delta",
     "load_csv",
     "stats_from_csv",
+    "require_full_rank",
 ]
 
 
 class ScoringError(Exception):
     """Raised for degenerate statistics or invalid scoring requests."""
+
+
+# Singular-value floor below which a (correlation) block counts as singular.
+_RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -56,7 +62,14 @@ class SufficientStats:
         return len(self.mean)
 
     def cov_matrix(self) -> np.ndarray:
-        return np.array(self.cov, dtype=float)
+        return self._cov_array
+
+    @cached_property
+    def _cov_array(self) -> np.ndarray:
+        # Built once, read-only; not a field, so == and hash ignore it.
+        cov = np.array(self.cov, dtype=float)
+        cov.flags.writeable = False
+        return cov
 
     @classmethod
     def from_data(cls, data) -> "SufficientStats":
@@ -84,37 +97,86 @@ class SufficientStats:
                    cov=tuple(tuple(map(float, row)) for row in c))
 
 
+def _parse_rows(lines) -> np.ndarray:
+    return np.loadtxt(lines, dtype=float, delimiter=",", comments=None,
+                      quotechar='"', ndmin=2)
+
+
+def _first_fault(lines: list, first: int, path) -> str:
+    # Run only after the bulk parse failed or read a non-finite value:
+    # re-parse line by line to name the first bad line.
+    width = None
+    for lineno, line in enumerate(lines[first:], first + 1):
+        if not line:
+            continue
+        try:
+            row = _parse_rows([line])[0]
+        except ValueError as exc:
+            return f"line {lineno} of {path}: {str(exc).split(' at row ')[0]}"
+        width = width or len(row)
+        if len(row) != width:
+            return f"line {lineno} of {path} has {len(row)} cells, expected {width}"
+        if not np.isfinite(row).all():
+            col = int(np.argmin(np.isfinite(row)))
+            return (f"non-finite value {row[col]} at line {lineno}, "
+                    f"column {col + 1} of {path}")
+    return f"malformed CSV in {path}"
+
+
 def load_csv(path) -> np.ndarray:
-    """Read a numeric CSV, one row per sample; a non-numeric first row
-    is treated as a header and skipped."""
-    rows: list[list[float]] = []
+    """Read a numeric CSV, one row per sample, into a float array.
+
+    A first line that does not parse as numbers is a header and is
+    skipped, as are empty lines.  Ragged rows, empty, non-numeric and
+    non-finite cells raise ScoringError naming the 1-based line.
+    """
     try:
-        handle = open(path, newline="")
-    except OSError as exc:
+        with open(path) as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScoringError(f"cannot read {path}: {exc}")
-    with handle:
-        reader = csv.reader(handle)
-        for lineno, cells in enumerate(reader):
-            cells = [c.strip() for c in cells if c.strip() != ""]
-            if not cells:
-                continue
-            try:
-                rows.append([float(c) for c in cells])
-            except ValueError:
-                if lineno == 0:
-                    continue
-                raise ScoringError(
-                    f"non-numeric value in row {lineno + 1} of {path}")
-    if not rows:
+    head, _, rest = text.partition("\n")
+    first = 0
+    if head:
+        try:
+            _parse_rows([head])
+        except ValueError:
+            first = 1
+    body = rest if first else text
+    if not body.strip("\n"):
         raise ScoringError(f"no data rows in {path}")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ScoringError(f"ragged rows in {path}")
-    return np.array(rows, dtype=float)
+    try:
+        # A stream, not a list of lines: a quoted cell that spans lines
+        # must fail to parse, not be glued into one number.
+        data = _parse_rows(io.StringIO(body))
+    except ValueError:
+        data = None
+    if data is None or not np.isfinite(data).all():
+        raise ScoringError(_first_fault(text.split("\n"), first, path))
+    return data
 
 
 def stats_from_csv(path) -> SufficientStats:
     return SufficientStats.from_data(load_csv(path))
+
+
+def require_full_rank(stats: SufficientStats, source) -> None:
+    """Reject data whose covariance is rank deficient (a constant column,
+    an exactly collinear column, or too few rows), naming the columns.
+
+    The test runs on the correlation scale, so a column measured in tiny
+    units is not mistaken for a constant one.
+    """
+    cov = stats.cov_matrix()
+    scale = np.sqrt(np.diag(cov))
+    scale[scale == 0.0] = 1.0
+    corr = cov / np.outer(scale, scale)
+    if np.linalg.matrix_rank(corr, tol=_RANK_TOL) < stats.p:
+        bad = _collinear_subset(corr, tuple(range(stats.p)))
+        raise ScoringError(
+            f"degenerate data in {source}: covariance of {stats.p} columns from "
+            f"{stats.n} rows is rank deficient; columns {bad} are constant or "
+            "linearly dependent on earlier columns")
 
 
 def _collinear_subset(sub: np.ndarray, parents: tuple[int, ...]) -> list[int]:
@@ -126,7 +188,7 @@ def _collinear_subset(sub: np.ndarray, parents: tuple[int, ...]) -> list[int]:
     for pos, node in enumerate(parents):
         trial = kept + [pos]
         block = sub[np.ix_(trial, trial)]
-        if np.linalg.matrix_rank(block, tol=1e-10) == len(trial):
+        if np.linalg.matrix_rank(block, tol=_RANK_TOL) == len(trial):
             kept.append(pos)
         else:
             dependent.append(node)
@@ -143,7 +205,7 @@ def _residual_variance(node: int, parents: tuple[int, ...],
     try:
         coef = np.linalg.solve(block, rhs)
     except np.linalg.LinAlgError:
-        bad = _collinear_subset(cov, parents)
+        bad = _collinear_subset(block, parents)
         raise ScoringError(
             f"singular parent covariance for node {node}: "
             f"parents {sorted(bad) or list(parents)} are collinear")

@@ -3,7 +3,12 @@
 import hashlib
 import json
 
+import numpy as np
+import pytest
+
 from cimwalk.cli import main
+from cimwalk.scoring import load_csv
+from cimwalk.simulate import assign_weights, make_rng, random_dag, sample
 
 
 def _run(*argv):
@@ -230,3 +235,45 @@ def test_compare_validation(tmp_path):
 
 def test_version_flag():
     assert _run("--version") == 0
+
+
+def test_simulate_csv_round_trips_bit_exactly(tmp_path):
+    data_path, _ = _simulate(tmp_path, p=6, d=2.0, n=300, seed=21)
+    rng = make_rng(21)
+    model = assign_weights(random_dag(6, 2.0, rng), rng)
+    data, _ = sample(model, 300, rng)
+    assert load_csv(data_path).tobytes() == data.tobytes()
+
+
+@pytest.mark.parametrize("algo", ["greedy-cim", "skeletal-greedy-cim"])
+def test_discover_rejects_non_finite_input(tmp_path, capsys, algo):
+    data, _ = _simulate(tmp_path, p=5, d=1.5, n=200, seed=7)
+    rows = data.read_text().split("\n")
+    cells = rows[41].split(",")
+    cells[3] = "nan"
+    rows[41] = ",".join(cells)
+    data.write_text("\n".join(rows))
+    out = tmp_path / "r.json"
+    assert _run("discover", "--algo", algo, "--data", str(data),
+                "--out", str(out)) == 2
+    assert "non-finite value nan at line 42, column 4" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("algo", ["greedy-cim", "skeletal-greedy-cim",
+                                  "recurrent-cim"])
+def test_degenerate_data_is_rejected_before_any_search(tmp_path, capsys, algo):
+    rng = np.random.default_rng(4)
+    short = tmp_path / "short.csv"
+    np.savetxt(short, rng.standard_normal((6, 8)), delimiter=",")
+    collinear = tmp_path / "collinear.csv"
+    columns = rng.standard_normal((300, 5))
+    columns[:, 4] = columns[:, 1] - 0.5 * columns[:, 3]
+    np.savetxt(collinear, columns, delimiter=",")
+    for path, named in ((short, "columns [5, 6, 7]"), (collinear, "columns [4]")):
+        out = tmp_path / "r.json"
+        assert _run("discover", "--algo", algo, "--data", str(path),
+                    "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "rank deficient" in err and named in err
+        assert not out.exists()

@@ -1,6 +1,7 @@
 """Characteristic imsets: construction, determination, recovery, deltas."""
 
 import itertools
+import re
 
 import pytest
 
@@ -8,6 +9,8 @@ from cimwalk.graphs import Dag, all_dags, consistent_extension, mec_of
 from cimwalk.imset import (CharImset, ImsetError, full_imset, imset_delta,
                            imset_entry, mec_restricted_imset, recover_mec,
                            restricted_imset, subset_key)
+from cimwalk.polytope import enumerate_mecs
+from cimwalk.simulate import make_rng, random_dag
 
 
 def test_subset_key_sorts_and_rejects_duplicates():
@@ -95,3 +98,66 @@ def test_json_round_trip():
 def test_full_imset_size_guard():
     with pytest.raises(ImsetError):
         full_imset(Dag.from_arcs(17, []))
+
+
+def _oracle_restricted_imset(mec):
+    # Scan every triple of nodes, as the triangle enumeration must agree.
+    ones = set(mec.skeleton.edges)
+    for a, b, c in itertools.combinations(range(mec.p), 3):
+        if all(mec.skeleton.has_edge(*pair) for pair in ((a, b), (a, c), (b, c))):
+            ones.add((a, b, c))
+    ones.update(vs.nodes() for vs in mec.vstructs)
+    return CharImset(mec.p, frozenset(ones), restricted=True)
+
+
+def _oracle_first_unmarked_triangle(imset):
+    edges = {k for k in imset.ones if len(k) == 2}
+    for a, b, c in itertools.combinations(range(imset.p), 3):
+        if {(a, b), (a, c), (b, c)} <= edges and (a, b, c) not in imset.ones:
+            return (a, b, c)
+    return None
+
+
+def _triangle_scan_classes():
+    classes = list(enumerate_mecs(4).mecs)
+    rng = make_rng(2024)
+    for _ in range(60):
+        p = int(rng.integers(3, 9))
+        classes.append(mec_of(random_dag(p, float(rng.uniform(1.0, p - 1)), rng)))
+    return classes
+
+
+def test_triangle_scans_match_all_triples_oracle():
+    classes = _triangle_scan_classes()
+    assert len(classes) == 185 + 60
+    rng = make_rng(5)
+    unmarked_checked = 0
+    for mec in classes:
+        imset = mec_restricted_imset(mec)
+        assert imset == _oracle_restricted_imset(mec)
+        assert recover_mec(imset) == mec
+        # Zero out a random subset of the class's triangle entries: the
+        # scan must reject the lexicographically first of them.
+        triangles = sorted(k for k in imset.ones if len(k) == 3
+                           and all(pair in imset.ones for pair in
+                                   itertools.combinations(k, 2)))
+        if not triangles:
+            continue
+        keep = rng.random(len(triangles)) < 0.5
+        dropped = [t for t, kept in zip(triangles, keep) if not kept] or triangles[-1:]
+        broken = CharImset(mec.p, imset.ones - frozenset(dropped), restricted=True)
+        first = _oracle_first_unmarked_triangle(broken)
+        assert first == min(dropped)
+        with pytest.raises(ImsetError, match=re.escape(f"complete triangle {first} ")):
+            recover_mec(broken)
+        unmarked_checked += 1
+    assert unmarked_checked > 50
+
+
+def test_imset_entry_range_check():
+    dag = Dag.from_arcs(3, [(0, 2), (1, 2)])
+    assert imset_entry(dag, (2, 0, 1)) == 1
+    with pytest.raises(ImsetError):
+        imset_entry(dag, (1, 3))
+    with pytest.raises(ImsetError):
+        imset_entry(dag, (-1, 2))
