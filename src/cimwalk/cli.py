@@ -108,13 +108,30 @@ def _graph_json(p: int, arcs, edges) -> dict:
     }
 
 
+def _graph_fields(obj, keys: tuple, what: str) -> int:
+    """Check a graph JSON object's fields; returns its node count p."""
+    _require(isinstance(obj, dict), f"{what} must be a JSON object")
+    for key in keys:
+        _require(key in obj, f"{what} missing field {key!r}")
+    _require(type(obj["p"]) is int and obj["p"] >= 1,
+             f"{what}: field 'p' must be a positive integer")
+    return obj["p"]
+
+
+def _node_pairs(items, p: int, what: str) -> list:
+    """A JSON list of [a, b] node pairs, each node an int in [0, p)."""
+    _require(isinstance(items, list), f"{what} must be a list")
+    for item in items:
+        _require(isinstance(item, list) and len(item) == 2
+                 and all(type(v) is int and 0 <= v < p for v in item),
+                 f"{what} entry {item!r} is not a pair of nodes in [0, {p})")
+    return [tuple(item) for item in items]
+
+
 def _mec_from_graph_json(obj: dict) -> Mec:
-    for key in ("p", "arcs", "edges"):
-        _require(key in obj, f"essential graph JSON missing field {key!r}")
-    p = obj["p"]
-    _require(isinstance(p, int) and p >= 1, "field 'p' must be a positive integer")
-    arcs = [tuple(a) for a in obj["arcs"]]
-    edges = [tuple(e) for e in obj["edges"]]
+    p = _graph_fields(obj, ("p", "arcs", "edges"), "essential graph JSON")
+    arcs = _node_pairs(obj["arcs"], p, "essential graph 'arcs'")
+    edges = _node_pairs(obj["edges"], p, "essential graph 'edges'")
     try:
         skel = UndirectedGraph.from_edges(
             p, [tuple(sorted(a)) for a in arcs] + [tuple(sorted(e)) for e in edges])
@@ -183,8 +200,7 @@ def _cmd_discover(args) -> int:
                               phase_mode=phase_mode,
                               subset_cap=args.subset_cap,
                               tree_moves_enabled=args.tree_moves,
-                              alpha=args.alpha,
-                              seed=args.seed)
+                              alpha=args.alpha)
     except SearchError as exc:
         raise ValidationError(str(exc))
     driver = {"greedy-cim": greedy_cim,
@@ -236,6 +252,7 @@ def _cmd_analyze_polytope(args) -> int:
     t0 = time.time()
     _require((args.p is None) != (args.skeleton is None),
              "exactly one of --p and --skeleton is required")
+    _require(args.threads is None or args.threads >= 1, "--threads must be at least 1")
     inputs = []
     if args.p is not None:
         pairs = _P5_CLASSES * (_P5_CLASSES - 1) // 2
@@ -266,15 +283,14 @@ def _cmd_analyze_polytope(args) -> int:
 def _cmd_compare(args) -> int:
     t0 = time.time()
     result = _load_json(args.result)
-    _require("essential_graph" in result,
+    _require(isinstance(result, dict) and "essential_graph" in result,
              f"{args.result} missing field 'essential_graph'")
     found = _mec_from_graph_json(result["essential_graph"])
 
     truth = _load_json(args.truth)
-    for key in ("p", "arcs"):
-        _require(key in truth, f"{args.truth} missing field {key!r}")
+    p = _graph_fields(truth, ("p", "arcs"), args.truth)
     try:
-        true_dag = Dag.from_arcs(truth["p"], [tuple(a) for a in truth["arcs"]])
+        true_dag = Dag.from_arcs(p, _node_pairs(truth["arcs"], p, f"{args.truth} 'arcs'"))
     except GraphError as exc:
         raise ValidationError(f"invalid truth graph: {exc}")
     true_mec = mec_of(true_dag)

@@ -6,6 +6,7 @@ so they can be cached and used as dictionary keys throughout the package.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
@@ -189,19 +190,14 @@ def topological_order_or_none(p: int, arcs: Iterable) -> Optional[list]:
         indeg[b] += 1
         children[a].append(b)
     order = []
-    ready = sorted(i for i in range(p) if indeg[i] == 0)
+    ready = [i for i in range(p) if indeg[i] == 0]  # sorted, so a heap
     while ready:
-        x = ready[0]
-        ready = ready[1:]
+        x = heapq.heappop(ready)
         order.append(x)
-        changed = False
         for y in children[x]:
             indeg[y] -= 1
             if indeg[y] == 0:
-                ready.append(y)
-                changed = True
-        if changed:
-            ready.sort()
+                heapq.heappush(ready, y)
     return order if len(order) == p else None
 
 
@@ -243,11 +239,12 @@ class Mec:
     vstructs: frozenset
 
     def __post_init__(self):
+        edges = self.skeleton.edges
         for vs in self.vstructs:
             a, b = vs.tails
-            if not (self.skeleton.has_edge(a, vs.collider) and self.skeleton.has_edge(b, vs.collider)):
+            if _canon_pair(a, vs.collider) not in edges or _canon_pair(b, vs.collider) not in edges:
                 raise GraphError(f"v-structure {vs} tails not adjacent to collider")
-            if self.skeleton.has_edge(a, b):
+            if (a, b) in edges:
                 raise GraphError(f"v-structure {vs} tails are adjacent")
 
     @property

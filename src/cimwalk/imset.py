@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .graphs import Dag, GraphError, Mec, UndirectedGraph, VStructure
+from .graphs import Dag, Mec, UndirectedGraph, VStructure
 
 MAX_FULL_P = 16
 
@@ -130,6 +130,22 @@ def mec_restricted_imset(mec: Mec) -> CharImset:
     return CharImset(mec.p, frozenset(ones), restricted=True)
 
 
+def triple_vstructure(key: SubsetKey, edges, entry: bool):
+    """The v-structure a size-3 subset's entry implies given the skeleton
+    edges: an entry over exactly two edges; None for any other consistent
+    triple.  Raises ImsetError for an entry over fewer than two edges or a
+    complete triangle whose entry is zero."""
+    a, b, c = key
+    missing = [pair for pair in ((a, b), (a, c), (b, c)) if pair not in edges]
+    if entry and len(missing) > 1:
+        raise ImsetError(f"size-3 entry {key} with fewer than two edges")
+    if not entry and not missing:
+        raise ImsetError(f"complete triangle {key} with zero entry")
+    if not entry or not missing:
+        return None
+    return VStructure(next(v for v in key if v not in missing[0]), missing[0])
+
+
 def recover_mec(imset: CharImset) -> Mec:
     """Rebuild skeleton and v-structures from size-2/3 entries.
 
@@ -139,25 +155,11 @@ def recover_mec(imset: CharImset) -> Mec:
     """
     edges = {k for k in imset.ones if len(k) == 2}
     skel = UndirectedGraph(imset.p, frozenset(edges))
-    vstructs = set()
-    for key in imset.ones:
-        if len(key) != 3:
-            continue
-        a, b, c = key
-        present = [pair for pair in ((a, b), (a, c), (b, c)) if pair in edges]
-        if len(present) < 2:
-            raise ImsetError(f"size-3 entry {key} with fewer than two edges")
-        if len(present) == 2:
-            missing = next(pair for pair in ((a, b), (a, c), (b, c)) if pair not in edges)
-            collider = next(v for v in key if v not in missing)
-            vstructs.add(VStructure(collider, missing))
+    vstructs = {triple_vstructure(k, edges, True) for k in imset.ones if len(k) == 3}
     unmarked = _triangles(edges) - imset.ones
     if unmarked:
-        raise ImsetError(f"complete triangle {min(unmarked)} with zero entry")
-    try:
-        return Mec(skel, frozenset(vstructs))
-    except GraphError as exc:  # pragma: no cover - guarded by the checks above
-        raise ImsetError(str(exc)) from exc
+        triple_vstructure(min(unmarked), edges, False)  # raises
+    return Mec(skel, frozenset(vstructs - {None}))
 
 
 def imset_delta(a: CharImset, b: CharImset) -> tuple:

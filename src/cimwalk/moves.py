@@ -22,15 +22,13 @@ from functools import lru_cache
 from typing import Iterator, Optional
 
 from .graphs import (
-    CycleError,
     Dag,
     GraphError,
     Mec,
+    UndirectedGraph,
     consistent_extension,
-    mec_of,
 )
-from .imset import (
-    CharImset,
+from .imset import (  # recover_mec stays importable here for perfbench's tracer
     ImsetError,
     full_imset,
     imset_delta,
@@ -38,6 +36,7 @@ from .imset import (
     mec_restricted_imset,
     recover_mec,
     subset_key,
+    triple_vstructure,
 )
 
 MARKOV_EQUIVALENT = "markov_equivalent"
@@ -161,29 +160,46 @@ def add_edge_delta(dag: Dag, tail: int, head: int) -> Move:
 def apply_move(mec: Mec, move: Move) -> Mec:
     """Apply a move's delta to a class and return the target class.
 
-    Only size-2/3 entries are needed to rebuild the target.  Raises MoveError
-    when the delta clashes with the current entries, the updated entries are
-    impossible for any DAG, or the resulting class is not realizable.
+    Only size-2/3 entries matter, and only on the triples the delta touches:
+    its size-3 keys and every triple holding one of its pairs.  Those are
+    re-classified from their new entry and edges; every other v-structure of
+    the source carries over.  Raises MoveError when the delta clashes with
+    the current entries, the updated entries are impossible for any DAG, or
+    the resulting class is not realizable.
     """
-    base = set(mec_restricted_imset(mec).ones)
-    for key in move.added:
-        if len(key) > 3:
-            continue
+    p = mec.p
+    base = mec_restricted_imset(mec).ones
+    added = {k for k in move.added if len(k) <= 3}
+    removed = {k for k in move.removed if len(k) <= 3}
+    for key in added:
         if key in base:
             raise MoveError(f"added entry {key} already present")
-        base.add(key)
-    for key in move.removed:
-        if len(key) > 3:
-            continue
-        if key not in base:
+        if len(key) < 2 or key[0] < 0 or key[-1] >= p or key != tuple(sorted(set(key))):
+            raise MoveError(f"bad subset key {key}")
+    for key in removed:
+        if key not in base and key not in added:
             raise MoveError(f"removed entry {key} not present")
-        base.remove(key)
+    ones = base.union(added).difference(removed)
+    changed = added | removed
+    pairs = [k for k in changed if len(k) == 2]
+    touched = {k for k in changed if len(k) == 3}
+    skel = new_skel = mec.skeleton
+    if pairs:
+        new_skel = UndirectedGraph(
+            p, skel.edges.union(k for k in added if len(k) == 2).difference(removed))
+    for a, b in pairs:
+        near = (skel.neighbors(a) | skel.neighbors(b)
+                | new_skel.neighbors(a) | new_skel.neighbors(b))
+        touched.update(tuple(sorted((a, b, c))) for c in near - {a, b})
+    vstructs = {vs for vs in mec.vstructs if vs.nodes() not in touched}
     try:
-        target = recover_mec(CharImset(mec.p, frozenset(base), restricted=True))
+        for key in touched:
+            vs = triple_vstructure(key, new_skel.edges, key in ones)
+            if vs is not None:
+                vstructs.add(vs)
     except ImsetError as exc:
         raise MoveError(str(exc)) from exc
-    if mec_restricted_imset(target).ones != frozenset(base):
-        raise MoveError("updated entries are inconsistent")
+    target = Mec(new_skel, frozenset(vstructs))
     if consistent_extension(target) is None:
         raise MoveError("target class is not realizable")
     return target

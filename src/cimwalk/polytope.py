@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from multiprocessing import Pool
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -122,22 +122,23 @@ def enumerate_mecs(p: int) -> VertexSet:
     return _build_vertex_set(p, all_mecs(p))
 
 
-@lru_cache(maxsize=4096)
-def _mecs_with_skeleton(g: UndirectedGraph) -> tuple:
-    """All MECs whose skeleton is exactly g, via acyclic orientations."""
+def _orientations(g: UndirectedGraph) -> Iterator[Dag]:
+    """Every acyclic orientation of g, in a fixed order."""
     edges = sorted(g.edges)
-    if len(edges) > 24:
-        raise GraphError("too many edges to orient exhaustively")
-    seen = {}
     for bits in itertools.product((0, 1), repeat=len(edges)):
-        arcs = [(a, b) if bit == 0 else (b, a) for (a, b), bit in zip(edges, bits)]
         try:
-            dag = Dag.from_arcs(g.p, arcs)
+            yield Dag.from_arcs(g.p, [(a, b) if bit == 0 else (b, a)
+                                      for (a, b), bit in zip(edges, bits)])
         except CycleError:
             continue
-        mec = mec_of(dag)
-        seen.setdefault(mec, None)
-    return tuple(seen)
+
+
+@lru_cache(maxsize=4096)
+def _mecs_with_skeleton(g: UndirectedGraph) -> tuple:
+    """All MECs whose skeleton is exactly g, in order of first orientation."""
+    if len(g.edges) > 24:
+        raise GraphError("too many edges to orient exhaustively")
+    return tuple(dict.fromkeys(mec_of(dag) for dag in _orientations(g)))
 
 
 def enumerate_mecs_with_skeleton(g: UndirectedGraph) -> VertexSet:
@@ -348,13 +349,13 @@ def _midpoint_prefilter(matrix) -> set:
 
 
 def thread_count(requested: Optional[int] = None) -> int:
-    """Worker count: explicit argument, else CIMWALK_THREADS, else CPU count."""
-    if requested is not None and requested > 0:
-        return requested
+    """Worker count: explicit argument, else CIMWALK_THREADS, else CPU count;
+    never more than the CPU count."""
+    cpus = os.cpu_count() or 1
     env = os.environ.get("CIMWALK_THREADS", "")
-    if env.isdigit() and int(env) > 0:
-        return int(env)
-    return os.cpu_count() or 1
+    if requested is None or requested < 1:
+        requested = int(env) if env.isdigit() and int(env) > 0 else cpus
+    return min(requested, cpus)
 
 
 @dataclass(frozen=True)
@@ -414,17 +415,7 @@ def certify_all_edges(vs: VertexSet, threads: Optional[int] = None) -> EdgeSurve
 @lru_cache(maxsize=100_000)
 def _member_dags(mec: Mec) -> tuple:
     """Every DAG in the class, via acyclic orientations of the skeleton."""
-    edges = sorted(mec.skeleton.edges)
-    out = []
-    for bits in itertools.product((0, 1), repeat=len(edges)):
-        arcs = [(a, b) if bit == 0 else (b, a) for (a, b), bit in zip(edges, bits)]
-        try:
-            dag = Dag.from_arcs(mec.p, arcs)
-        except CycleError:
-            continue
-        if mec_of(dag) == mec:
-            out.append(dag)
-    return tuple(out)
+    return tuple(dag for dag in _orientations(mec.skeleton) if mec_of(dag) == mec)
 
 
 def _pair_move_kinds(vs: VertexSet) -> dict:

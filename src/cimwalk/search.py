@@ -62,7 +62,6 @@ class SearchConfig:
     subset_cap: Optional[int] = None
     tree_moves_enabled: bool = False
     alpha: float = 1e-4
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.strategy not in (FIRST_IMPROVEMENT, BEST_IMPROVEMENT):
@@ -201,19 +200,15 @@ def _run_phase(mec: Mec, score: float, phase: str, strategy: str,
         score += delta
 
 
-def _start_run(stats: SufficientStats) -> _Run:
-    return _Run(stats)
-
-
 def turn_phase(mec: Mec, stats: SufficientStats, config: SearchConfig):
-    run = _start_run(stats)
+    run = _Run(stats)
     out, _ = _run_phase(mec, score_mec(mec, stats, run.cache), "turn",
                         config.strategy, config, run)
     return out, SearchTrace(tuple(run.steps))
 
 
 def edge_phase(mec: Mec, stats: SufficientStats, config: SearchConfig):
-    run = _start_run(stats)
+    run = _Run(stats)
     out, _ = _run_phase(mec, score_mec(mec, stats, run.cache), "edge",
                         config.strategy, config, run)
     return out, SearchTrace(tuple(run.steps))
@@ -221,7 +216,7 @@ def edge_phase(mec: Mec, stats: SufficientStats, config: SearchConfig):
 
 def greedy_cim(stats: SufficientStats, config: SearchConfig):
     """Alternate edge and turn phases from the empty class to a joint fixpoint."""
-    run = _start_run(stats)
+    run = _Run(stats)
     current = mec_of(Dag.from_arcs(stats.p, []))
     score = score_mec(current, stats, run.cache)
     while True:
@@ -238,7 +233,7 @@ def skeletal_greedy_cim(stats: SufficientStats, config: SearchConfig):
     """CI-recovered skeleton, low-to-high orientation, then turn phase."""
     skel, _ = pc_skeleton(stats, config.alpha)
     start = mec_of(Dag.from_arcs(stats.p, sorted(skel.edges)))
-    run = _start_run(stats)
+    run = _Run(stats)
     out, _ = _run_phase(start, score_mec(start, stats, run.cache), "turn",
                         config.strategy, config, run)
     return out, SearchTrace(tuple(run.steps))
@@ -246,7 +241,7 @@ def skeletal_greedy_cim(stats: SufficientStats, config: SearchConfig):
 
 def recurrent_phased_greedy_cim(stats: SufficientStats, config: SearchConfig):
     """Forward, backward and turn phases cycled with best-improvement scans."""
-    run = _start_run(stats)
+    run = _Run(stats)
     current = mec_of(Dag.from_arcs(stats.p, []))
     score = score_mec(current, stats, run.cache)
     while True:

@@ -233,6 +233,75 @@ def test_compare_validation(tmp_path):
                 "--out", str(tmp_path / "c.json")) == 2
 
 
+def _graph(p, arcs=(), edges=()):
+    return {"p": p, "arcs": [list(a) for a in arcs],
+            "edges": [list(e) for e in edges], "text": ""}
+
+
+@pytest.mark.parametrize("graph", [
+    _graph(3, arcs=[[0, 1, 2]]),
+    _graph(3, arcs=[["a", 1]]),
+    _graph(3, arcs=[[0, 5]]),
+    _graph(3, arcs=[[True, 1]]),
+    _graph(3, arcs=[[0.0, 1]]),
+    _graph(3, edges=[[1]]),
+    _graph(3, edges=[[-1, 2]]),
+    _graph(3, edges="0 -- 1"),
+    _graph(True),
+    _graph("3"),
+    [0, 1],
+], ids=["triple", "string-node", "out-of-range", "bool-node", "float-node",
+        "single-node", "negative-node", "edges-not-a-list", "bool-p", "string-p",
+        "not-an-object"])
+def test_compare_rejects_malformed_result_graph(tmp_path, capsys, graph):
+    _, truth = _simulate(tmp_path, p=3, d=1.0, n=50, seed=6)
+    result = tmp_path / "result.json"
+    result.write_text(json.dumps({"essential_graph": graph}))
+    assert _run("compare", "--result", str(result), "--truth", str(truth),
+                "--out", str(tmp_path / "c.json")) == 2
+    assert "runtime error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("truth", [
+    {"p": 3, "arcs": [[0, 1, 5]]},
+    {"p": 3, "arcs": [["0", 1]]},
+    {"p": 3, "arcs": [[0, 3]]},
+    {"p": 3, "arcs": {"0": 1}},
+    {"p": "3", "arcs": []},
+    {"p": False, "arcs": []},
+    "p 3",
+], ids=["triple", "string-node", "out-of-range", "arcs-not-a-list", "string-p",
+        "bool-p", "not-an-object"])
+def test_compare_rejects_malformed_truth(tmp_path, capsys, truth):
+    result = tmp_path / "result.json"
+    result.write_text(json.dumps({"essential_graph": _graph(3, arcs=[[0, 1]])}))
+    truth_path = tmp_path / "truth.json"
+    truth_path.write_text(json.dumps(truth))
+    assert _run("compare", "--result", str(result), "--truth", str(truth_path),
+                "--out", str(tmp_path / "c.json")) == 2
+    assert "runtime error" not in capsys.readouterr().err
+
+
+def test_compare_accepts_hand_written_graphs(tmp_path):
+    result = tmp_path / "result.json"
+    result.write_text(json.dumps({"essential_graph": _graph(3, arcs=[[0, 1], [2, 1]])}))
+    truth = tmp_path / "truth.json"
+    truth.write_text(json.dumps({"p": 3, "arcs": [[0, 1], [2, 1]]}))
+    out = tmp_path / "c.json"
+    assert _run("compare", "--result", str(result), "--truth", str(truth),
+                "--out", str(out)) == 0
+    assert json.loads(out.read_text()) == {"shd": 0, "recovered": True}
+
+
+@pytest.mark.parametrize("threads", ["0", "-1", "-64"])
+def test_analyze_polytope_rejects_non_positive_threads(tmp_path, capsys, threads):
+    out = tmp_path / "census.json"
+    assert _run("analyze-polytope", "--p", "3", "--threads", threads,
+                "--out", str(out)) == 2
+    assert "--threads must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_version_flag():
     assert _run("--version") == 0
 

@@ -1,6 +1,7 @@
 """Core graph types: DAGs, skeletons, v-structures, classes, CPDAGs."""
 
 import itertools
+import random
 
 import pytest
 
@@ -9,8 +10,8 @@ from cimwalk.graphs import (CycleError, Dag, GraphError, Mec, UndirectedGraph,
                             cpdag_of_dag, dag_from_text, essential_graph,
                             format_graph_text, is_acyclic, markov_equivalent,
                             mec_of, parse_graph_text, shd, skeleton,
-                            topological_order, undirected_from_text,
-                            v_structures)
+                            topological_order, topological_order_or_none,
+                            undirected_from_text, v_structures)
 
 
 def test_dag_rejects_cycles():
@@ -51,6 +52,39 @@ def test_topological_order_respects_arcs():
     assert is_acyclic(3, [(0, 1)]) and not is_acyclic(2, [(0, 1), (1, 0)])
 
 
+def _sorted_ready_kahn(p, arcs):
+    """Kahn's algorithm that re-sorts its ready list after every step."""
+    indeg = [0] * p
+    children = [[] for _ in range(p)]
+    for a, b in arcs:
+        indeg[b] += 1
+        children[a].append(b)
+    order = []
+    ready = sorted(i for i in range(p) if indeg[i] == 0)
+    while ready:
+        x = ready.pop(0)
+        order.append(x)
+        for y in children[x]:
+            indeg[y] -= 1
+            if indeg[y] == 0:
+                ready.append(y)
+        ready.sort()
+    return order if len(order) == p else None
+
+
+def test_topological_order_matches_sorted_ready_kahn():
+    rng = random.Random(5)
+    cyclic = 0
+    for _ in range(500):
+        p = rng.randint(0, 9)
+        pairs = [(a, b) for a in range(p) for b in range(p) if a != b]
+        arcs = rng.sample(pairs, rng.randint(0, min(len(pairs), 2 * p)))
+        expected = _sorted_ready_kahn(p, arcs)
+        assert topological_order_or_none(p, arcs) == expected
+        cyclic += expected is None
+    assert 50 < cyclic < 450
+
+
 def test_skeleton_and_v_structures():
     collider = Dag.from_arcs(3, [(0, 2), (1, 2)])
     assert sorted(skeleton(collider).edges) == [(0, 2), (1, 2)]
@@ -81,6 +115,16 @@ def test_mec_validation():
         # tail not adjacent to the collider
         Mec(UndirectedGraph.from_edges(3, [(0, 2)]),
             frozenset({VStructure(2, (0, 1))}))
+    # the collider below, between and above its tails
+    for collider, tails in ((0, (1, 2)), (1, (0, 2)), (2, (0, 1))):
+        vs = frozenset({VStructure(collider, tails)})
+        legs = [(min(collider, t), max(collider, t)) for t in tails]
+        Mec(UndirectedGraph.from_edges(3, legs), vs)
+        for leg in legs:
+            with pytest.raises(GraphError, match="tails not adjacent to collider"):
+                Mec(UndirectedGraph.from_edges(3, [e for e in legs if e != leg]), vs)
+        with pytest.raises(GraphError, match="tails are adjacent"):
+            Mec(UndirectedGraph.from_edges(3, legs + [tails]), vs)
 
 
 def test_consistent_extension_round_trip_small():

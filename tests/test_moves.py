@@ -1,15 +1,22 @@
 """Moves between classes: kinds, deltas, application, enumeration."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cimwalk.graphs import (Dag, GraphError, Mec, UndirectedGraph, VStructure,
-                            all_mecs, mec_of)
-from cimwalk.imset import full_imset, imset_delta
+                            all_mecs, consistent_extension, mec_of)
+from cimwalk.imset import (CharImset, ImsetError, full_imset, imset_delta,
+                           mec_restricted_imset, recover_mec)
 from cimwalk.moves import (BUDDING, EDGE_PAIR, FLIP, MARKOV_EQUIVALENT,
                            SHIFT, SPLIT, V_STRUCTURE_ADDITION, Move, MoveError,
-                           add_edge_delta, apply_move, enumerate_edge_moves,
-                           enumerate_tree_moves, enumerate_turn_moves,
-                           representative, turn_edge_delta, verify_pair)
+                           _raw_edge_candidates, _raw_tree_candidates,
+                           _raw_turn_candidates, add_edge_delta, apply_move,
+                           enumerate_edge_moves, enumerate_tree_moves,
+                           enumerate_turn_moves, representative,
+                           turn_edge_delta, verify_pair)
 
 
 def test_markov_equivalent_reversal_has_empty_delta():
@@ -82,6 +89,127 @@ def test_apply_move_rejects_clashing_delta():
     bogus = Move(EDGE_PAIR, (0, 1, ()), frozenset(), frozenset({(0, 1)}))
     with pytest.raises(MoveError):
         apply_move(source, bogus)  # removes an entry that is absent
+
+
+def test_apply_move_rejects_malformed_keys():
+    source = mec_of(Dag.from_arcs(3, []))
+    for key in ((0, 3), (-1, 0), (1, 0), (1, 1), (2,)):
+        with pytest.raises(MoveError):
+            apply_move(source, Move(EDGE_PAIR, (), frozenset({key}), frozenset()))
+
+
+def _apply_from_scratch(mec, move):
+    """The reference materialisation: edit the source's restricted imset,
+    rebuild the whole target with recover_mec and check that the target's
+    own restricted imset is the edited one."""
+    base = set(mec_restricted_imset(mec).ones)
+    for key in move.added:
+        if len(key) > 3:
+            continue
+        if key in base:
+            raise MoveError(f"added entry {key} already present")
+        base.add(key)
+    for key in move.removed:
+        if len(key) > 3:
+            continue
+        if key not in base:
+            raise MoveError(f"removed entry {key} not present")
+        base.remove(key)
+    try:
+        target = recover_mec(CharImset(mec.p, frozenset(base), restricted=True))
+    except ImsetError as exc:
+        raise MoveError(str(exc)) from exc
+    if mec_restricted_imset(target).ones != frozenset(base):
+        raise MoveError("updated entries are inconsistent")
+    if consistent_extension(target) is None:
+        raise MoveError("target class is not realizable")
+    return target
+
+
+def _outcome(apply, mec, move):
+    try:
+        return apply(mec, move)
+    except MoveError:
+        return None
+
+
+def _raw_candidates(mec, cap=None):
+    yield from _raw_turn_candidates(mec, cap)
+    yield from _raw_edge_candidates(mec, cap)
+    if mec.skeleton.is_tree() or mec.skeleton.is_single_cycle():
+        yield from _raw_tree_candidates(mec)
+
+
+def _small(keys):
+    return {k for k in keys if len(k) <= 3}
+
+
+def _check_against_from_scratch(mec, move) -> list:
+    """Apply move and its inverse to mec, and the inverse to an accepted
+    target; each must agree with the reference.  Returns the outcomes."""
+    outcomes = []
+    for source, m in ((mec, move), (mec, move.inverse()), (None, move.inverse())):
+        if source is None:
+            source = outcomes[0]
+            if source is None:
+                continue
+        target = _outcome(apply_move, source, m)
+        assert target == _outcome(_apply_from_scratch, source, m), (source, m)
+        if target is not None:
+            edited = (mec_restricted_imset(source).ones | _small(m.added)) - _small(m.removed)
+            assert mec_restricted_imset(target).ones == edited
+        outcomes.append(target)
+    return outcomes
+
+
+def test_apply_move_matches_from_scratch_rebuild_on_all_small_classes():
+    accepted = rejected = 0
+    for p in (2, 3, 4):
+        for mec in all_mecs(p):
+            for move in _raw_candidates(mec):
+                for target in _check_against_from_scratch(mec, move):
+                    accepted += target is not None
+                    rejected += target is None
+    # every raw candidate and its inverse from the source, plus the inverse
+    # from each accepted target
+    assert accepted > 1000 and rejected > 1000
+
+
+def test_apply_move_matches_from_scratch_rebuild_on_multi_pair_deltas():
+    empty = mec_of(Dag.from_arcs(3, []))
+    collider = mec_of(Dag.from_arcs(3, [(1, 0), (2, 0)]))
+    triangle = frozenset({(0, 1), (0, 2), (1, 2)})
+    cases = [
+        # a whole triangle of new edges without its size-3 entry
+        (empty, Move(EDGE_PAIR, (), triangle, frozenset()), None),
+        (empty, Move(EDGE_PAIR, (), triangle | {(0, 1, 2)}, frozenset()),
+         mec_of(Dag.from_arcs(3, [(0, 1), (0, 2), (1, 2)]))),
+        # both edges of a v-structure removed but its entry kept
+        (collider, Move(EDGE_PAIR, (), frozenset(), frozenset({(0, 1), (0, 2)})), None),
+        (collider, Move(EDGE_PAIR, (), frozenset(), frozenset({(0, 1), (0, 2), (0, 1, 2)})),
+         empty),
+        # an entry both added and removed cancels out
+        (empty, Move(EDGE_PAIR, (), frozenset({(0, 1)}), frozenset({(0, 1)})), empty),
+    ]
+    for mec, move, expected in cases:
+        assert _check_against_from_scratch(mec, move)[0] == expected
+
+
+@st.composite
+def _random_classes(draw):
+    p = draw(st.integers(3, 8))
+    order = draw(st.permutations(range(p)))
+    pairs = list(itertools.combinations(range(p), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    arcs = [(order[a], order[b]) for (a, b), k in zip(pairs, keep) if k]
+    return mec_of(Dag.from_arcs(p, arcs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_random_classes())
+def test_apply_move_matches_from_scratch_rebuild_on_random_classes(mec):
+    for move in _raw_candidates(mec, cap=2):
+        _check_against_from_scratch(mec, move)
 
 
 def test_verify_pair_detects_wrong_delta():

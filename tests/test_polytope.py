@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cimwalk import polytope
 from cimwalk.graphs import GraphError, UndirectedGraph
 from cimwalk.imset import full_imset
 from cimwalk.lp import OPTIMAL, simplex_max
@@ -300,6 +301,7 @@ def test_star_over_cliques_shapes():
 
 
 def test_thread_count_env_fallback(monkeypatch):
+    monkeypatch.setattr(polytope.os, "cpu_count", lambda: 8)
     assert thread_count(3) == 3
     monkeypatch.setenv("CIMWALK_THREADS", "2")
     assert thread_count() == 2
@@ -307,6 +309,45 @@ def test_thread_count_env_fallback(monkeypatch):
     assert thread_count() >= 1
     monkeypatch.delenv("CIMWALK_THREADS")
     assert thread_count() >= 1
+
+
+def test_thread_count_is_capped_by_cpu_count(monkeypatch):
+    monkeypatch.setattr(polytope.os, "cpu_count", lambda: 2)
+    assert thread_count(1) == 1
+    assert thread_count(10**9) == 2
+    monkeypatch.setenv("CIMWALK_THREADS", str(10**9))
+    assert thread_count() == 2
+
+
+class _InProcessPool:
+    """Stands in for multiprocessing.Pool: records the worker count and
+    runs the work in this process, so no worker is ever started."""
+
+    workers = []
+
+    def __init__(self, workers, initializer, initargs):
+        self.workers.append(workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap_unordered(self, fn, items, chunksize):
+        return map(fn, items)
+
+
+def test_certify_all_edges_never_asks_for_more_workers_than_cpus(monkeypatch):
+    monkeypatch.setattr(polytope.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(polytope, "Pool", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "workers", [])
+    vs = enumerate_mecs_with_skeleton(cycle_graph(6))  # 76 pairs reach the LP
+    pooled = certify_all_edges(vs, threads=10**9)
+    assert _InProcessPool.workers == [2]
+    assert pooled.edges == certify_all_edges(vs, threads=1).edges
+    assert _InProcessPool.workers == [2]
 
 
 def _assert_float_and_exact_agree(vs):
