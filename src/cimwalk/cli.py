@@ -27,6 +27,7 @@ from .graphs import (Dag, GraphError, Mec, UndirectedGraph, VStructure,
                      consistent_extension, essential_graph, format_graph_text,
                      mec_of, parse_graph_text, shd)
 from .ci_tests import CiTestError
+from .imset import MAX_FULL_P, ImsetError
 from .moves import MoveError
 from .polytope import (edge_census, enumerate_mecs, enumerate_mecs_with_skeleton,
                        thread_count)
@@ -194,6 +195,8 @@ def _load_stats(path: str):
 def _cmd_discover(args) -> int:
     t0 = time.time()
     stats = _load_stats(args.data)
+    _require(stats.p <= MAX_FULL_P, f"{args.data} has {stats.p} columns; discover "
+             f"checks moves against full imsets, limited to p <= {MAX_FULL_P}")
     phase_mode = RECURRENT_PHASED if args.algo == "recurrent-cim" else ALTERNATING
     try:
         config = SearchConfig(strategy=_STRATEGIES[args.strategy],
@@ -369,7 +372,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValidationError, ScoringError, CiTestError, GraphError,
-            SimulationError, MoveError) as exc:
+            SimulationError, MoveError, ImsetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

@@ -60,9 +60,6 @@ class UndirectedGraph:
     def degree(self, i: int) -> int:
         return len(self.neighbors(i))
 
-    def add_edge(self, a: int, b: int) -> "UndirectedGraph":
-        return UndirectedGraph.from_edges(self.p, set(self.edges) | {_canon_pair(a, b)})
-
     def remove_edge(self, a: int, b: int) -> "UndirectedGraph":
         e = _canon_pair(a, b)
         if e not in self.edges:
@@ -148,9 +145,6 @@ class Dag:
 
     def parent_set(self, i: int) -> frozenset:
         return self.parents[i]
-
-    def children(self, i: int) -> frozenset:
-        return frozenset(h for h in range(self.p) if i in self.parents[h])
 
     def has_arc(self, a: int, b: int) -> bool:
         return a in self.parents[b]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterator, Optional
 
 from .graphs import (
@@ -63,9 +63,6 @@ class Move:
     added: frozenset
     removed: frozenset
 
-    def delta(self) -> tuple:
-        return (self.added, self.removed)
-
     def inverse(self) -> "Move":
         return Move(self.kind, self.params, self.removed, self.added)
 
@@ -83,7 +80,9 @@ class Move:
         }
 
 
+@lru_cache(maxsize=4_096)
 def representative(mec: Mec) -> Dag:
+    # One consistent extension per class; a Dag is immutable, so it is shared.
     dag = consistent_extension(mec)
     if dag is None:
         raise MoveError("class is not realizable by any DAG")
@@ -269,12 +268,9 @@ def _raw_turn_candidates(mec: Mec, cap: Optional[int]) -> Iterator[Move]:
     sides yields the kind.  Preconditions on entries of the form S + {i} are
     enforced through the admissible families.
     """
-    rep = representative(mec)
+    c = partial(imset_entry, representative(mec))
     p = mec.p
     ne = [mec.skeleton.neighbors(i) for i in range(p)]
-
-    def c(key):
-        return imset_entry(rep, key)
 
     for i in range(p):
         for j in sorted(ne[i]):
@@ -315,12 +311,9 @@ def _raw_edge_candidates(mec: Mec, cap: Optional[int]) -> Iterator[Move]:
     gained, so all its entries must be 0.  Adjacent (i, j): the same family
     is lost, so all entries must be 1.
     """
-    rep = representative(mec)
+    c = partial(imset_entry, representative(mec))
     p = mec.p
     ne = [mec.skeleton.neighbors(i) for i in range(p)]
-
-    def c(key):
-        return imset_entry(rep, key)
 
     for i in range(p):
         for j in range(p):
@@ -383,11 +376,7 @@ def _tree_paths(mec: Mec) -> Iterator[tuple]:
 
 
 def _raw_tree_candidates(mec: Mec) -> Iterator[Move]:
-    rep = representative(mec)
-
-    def c(key):
-        return imset_entry(rep, key)
-
+    c = partial(imset_entry, representative(mec))
     for path in _tree_paths(mec):
         n = len(path)
         triples = [subset_key((path[j - 1], path[j], path[j + 1])) for j in range(1, n - 1)]

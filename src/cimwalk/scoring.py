@@ -10,6 +10,7 @@ extension.
 from __future__ import annotations
 
 import io
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -246,6 +247,7 @@ class LocalScoreCache:
     hits: int = 0
     misses: int = 0
     _table: dict = field(default_factory=dict, repr=False)
+    _mobius: dict = field(default_factory=dict, repr=False)
 
     def local(self, node: int, parents: Iterable[int]) -> float:
         key = (node, tuple(sorted(set(parents))))
@@ -255,6 +257,18 @@ class LocalScoreCache:
         self.misses += 1
         value = local_bic(key[0], key[1], self.stats)
         self._table[key] = value
+        return value
+
+    def mobius(self, key: tuple) -> float:
+        """Coefficient r(S) of imset entry S = key in the (affine) class score:
+        the sum over T within S - {i} of (-1)^(|S|-1-|T|) local(i, T), i = max(S)."""
+        value = self._mobius.get(key)
+        if value is None:
+            i, rest = key[-1], key[:-1]
+            value = self._mobius[key] = sum(
+                (-1) ** (len(rest) - r) * self.local(i, sub)
+                for r in range(len(rest) + 1)
+                for sub in itertools.combinations(rest, r))
         return value
 
     def __len__(self) -> int:
@@ -286,29 +300,31 @@ def score_mec(mec: Mec, stats: SufficientStats,
     return score_dag(dag, stats, cache)
 
 
-def delta_and_target(source: Mec, move: Move, stats: SufficientStats,
-                     cache: Optional[LocalScoreCache] = None):
-    """Score change of a move together with the target class.
+def class_delta(source: Mec, target: Mec, cache: LocalScoreCache) -> float:
+    """Score change from the source class to the target class.
 
     Only nodes whose parent sets differ between the two consistent
     extensions are rescored; identical local terms cancel exactly.
     """
-    table = _cache_for(stats, cache)
-    target = apply_move(source, move)
     before = consistent_extension(source)
     after = consistent_extension(target)
     if before is None or after is None:
         raise GraphError("class admits no consistent extension")
     delta = 0.0
-    for i in range(source.p):
-        pa_b = before.parent_set(i)
-        pa_a = after.parent_set(i)
+    for i, (pa_b, pa_a) in enumerate(zip(before.parents, after.parents)):
         if pa_b != pa_a:
-            delta += table.local(i, pa_a) - table.local(i, pa_b)
-    return delta, target
+            delta += cache.local(i, pa_a) - cache.local(i, pa_b)
+    return delta
+
+
+def delta_and_target(source: Mec, move: Move, stats: SufficientStats,
+                     cache: Optional[LocalScoreCache] = None):
+    """Score change of a move together with the target class."""
+    table = _cache_for(stats, cache)
+    target = apply_move(source, move)
+    return class_delta(source, target, table), target
 
 
 def score_delta(source: Mec, move: Move, stats: SufficientStats,
                 cache: Optional[LocalScoreCache] = None) -> float:
-    delta, _ = delta_and_target(source, move, stats, cache)
-    return delta
+    return delta_and_target(source, move, stats, cache)[0]

@@ -19,12 +19,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
 
+# consistent_extension stays importable here for perfbench's tracer
 from .graphs import Dag, Mec, consistent_extension, mec_of
 from .imset import imset_delta, full_imset
 from .moves import (Move, MoveError, apply_move, representative, verify_pair,
                     _raw_edge_candidates, _raw_tree_candidates,
                     _raw_turn_candidates)
-from .scoring import LocalScoreCache, SufficientStats, score_mec
+from .scoring import (LocalScoreCache, ScoringError, SufficientStats,
+                      class_delta, score_mec)
 from .ci_tests import pc_skeleton
 
 __all__ = [
@@ -49,6 +51,7 @@ ALTERNATING = "alternating"
 RECURRENT_PHASED = "recurrent_phased"
 
 _AUDIT_EVERY = 10
+_SCREEN_MAX = 8  # largest screened |S|: r(S) costs 2^(|S|-1) local scores
 
 
 class SearchError(Exception):
@@ -131,13 +134,9 @@ def _candidates(mec: Mec, phase: str, config: SearchConfig) -> Iterator[Move]:
                 yield from _raw_tree_candidates(mec)
     elif phase == "edge":
         yield from _raw_edge_candidates(mec, config.subset_cap)
-    elif phase == "forward":
+    elif phase in ("forward", "backward"):
         for move in _raw_edge_candidates(mec, config.subset_cap):
-            if not move.removed:
-                yield move
-    elif phase == "backward":
-        for move in _raw_edge_candidates(mec, config.subset_cap):
-            if not move.added:
+            if not (move.removed if phase == "forward" else move.added):
                 yield move
     else:
         raise SearchError(f"unknown phase {phase!r}")
@@ -149,15 +148,17 @@ def _class_imset(mec: Mec):
 
 
 def _extension_delta(source: Mec, target: Mec, run: _Run) -> float:
-    before = consistent_extension(source)
-    after = consistent_extension(target)
-    delta = 0.0
-    for i in range(source.p):
-        pa_b = before.parent_set(i)
-        pa_a = after.parent_set(i)
-        if pa_b != pa_a:
-            delta += run.cache.local(i, pa_a) - run.cache.local(i, pa_b)
-    return delta
+    return class_delta(source, target, run.cache)
+
+
+def _estimate(move: Move, cache: LocalScoreCache) -> Optional[float]:
+    """Sum of Möbius coefficients over the move's delta; None past _SCREEN_MAX."""
+    if max(map(len, move.added | move.removed), default=0) > _SCREEN_MAX:
+        return None
+    try:
+        return sum(map(cache.mobius, move.added)) - sum(map(cache.mobius, move.removed))
+    except ScoringError:  # singular statistics: leave it to the full path
+        return None
 
 
 def _run_phase(mec: Mec, score: float, phase: str, strategy: str,
@@ -167,11 +168,14 @@ def _run_phase(mec: Mec, score: float, phase: str, strategy: str,
     Candidates are deduplicated by delta and checked against the true
     full-imset difference before being considered, mirroring the
     verified enumeration; claimed deltas that do not match the actual
-    pair of classes are discarded.
+    pair of classes are discarded.  First, a candidate is skipped when
+    its estimate plus a rounding margin cannot beat the best delta so far
+    (or 0); a valid move's delta is within the margin of its estimate.
     """
     current = mec
     while True:
         source_imset = _class_imset(current)
+        margin = 1e-9 * max(1.0, abs(score))
         best = None
         seen = set()
         for move in _candidates(current, phase, config):
@@ -179,6 +183,9 @@ def _run_phase(mec: Mec, score: float, phase: str, strategy: str,
             if key in seen:
                 continue
             seen.add(key)
+            est = _estimate(move, run.cache)
+            if est is not None and est + margin <= (best[0] if best else 0.0):
+                continue
             try:
                 target = apply_move(current, move)
             except MoveError:
@@ -200,18 +207,20 @@ def _run_phase(mec: Mec, score: float, phase: str, strategy: str,
         score += delta
 
 
-def turn_phase(mec: Mec, stats: SufficientStats, config: SearchConfig):
+def _single_phase(start: Mec, stats: SufficientStats, config: SearchConfig,
+                  phase: str):
     run = _Run(stats)
-    out, _ = _run_phase(mec, score_mec(mec, stats, run.cache), "turn",
+    out, _ = _run_phase(start, score_mec(start, stats, run.cache), phase,
                         config.strategy, config, run)
     return out, SearchTrace(tuple(run.steps))
+
+
+def turn_phase(mec: Mec, stats: SufficientStats, config: SearchConfig):
+    return _single_phase(mec, stats, config, "turn")
 
 
 def edge_phase(mec: Mec, stats: SufficientStats, config: SearchConfig):
-    run = _Run(stats)
-    out, _ = _run_phase(mec, score_mec(mec, stats, run.cache), "edge",
-                        config.strategy, config, run)
-    return out, SearchTrace(tuple(run.steps))
+    return _single_phase(mec, stats, config, "edge")
 
 
 def greedy_cim(stats: SufficientStats, config: SearchConfig):
@@ -233,10 +242,7 @@ def skeletal_greedy_cim(stats: SufficientStats, config: SearchConfig):
     """CI-recovered skeleton, low-to-high orientation, then turn phase."""
     skel, _ = pc_skeleton(stats, config.alpha)
     start = mec_of(Dag.from_arcs(stats.p, sorted(skel.edges)))
-    run = _Run(stats)
-    out, _ = _run_phase(start, score_mec(start, stats, run.cache), "turn",
-                        config.strategy, config, run)
-    return out, SearchTrace(tuple(run.steps))
+    return _single_phase(start, stats, config, "turn")
 
 
 def recurrent_phased_greedy_cim(stats: SufficientStats, config: SearchConfig):

@@ -346,3 +346,15 @@ def test_degenerate_data_is_rejected_before_any_search(tmp_path, capsys, algo):
         err = capsys.readouterr().err
         assert "rank deficient" in err and named in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("algo", ["greedy-cim", "skeletal-greedy-cim",
+                                  "recurrent-cim"])
+def test_discover_rejects_more_columns_than_the_full_imset_limit(tmp_path, capsys, algo):
+    data, _ = _simulate(tmp_path, p=18, d=2.0, n=200, seed=3)
+    out = tmp_path / "r.json"
+    assert _run("discover", "--algo", algo, "--data", str(data),
+                "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "18 columns" in err and "p <= 16" in err
+    assert not out.exists()

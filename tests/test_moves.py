@@ -205,7 +205,7 @@ def _random_classes(draw):
     return mec_of(Dag.from_arcs(p, arcs))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(_random_classes())
 def test_apply_move_matches_from_scratch_rebuild_on_random_classes(mec):
     for move in _raw_candidates(mec, cap=2):

@@ -1,14 +1,22 @@
-"""Search drivers: phases, traces, determinism, audit."""
+"""Search drivers: phases, traces, determinism, audit, candidate screen."""
+
+import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cimwalk.search as search_mod
 from cimwalk.graphs import Dag, mec_of
-from cimwalk.moves import V_STRUCTURE_ADDITION
-from cimwalk.scoring import SufficientStats
+from cimwalk.imset import imset_delta
+from cimwalk.moves import (V_STRUCTURE_ADDITION, MoveError, apply_move,
+                           enumerate_edge_moves, enumerate_turn_moves)
+from cimwalk.polytope import enumerate_mecs
+from cimwalk.scoring import (LocalScoreCache, SufficientStats, score_delta,
+                             score_mec)
 from cimwalk.search import (BEST_IMPROVEMENT, FIRST_IMPROVEMENT,
                             RECURRENT_PHASED, SearchConfig, SearchError,
-                            edge_phase, greedy_cim,
+                            TraceStep, edge_phase, greedy_cim,
                             recurrent_phased_greedy_cim, skeletal_greedy_cim,
                             turn_phase)
 from cimwalk.simulate import assign_weights, make_rng, random_dag, sample
@@ -125,3 +133,110 @@ def test_audit_failure_raises(monkeypatch):
     monkeypatch.setattr(search_mod, "verify_pair", lambda *args: False)
     with pytest.raises(SearchError):
         greedy_cim(_stats(COLLIDER_COV), SearchConfig())
+
+
+# ---------------------------------------------------------------------------
+# The imset-delta screen
+
+
+def _sampled_stats(p, seed, n=500):
+    model = assign_weights(random_dag(p, 2.0, make_rng(seed)), make_rng(seed + 1))
+    _, stats = sample(model, n, make_rng(seed + 2))
+    return stats
+
+
+def _assert_estimates_match(mec, stats):
+    """On every turn and edge candidate that passes apply_move and the
+    full-imset check, the Möbius estimate equals the extension delta to
+    within a thousandth of the screen's margin."""
+    cache = LocalScoreCache(stats)
+    tolerance = 1e-9 * max(1.0, abs(score_mec(mec, stats, cache))) / 1000
+    checked = 0
+    for move, _ in enumerate_turn_moves(mec) + enumerate_edge_moves(mec):
+        est = search_mod._estimate(move, cache)
+        assert est is not None
+        assert abs(est - score_delta(mec, move, stats, cache)) <= tolerance
+        checked += 1
+    return checked
+
+
+@st.composite
+def _classes_with_data(draw):
+    p = draw(st.integers(4, 7))
+    order = draw(st.permutations(range(p)))
+    pairs = list(itertools.combinations(range(p), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    arcs = [(order[a], order[b]) for (a, b), k in zip(pairs, keep) if k]
+    return mec_of(Dag.from_arcs(p, arcs)), _sampled_stats(p, draw(st.integers(0, 10**6)))
+
+
+@settings(max_examples=60)
+@given(_classes_with_data())
+def test_screen_estimate_matches_score_delta_on_random_classes(case):
+    assert _assert_estimates_match(*case) > 0
+
+
+def test_screen_estimate_matches_score_delta_on_every_p4_class():
+    stats = _sampled_stats(4, 17)
+    assert sum(_assert_estimates_match(mec, stats) for mec in enumerate_mecs(4).mecs) > 0
+
+
+def _unscreened_run_phase(mec, score, phase, strategy, config, run):
+    """The phase loop without the screen: every deduplicated candidate is
+    materialised, checked against full imsets and scored."""
+    current = mec
+    while True:
+        source_imset = search_mod._class_imset(current)
+        best = None
+        seen = set()
+        for move in search_mod._candidates(current, phase, config):
+            key = (move.added, move.removed)
+            if key in seen:
+                continue
+            seen.add(key)
+            try:
+                target = apply_move(current, move)
+            except MoveError:
+                continue
+            added, removed = imset_delta(source_imset,
+                                         search_mod._class_imset(target))
+            if added != move.added or removed != move.removed:
+                continue
+            delta = search_mod._extension_delta(current, target, run)
+            if delta > 0.0 and (best is None or delta > best[0]):
+                best = (delta, move, target)
+                if strategy == FIRST_IMPROVEMENT:
+                    break
+        if best is None:
+            return current, score
+        delta, move, target = best
+        run.audit(current, target, move)
+        run.steps.append(TraceStep(move, score, score + delta, phase))
+        current = target
+        score += delta
+
+
+_DRIVER_RUNS = [(driver, strategy)
+                for driver in (greedy_cim, skeletal_greedy_cim)
+                for strategy in (FIRST_IMPROVEMENT, BEST_IMPROVEMENT)]
+_DRIVER_RUNS.append((recurrent_phased_greedy_cim, BEST_IMPROVEMENT))
+
+
+def _all_runs(stats):
+    out = []
+    for driver, strategy in _DRIVER_RUNS:
+        mec, trace = driver(stats, SearchConfig(strategy=strategy))
+        out.append((mec, trace.to_json()))
+    return out
+
+
+@pytest.mark.parametrize("index", range(10))
+def test_screen_leaves_traces_and_results_unchanged(monkeypatch, index):
+    stats = _sampled_stats(5 + index % 6, 300 + index)
+    screened = _all_runs(stats)
+    with monkeypatch.context() as patch:
+        patch.setattr(search_mod, "_run_phase", _unscreened_run_phase)
+        assert _all_runs(stats) == screened
+    if index % 3 == 0:
+        monkeypatch.setattr(search_mod, "_SCREEN_MAX", 0)
+        assert _all_runs(stats) == screened
