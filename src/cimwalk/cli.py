@@ -19,6 +19,7 @@ import json
 import platform
 import sys
 import time
+from typing import Optional
 
 import numpy as np
 
@@ -68,7 +69,8 @@ def _write_json(path: str, obj) -> None:
 
 
 def _write_manifest(primary_out: str, command: str, config: dict, seed,
-                    inputs: list, outputs: list, t0: float) -> None:
+                    inputs: list, outputs: list, t0: float,
+                    stage_seconds: Optional[dict] = None) -> None:
     manifest = {
         "command": command,
         "config": config,
@@ -82,6 +84,8 @@ def _write_manifest(primary_out: str, command: str, config: dict, seed,
         "output_hashes": {path: _sha256(path) for path in outputs},
         "wall_clock_seconds": round(time.time() - t0, 3),
     }
+    if stage_seconds is not None:
+        manifest["stage_seconds"] = {k: round(v, 3) for k, v in stage_seconds.items()}
     _write_json(primary_out + ".manifest.json", manifest)
 
 
@@ -257,6 +261,7 @@ def _cmd_analyze_polytope(args) -> int:
              "exactly one of --p and --skeleton is required")
     _require(args.threads is None or args.threads >= 1, "--threads must be at least 1")
     inputs = []
+    start = time.perf_counter()
     if args.p is not None:
         pairs = _P5_CLASSES * (_P5_CLASSES - 1) // 2
         _require(args.p != 5,
@@ -274,12 +279,13 @@ def _cmd_analyze_polytope(args) -> int:
         _require(not arcs, "skeleton file must contain only undirected edges ('a -- b')")
         vertex_set = enumerate_mecs_with_skeleton(UndirectedGraph.from_edges(p, edges))
         inputs.append(args.skeleton)
-    census = edge_census(vertex_set, threads=thread_count(args.threads))
+    stages = {"enumerate": time.perf_counter() - start}
+    census = edge_census(vertex_set, threads=thread_count(args.threads), seconds=stages)
     _write_json(args.out, census)
     _write_manifest(args.out, "analyze-polytope",
                     {"p": args.p, "skeleton": args.skeleton,
                      "threads": args.threads, "out": args.out},
-                    None, inputs, [args.out], t0)
+                    None, inputs, [args.out], t0, stages)
     return 0
 
 

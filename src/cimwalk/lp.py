@@ -2,12 +2,14 @@
 
 Solves  max c.x  s.t.  A x (<=|=|>=) b,  x >= 0.
 
-One tableau layout serves two arithmetic modes: float64 numpy arrays with
-vectorized pivots for speed, and Fraction object arrays with exact
-comparisons for re-solves of numerically ambiguous instances.  Entering
-columns follow Bland's smallest-index rule, which rules out cycling in the
-exact mode and is harmless in the float mode.  An optimal result carries the
-row duals as well as the primal point.
+One tableau layout serves two arithmetic modes: float64 numpy arrays for
+speed, and Fraction object arrays with exact comparisons for re-solves of
+numerically ambiguous instances.  Float LPs are solved as a stack of
+tableaux pivoted in lockstep, so many LPs of one shape cost one numpy call
+per step; a single float LP is a stack of one.  Entering columns follow
+Bland's smallest-index rule, which rules out cycling in the exact mode and
+is harmless in the float mode.  An optimal result carries the row duals as
+well as the primal point.
 """
 
 from __future__ import annotations
@@ -46,24 +48,60 @@ def _pivot(tableau, basis, r, col):
     basis[r] = col
 
 
-def _run_float(tableau, basis, m, obj_row, allowed_mask, width):
+def _run_float(stack, basis, m, obj_row, allowed_mask):
+    """Bland's-rule pivots on every tableau of a float stack (count, rows, width).
+
+    At each step every LP still running picks its entering column (the first
+    allowed positive reduced cost) and its leaving row (the smallest ratio,
+    ties to the smallest basis index), and all of them pivot at once with
+    _pivot's elementwise arithmetic, so each tableau ends bit for bit where
+    a solve on its own would.  The pivots run on a copy; a finished tableau
+    is written back into stack and basis and leaves the running set.
+    Returns one outcome per LP: OPTIMAL, UNBOUNDED, or None where the pivot
+    limit was hit.
+    """
     tol = 1e-9
+    outcome = [None] * len(stack)
+    # the running LPs are tab[:count]; live maps a slot to its LP in stack
+    tab, bas = stack.copy(), basis.copy()
+    live = np.arange(len(stack))
+    count = len(stack)
     for _ in range(_MAX_PIVOTS):
-        reduced = tableau[obj_row, : width - 1]
-        candidates = np.nonzero((reduced > tol) & allowed_mask)[0]
-        if candidates.size == 0:
-            return True
-        enter = int(candidates[0])
-        col = tableau[:m, enter]
-        pos = np.nonzero(col > tol)[0]
-        if pos.size == 0:
-            return False
-        ratios = tableau[pos, -1] / col[pos]
-        best = ratios.min()
-        near = pos[ratios <= best + 1e-12 + 1e-9 * abs(best)]
-        leave = int(min(near, key=lambda i: basis[i]))
-        _pivot(tableau, basis, leave, enter)
-    raise LpError("pivot limit exceeded")
+        t, b = tab[:count], bas[:count]
+        cand = (t[:, obj_row, :-1] > tol) & allowed_mask
+        enter = cand.argmax(axis=1)
+        col = t[np.arange(count), :m, enter]
+        pos = col > tol
+        optimal = ~cand.any(axis=1)
+        done = optimal | ~pos.any(axis=1)
+        if done.any():
+            finished = np.nonzero(done)[0]
+            for q in finished:
+                outcome[live[q]] = OPTIMAL if optimal[q] else UNBOUNDED
+            stack[live[finished]] = t[finished]
+            basis[live[finished]] = b[finished]
+            count -= len(finished)
+            if not count:
+                break
+            # refill the freed slots below count from the running LPs above it
+            holes = finished[finished < count]
+            movers = count + np.nonzero(~done[count:])[0]
+            for arr in (tab, bas, live, enter, col, pos):
+                arr[holes] = arr[movers]
+            t, b = tab[:count], bas[:count]
+            enter, col, pos = enter[:count], col[:count], pos[:count]
+        ratios = np.divide(t[:, :m, -1], col, out=np.full(col.shape, np.inf), where=pos)
+        best = ratios.min(axis=1, keepdims=True)
+        near = pos & (ratios <= best + 1e-12 + 1e-9 * np.abs(best))
+        leave = np.where(near, b, t.shape[2]).argmin(axis=1)
+        idx = np.arange(count)
+        row = t[idx, leave] / t[idx, leave, enter][:, None]
+        t[idx, leave] = row
+        factors = t[idx, :, enter]
+        factors[idx, leave] = 0.0
+        t -= factors[:, :, None] * row[:, None, :]
+        b[idx, leave] = enter
+    return outcome
 
 
 def _run_exact(tableau, basis, m, obj_row, allowed_mask, width):
@@ -91,12 +129,135 @@ def _run_exact(tableau, basis, m, obj_row, allowed_mask, width):
     raise LpError("pivot limit exceeded")
 
 
+def _run_exact_stack(stack, basis, m, obj_row, allowed_mask):
+    """_run_exact on each tableau of a stack, with _run_float's outcomes."""
+    width = stack.shape[2]
+    return [OPTIMAL if _run_exact(tab, bas, m, obj_row, allowed_mask, width) else UNBOUNDED
+            for tab, bas in zip(stack, basis)]
+
+
+def _start(cost, a, rhs, senses, zero, one):
+    """Starting tableaux of a stack of LPs that share cost and senses.
+
+    a is (count, m, n) and rhs (count, m) >= 0.  Columns run structural,
+    then one slack or surplus per '<=' / '>=' row, then one artificial per
+    '>=' / '=' row, each block in row order.  Returns (stack, unit,
+    art_cols), where unit[i] is the column holding e_i in the starting basis
+    (the slack of a '<=' row, the artificial of any other).
+    """
+    count, m, n = a.shape
+    slack_rows = [i for i, s in enumerate(senses) if s != "="]
+    art_rows = [i for i, s in enumerate(senses) if s != "<="]
+    slack_cols = list(range(n, n + len(slack_rows)))
+    art_cols = list(range(n + len(slack_rows), n + len(slack_rows) + len(art_rows)))
+    width = n + len(slack_rows) + len(art_rows) + 1
+    stack = np.full((count, m + 2, width), zero, dtype=a.dtype)
+    stack[:, :m, :n] = a
+    stack[:, :m, -1] = rhs
+    unit = [0] * m
+    for i, col in zip(slack_rows, slack_cols):
+        if senses[i] == "<=":
+            stack[:, i, col] = one
+            unit[i] = col
+        else:
+            stack[:, i, col] = -one
+    for i, col in zip(art_rows, art_cols):
+        stack[:, i, col] = one
+        unit[i] = col
+    # phase-1 objective (row m): the sum of the artificial rows, so the rhs
+    # cell tracks the current total infeasibility
+    if art_rows:
+        stack[:, m] = stack[:, art_rows].sum(axis=1)
+        stack[:, m, art_cols] = zero
+    # phase-2 objective (row m + 1): reduced costs of the original objective
+    stack[:, m + 1, :n] = cost
+    return stack, unit, art_cols
+
+
+def _drive_out(tableau, basis, m, art_mask, piv_tol):
+    """Pivot leftover artificials out of the basis after phase 1.
+
+    A row whose artificial cannot leave is redundant and is dropped.
+    Returns the tableau, the basis and the original row of each kept row.
+    """
+    drop = []
+    for i in range(m):
+        if art_mask[basis[i]]:
+            cols = np.nonzero(~art_mask & (np.abs(tableau[i, :-1]) > piv_tol))[0]
+            if cols.size:
+                _pivot(tableau, basis, i, int(cols[0]))
+            else:
+                drop.append(i)
+    keep = [i for i in range(m) if i not in drop]
+    return tableau[keep + [m, m + 1]], basis[keep], keep
+
+
+def _solve(stack, unit, art_cols, n, flip, exact):
+    """Both phases on a stack of starting tableaux from _start.
+
+    flip marks the rows that were negated for a negative rhs.  Returns one
+    entry per LP: its LpResult, or the LpError that simplex_max raises for
+    it.  An LP that keeps an artificial in its basis after phase 1 goes
+    through _drive_out and finishes on its own; the rest finish together.
+    """
+    count, rows, width = stack.shape
+    m = rows - 2
+    zero = Fraction(0) if exact else 0.0
+    run = _run_exact_stack if exact else _run_float
+    basis = np.tile(np.array(unit, dtype=np.int64), (count, 1))
+    art_mask = np.zeros(width - 1, dtype=bool)
+    art_mask[art_cols] = True
+    out = [None] * count
+
+    if art_cols:
+        feas_tol = zero if exact else 1e-7
+        for k, status in enumerate(run(stack, basis, m, m, np.ones(width - 1, dtype=bool))):
+            if status is None:
+                out[k] = LpError("pivot limit exceeded")
+            elif status == UNBOUNDED:
+                out[k] = LpError("phase 1 reported unbounded")
+            elif stack[k, m, -1] > feas_tol:
+                out[k] = LpResult(INFEASIBLE, [], None)
+    # phase 2 runs on (LPs, their tableaux, their bases, original row of
+    # each tableau row) jobs
+    stuck = [k for k in range(count) if out[k] is None and art_mask[basis[k]].any()]
+    together = [k for k in range(count) if out[k] is None and k not in stuck]
+    jobs = [(together, stack[together], basis[together], list(range(m)))] if together else []
+    for k in stuck:
+        tableau, bas, kept = _drive_out(stack[k], basis[k], m, art_mask, zero if exact else 1e-9)
+        jobs.append(([k], tableau[None], bas[None], kept))
+
+    for members, tabs, bases, kept in jobs:
+        obj2 = len(kept) + 1
+        outcomes = run(tabs, bases, len(kept), obj2, ~art_mask)
+        for k, tableau, bas, status in zip(members, tabs, bases, outcomes):
+            if status is None:
+                out[k] = LpError("pivot limit exceeded")
+                continue
+            if status == UNBOUNDED:
+                out[k] = LpResult(UNBOUNDED, [], None)
+                continue
+            rhs, reduced = tableau[:, -1], tableau[obj2]
+            x = [zero] * n
+            for i, col in enumerate(bas.tolist()):
+                if col < n:
+                    x[col] = rhs[i]
+            # a row dropped as redundant keeps dual 0
+            duals = [zero] * m
+            for i in kept:
+                dual = -reduced[unit[i]]
+                duals[i] = -dual if flip[i] else dual
+            out[k] = LpResult(OPTIMAL, x, -reduced[-1], duals)
+    return out
+
+
 def simplex_max(c, a_rows, senses, b, exact: bool = False) -> LpResult:
     """Maximize c.x subject to rows of (a_rows, senses, b) and x >= 0.
 
     senses[i] is one of '<=', '=', '>='.  a_rows may be a nested sequence or
     a 2-d array.  With exact=True all data is lifted to Fractions and the
-    solve is exact; otherwise float64.
+    solve is exact; otherwise float64.  Raises LpError when the pivot limit
+    is hit or phase 1 reports an unbounded ray.
 
     An optimal result also carries the row duals: duals[i] is the rate at
     which the optimum grows with b[i], so it is >= 0 on a '<=' row, <= 0 on a
@@ -105,103 +266,50 @@ def simplex_max(c, a_rows, senses, b, exact: bool = False) -> LpResult:
     '<=' row, the artificial of any other).  A row dropped as redundant
     after phase 1 gets dual 0.
     """
-    n = len(c)
-    m = len(senses)
+    res = simplex_max_many(c, [a_rows], senses, [b], exact=exact)[0]
+    if isinstance(res, LpError):
+        raise res
+    return res
+
+
+def simplex_max_many(c, a_stack, senses, b_stack, exact: bool = False) -> list:
+    """simplex_max(c, a, senses, b, exact) for every (a, b) of two stacks.
+
+    a_stack holds one (m, n) matrix per LP and b_stack one length-m rhs;
+    c and senses are shared.  In float mode, LPs whose negative right-hand
+    sides fall on the same rows are pivoted in lockstep, each exactly as it
+    would be pivoted alone.  Exact LPs are solved one after another, and
+    their pivot limit raises.  Returns one entry per LP: its LpResult, or
+    the LpError that simplex_max raises for it.
+    """
+    senses = list(senses)
     if any(s not in _FLIPPED for s in senses):
         raise ValueError("senses must be '<=', '=' or '>='")
+    n, m, count = len(c), len(senses), len(b_stack)
     if exact:
         zero, one = Fraction(0), Fraction(1)
         lift = np.frompyfunc(Fraction, 1, 1)
-        a = lift(np.array(a_rows, dtype=object).reshape(m, n))
-        rhs = lift(np.array(b, dtype=object).reshape(m))
+        a = lift(np.array(a_stack, dtype=object).reshape(count, m, n))
+        rhs = lift(np.array(b_stack, dtype=object).reshape(count, m))
         cost = lift(np.array(c, dtype=object).reshape(n))
     else:
         zero, one = 0.0, 1.0
-        a = np.array(a_rows, dtype=np.float64).reshape(m, n)
-        rhs = np.array(b, dtype=np.float64).reshape(m)
+        a = np.array(a_stack, dtype=np.float64).reshape(count, m, n)
+        rhs = np.array(b_stack, dtype=np.float64).reshape(count, m)
         cost = np.array(c, dtype=np.float64).reshape(n)
-
     # a negative right-hand side is negated with its row, so the starting
     # basis of slacks and artificials is feasible
-    flip = rhs < zero
-    a[flip] = -a[flip]
-    rhs[flip] = -rhs[flip]
-    senses = [_FLIPPED[s] if f else s for s, f in zip(senses, flip)]
-
-    # columns: structural, then one slack or surplus per '<=' / '>=' row, then
-    # one artificial per '>=' / '=' row, each block in row order
-    slack_rows = [i for i, s in enumerate(senses) if s != "="]
-    art_rows = [i for i, s in enumerate(senses) if s != "<="]
-    slack_cols = list(range(n, n + len(slack_rows)))
-    art_cols = list(range(n + len(slack_rows), n + len(slack_rows) + len(art_rows)))
-    width = n + len(slack_rows) + len(art_rows) + 1
-    if exact:
-        tableau = np.full((m + 2, width), zero, dtype=object)
-    else:
-        tableau = np.zeros((m + 2, width), dtype=np.float64)
-    tableau[:m, :n] = a
-    tableau[:m, -1] = rhs
-    unit = [0] * m
-    for i, col in zip(slack_rows, slack_cols):
-        if senses[i] == "<=":
-            tableau[i, col] = one
-            unit[i] = col
-        else:
-            tableau[i, col] = -one
-    for i, col in zip(art_rows, art_cols):
-        tableau[i, col] = one
-        unit[i] = col
-    basis = list(unit)
-    rows = list(range(m))  # original row of each tableau row
-
-    obj1, obj2 = m, m + 1
-    # phase-1 objective: the sum of the artificial rows, so the rhs cell
-    # tracks the current total infeasibility
-    if art_rows:
-        tableau[obj1] = tableau[art_rows].sum(axis=0)
-        tableau[obj1, art_cols] = zero
-    # phase-2 objective: reduced costs of the original objective
-    tableau[obj2, :n] = cost
-
-    run = _run_exact if exact else _run_float
-    art_mask = np.zeros(width - 1, dtype=bool)
-    art_mask[art_cols] = True
-
-    if art_cols:
-        finished = run(tableau, basis, m, obj1, np.ones(width - 1, dtype=bool), width)
-        if not finished:
-            raise LpError("phase 1 reported unbounded")
-        feas_tol = zero if exact else 1e-7
-        if tableau[obj1, -1] > feas_tol:
-            return LpResult(INFEASIBLE, [], None)
-        # drive leftover artificials out of the basis
-        piv_tol = zero if exact else 1e-9
-        drop = []
-        for i in range(m):
-            if art_mask[basis[i]]:
-                cols = np.nonzero(~art_mask & (np.abs(tableau[i, :-1]) > piv_tol))[0]
-                if cols.size:
-                    _pivot(tableau, basis, i, int(cols[0]))
-                else:
-                    drop.append(i)
-        if drop:
-            keep = [i for i in range(m) if i not in set(drop)]
-            tableau = tableau[keep + [obj1, obj2]]
-            basis = [basis[i] for i in keep]
-            rows = keep
-            m = len(keep)
-            obj1, obj2 = m, m + 1
-
-    if not run(tableau, basis, m, obj2, ~art_mask, width):
-        return LpResult(UNBOUNDED, [], None)
-
-    x = [zero] * n
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = tableau[i, -1]
-    duals = [zero] * len(unit)
-    for i in rows:
-        dual = -tableau[obj2, unit[i]]
-        duals[i] = -dual if flip[i] else dual
-    objective = -tableau[obj2, -1]
-    return LpResult(OPTIMAL, x, objective, duals)
+    flips = rhs < zero
+    a[flips] = -a[flips]
+    rhs[flips] = -rhs[flips]
+    groups = {}
+    for k, flip in enumerate(flips):
+        groups.setdefault(flip.tobytes(), []).append(k)
+    out = [None] * count
+    for members in groups.values():
+        flip = flips[members[0]]
+        flipped = [_FLIPPED[s] if f else s for s, f in zip(senses, flip)]
+        stack, unit, art_cols = _start(cost, a[members], rhs[members], flipped, zero, one)
+        for k, res in zip(members, _solve(stack, unit, art_cols, n, flip, exact)):
+            out[k] = res
+    return out

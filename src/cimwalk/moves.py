@@ -275,20 +275,22 @@ def _raw_turn_candidates(mec: Mec, cap: Optional[int]) -> Iterator[Move]:
     for i in range(p):
         for j in sorted(ne[i]):
             s_i_list = [_EMPTY] + [t for t in _admissible(mec, i, cap) if j not in t]
-            s_j_list = [_EMPTY] + [t for t in _admissible(mec, j, cap) if i not in t]
+            # the lost side does not depend on S_i: build and check it once
+            s_j_list = []
+            for s_j in [_EMPTY] + [t for t in _admissible(mec, j, cap) if i not in t]:
+                if s_j and set(s_j) <= ne[i]:
+                    continue
+                minus = _family(s_j, j, i, ne[i]) if s_j else frozenset()
+                if all(c(k) for k in minus):
+                    s_j_list.append((s_j, minus))
             for s_i in s_i_list:
                 if s_i and set(s_i) <= ne[j]:
                     continue
                 plus = _family(s_i, i, j, ne[j]) if s_i else frozenset()
                 if any(c(k) for k in plus):
                     continue
-                for s_j in s_j_list:
+                for s_j, minus in s_j_list:
                     if not s_i and not s_j:
-                        continue
-                    if s_j and set(s_j) <= ne[i]:
-                        continue
-                    minus = _family(s_j, j, i, ne[i]) if s_j else frozenset()
-                    if any(not c(k) for k in minus):
                         continue
                     if s_i and s_j:
                         yield Move(FLIP, (i, j, s_i, s_j), plus, minus)

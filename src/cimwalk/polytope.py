@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -36,7 +37,7 @@ from .graphs import (
     mec_of,
 )
 from .imset import full_imset, subset_key
-from .lp import OPTIMAL, LpError, simplex_max
+from .lp import OPTIMAL, LpError, simplex_max, simplex_max_many
 from .moves import (
     EDGE_PAIR,
     SHIFT,
@@ -106,8 +107,10 @@ def _build_vertex_set(p: int, mecs: Iterable) -> VertexSet:
 
 
 @lru_cache(maxsize=64)
-def _vector_index(vs: VertexSet) -> dict:
-    return {row: i for i, row in enumerate(vs.matrix)}
+def _mec_index(vs: VertexSet) -> dict:
+    """Row of each class; rows have pairwise distinct imsets, so this finds a
+    class's row without building its imset."""
+    return {mec: i for i, mec in enumerate(vs.mecs)}
 
 
 @lru_cache(maxsize=64)
@@ -203,11 +206,11 @@ def _restricted(vs: VertexSet) -> tuple:
     return varying, rmat
 
 
-def _solve_margin(rmat, u: int, v: int, exact: bool):
-    """The largest exposure margin t* of (u, v), and a cost vector attaining it.
+def _margin_lps(rmat, pairs):
+    """(c, a, b) of the equality-form LPs that give the exposure margins of pairs.
 
-    The margin LP  max t  s.t.  w.(u - v) = 0,  w.(u - x) >= t for every other
-    vertex x,  w in [-1, 1]^d  is solved in its dual form
+    The margin LP of (u, v)  max t  s.t.  w.(u - v) = 0,  w.(u - x) >= t for
+    every other vertex x,  w in [-1, 1]^d  is posed in its dual form
 
         min |r|_1,  r = sum_x y_x (u - x) + z (u - v),  y >= 0,  sum_x y_x = 1,
 
@@ -215,29 +218,44 @@ def _solve_margin(rmat, u: int, v: int, exact: bool):
     coordinate equations s+ - s- - r = 0 and the convexity row, and the
     tableau has d + 1 rows whatever the vertex count.  Columns run s-, y,
     z+, z-, s+; this order takes the fewest Bland pivots on the p = 4
-    polytope.  Strong duality gives the same optimum t*, and minus the duals
-    of the coordinate rows is an optimal w of the margin LP.  Returns (w, t*).
+    polytope.  c and b are shared by all pairs; a holds one matrix per pair.
     """
     n, d = rmat.shape
     k = n - 2
-    others = rmat[[x for x in range(n) if x != u and x != v]]
+    u, v = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    rest = np.arange(n)
+    others = np.nonzero((rest != u[:, None]) & (rest != v[:, None]))[1].reshape(-1, k)
     eye = np.eye(d, dtype=np.int64)
-    a = np.zeros((d + 1, d + k + 2 + d), dtype=np.int64)
-    a[:d, :d] = -eye
-    a[:d, d:d + k] = (others - rmat[u]).T
-    a[d, d:d + k] = 1
-    a[:d, d + k] = rmat[v] - rmat[u]
-    a[:d, d + k + 1] = rmat[u] - rmat[v]
-    a[:d, d + k + 2:] = eye
-    c = np.zeros(a.shape[1], dtype=np.int64)
+    a = np.zeros((len(u), d + 1, d + k + 2 + d), dtype=np.int64)
+    a[:, :d, :d] = -eye
+    a[:, :d, d:d + k] = (rmat[others] - rmat[u][:, None]).transpose(0, 2, 1)
+    a[:, d, d:d + k] = 1
+    a[:, :d, d + k] = rmat[v] - rmat[u]
+    a[:, :d, d + k + 1] = rmat[u] - rmat[v]
+    a[:, :d, d + k + 2:] = eye
+    c = np.zeros(a.shape[2], dtype=np.int64)
     c[:d] = -1
     c[d + k + 2:] = -1
     b = np.zeros(d + 1, dtype=np.int64)
     b[d] = 1
-    res = simplex_max(c, a, ["="] * (d + 1), b, exact=exact)
+    return c, a, b
+
+
+def _margin_solution(res, d: int):
+    """(w, t*) from a solved margin LP: strong duality gives the optimum t*,
+    and minus the duals of the d coordinate rows is an optimal w."""
+    if isinstance(res, LpError):
+        raise res
     if res.status != OPTIMAL:
         raise LpError(f"margin LP ended with status {res.status}")
     return -np.array(res.duals[:d]), -res.objective
+
+
+def _solve_margin(rmat, u: int, v: int, exact: bool):
+    """The largest exposure margin t* of (u, v), and a cost vector attaining it."""
+    c, a, b = _margin_lps(rmat, [(u, v)])
+    res = simplex_max(c, a[0], ["="] * len(b), b, exact=exact)
+    return _margin_solution(res, rmat.shape[1])
 
 
 def _normalized_margin(rmat, u: int, v: int, w):
@@ -259,13 +277,11 @@ def _decide_exact(rmat, u: int, v: int):
     return True, float(margin), "exact", tuple(float(x) for x in wn), float(t)
 
 
-def _decide_pair(rmat, u: int, v: int):
-    """(is_edge, margin, mode, weights, objective) for one vertex pair."""
-    if len(rmat) == 2:
-        zeros = tuple(0.0 for _ in rmat[0])
-        return True, math.inf, "trivial", zeros, math.inf
+def _decide_pair(rmat, u: int, v: int, res):
+    """(is_edge, margin, mode, weights, objective) for one vertex pair, from
+    the float solve res of its margin LP."""
     try:
-        w, t = _solve_margin(rmat, u, v, exact=False)
+        w, t = _margin_solution(res, rmat.shape[1])
     except LpError:
         return _decide_exact(rmat, u, v)
     wn, margin, eq_gap = _normalized_margin(rmat, u, v, w)
@@ -276,6 +292,17 @@ def _decide_pair(rmat, u: int, v: int):
     if margin > EDGE_TOL:
         return True, float(margin), "float", tuple(wn.tolist()), float(t)
     return False, float(margin), "float", None, float(t)
+
+
+def _decide_pairs(rmat, pairs) -> list:
+    """(u, v, is_edge, margin, mode, weights, objective) for each pair; the
+    float margin LPs of all pairs are solved as one lockstep batch."""
+    if len(rmat) == 2:
+        zeros = tuple(0.0 for _ in rmat[0])
+        return [(u, v, True, math.inf, "trivial", zeros, math.inf) for u, v in pairs]
+    c, a, b = _margin_lps(rmat, pairs)
+    solved = simplex_max_many(c, a, ["="] * len(b), [b] * len(a))
+    return [(u, v, *_decide_pair(rmat, u, v, res)) for (u, v), res in zip(pairs, solved)]
 
 
 def certify_edge(u: int, v: int, vs: VertexSet, exact: bool = False) -> Optional[EdgeCertificate]:
@@ -290,12 +317,10 @@ def certify_edge(u: int, v: int, vs: VertexSet, exact: bool = False) -> Optional
     if not (0 <= u < n and 0 <= v < n):
         raise ValueError("vertex index out of range")
     varying, rmat = _restricted(vs)
-    if exact:
-        is_edge, margin, mode, weights, objective = (
-            _decide_exact(rmat, u, v) if len(rmat) > 2 else _decide_pair(rmat, u, v)
-        )
+    if exact and len(rmat) > 2:
+        is_edge, margin, mode, weights, objective = _decide_exact(rmat, u, v)
     else:
-        is_edge, margin, mode, weights, objective = _decide_pair(rmat, u, v)
+        is_edge, margin, mode, weights, objective = _decide_pairs(rmat, [(u, v)])[0][2:]
     if not is_edge:
         return None
     return _certificate(vs, varying, u, v, margin, mode, weights, objective)
@@ -319,10 +344,8 @@ def _pool_init(rmat):
     _POOL_MATRIX = rmat
 
 
-def _pool_decide(pair):
-    u, v = pair
-    is_edge, margin, mode, weights, objective = _decide_pair(_POOL_MATRIX, u, v)
-    return u, v, is_edge, margin, mode, weights, objective
+def _pool_decide(pairs):
+    return _decide_pairs(_POOL_MATRIX, pairs)
 
 
 def _midpoint_prefilter(matrix) -> set:
@@ -358,45 +381,75 @@ def thread_count(requested: Optional[int] = None) -> int:
     return min(requested, cpus)
 
 
+# Bytes of the tableau stack of one lockstep batch of margin LPs (about 170
+# LPs at p = 4): enough LPs to spread each step's fixed numpy overhead, few
+# enough that a process holds only a few stacks of this size.  On a 2-CPU
+# host, 1 to 8 MiB gave the same census time within noise.
+_BATCH_BYTES = 4 << 20
+
+
+def _batch_size(rmat, pairs: int, workers: int) -> int:
+    """Margin LPs per lockstep batch, from the byte size of one tableau.
+
+    A margin LP has d + 1 rows, 3d + n + 2 columns with the artificials and
+    the rhs, and two objective rows.  Batches are also cut small enough that
+    every worker gets one.
+    """
+    n, d = rmat.shape
+    tableau_bytes = 8 * (d + 3) * (3 * d + n + 2)
+    return max(1, min(_BATCH_BYTES // tableau_bytes, -(-pairs // workers)))
+
+
 @dataclass(frozen=True)
 class EdgeSurvey:
-    """All certified edges of a vertex set, with certificates and LP stats."""
+    """All certified edges of a vertex set, with certificates and LP stats.
+
+    seconds holds the wall-clock time of the prefilter and certify stages;
+    it is kept out of stats so that stats stays deterministic.
+    """
 
     edges: tuple
     certificates: dict
     stats: dict
+    seconds: dict
 
 
 def certify_all_edges(vs: VertexSet, threads: Optional[int] = None) -> EdgeSurvey:
-    """Certify every vertex pair; deterministic regardless of worker count."""
+    """Certify every vertex pair; deterministic regardless of worker count.
+
+    The pairs that pass the prefilter are cut into batches whose margin LPs
+    are solved in lockstep; with more than one worker the batches are
+    shared out over a process pool.
+    """
+    t0 = time.perf_counter()
     varying, rmat = _restricted(vs)
     n = len(rmat)
     skip = _midpoint_prefilter(rmat)
     todo = [
         (i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in skip
     ]
+    t1 = time.perf_counter()
     workers = thread_count(threads)
-    results = []
-    if workers > 1 and len(todo) > 64:
-        chunk = max(16, len(todo) // (workers * 16))
+    pool_used = workers > 1 and len(todo) > 64
+    size = _batch_size(rmat, len(todo), workers if pool_used else 1)
+    batches = [todo[k:k + size] for k in range(0, len(todo), size)]
+    if pool_used:
         with Pool(workers, initializer=_pool_init, initargs=(rmat,)) as pool:
-            for item in pool.imap_unordered(_pool_decide, todo, chunksize=chunk):
-                results.append(item)
+            parts = list(pool.imap_unordered(_pool_decide, batches, chunksize=1))
     else:
-        for u, v in todo:
-            is_edge, margin, mode, weights, objective = _decide_pair(rmat, u, v)
-            results.append((u, v, is_edge, margin, mode, weights, objective))
+        parts = [_decide_pairs(rmat, batch) for batch in batches]
 
     edges = []
     certificates = {}
     exact_used = 0
-    for u, v, is_edge, margin, mode, weights, objective in results:
-        if mode == "exact":
-            exact_used += 1
-        if not is_edge:
-            continue
-        edges.append((u, v))
-        certificates[(u, v)] = _certificate(vs, varying, u, v, margin, mode, weights, objective)
+    for part in parts:
+        for u, v, is_edge, margin, mode, weights, objective in part:
+            if mode == "exact":
+                exact_used += 1
+            if not is_edge:
+                continue
+            edges.append((u, v))
+            certificates[(u, v)] = _certificate(vs, varying, u, v, margin, mode, weights, objective)
     edges.sort()
     stats = {
         "pairs": n * (n - 1) // 2,
@@ -405,7 +458,8 @@ def certify_all_edges(vs: VertexSet, threads: Optional[int] = None) -> EdgeSurve
         "exact_resolves": exact_used,
         "edges": len(edges),
     }
-    return EdgeSurvey(tuple(edges), certificates, stats)
+    seconds = {"prefilter": t1 - t0, "certify": time.perf_counter() - t1}
+    return EdgeSurvey(tuple(edges), certificates, stats, seconds)
 
 
 # ---------------------------------------------------------------------------
@@ -420,12 +474,11 @@ def _member_dags(mec: Mec) -> tuple:
 
 def _pair_move_kinds(vs: VertexSet) -> dict:
     """Map vertex pair -> set of move kinds whose delta joins the pair."""
-    index = _vector_index(vs)
+    index = _mec_index(vs)
     kinds = {}
 
     def note(i, target, kind):
-        vec = imset_vector(target, vs.coords)
-        j = index.get(vec)
+        j = index.get(target)
         if j is None or j == i:
             return
         kinds.setdefault((min(i, j), max(i, j)), set()).add(kind)
@@ -479,11 +532,18 @@ def classify_edges(vs: VertexSet, edges: Iterable, kinds: dict) -> dict:
     return tags
 
 
-def edge_census(vs: VertexSet, threads: Optional[int] = None) -> dict:
+def edge_census(vs: VertexSet, threads: Optional[int] = None,
+                seconds: Optional[dict] = None) -> dict:
     """Full LP census of the polytope's edges, grouped the way the counts
     are usually reported: turn pairs by kind, edge pairs by addition status,
-    and same-skeleton non-turn edges by skeleton isomorphism class."""
+    and same-skeleton non-turn edges by skeleton isomorphism class.
+
+    If a dict is passed as seconds, the wall-clock times of the prefilter,
+    certify and classify stages are stored in it; the census itself holds
+    only deterministic counts.
+    """
     survey = certify_all_edges(vs, threads)
+    start = time.perf_counter()
     kinds = _pair_move_kinds(vs)
     tags = classify_edges(vs, survey.edges, kinds)
 
@@ -529,6 +589,8 @@ def edge_census(vs: VertexSet, threads: Optional[int] = None) -> dict:
     ]
     class_rows.sort(key=lambda r: (-r["count"], r["skeleton_edges"]))
 
+    if seconds is not None:
+        seconds.update(survey.seconds, classify=time.perf_counter() - start)
     return {
         "p": vs.p,
         "vertices": len(vs),
@@ -697,7 +759,7 @@ def verify_stab_equivalence(kind: str, p: int, threads: Optional[int] = None) ->
                 chvatal.add((i, j))
 
     classified = set()
-    index = _vector_index(vs)
+    index = _mec_index(vs)
     for i, mec in enumerate(vs.mecs):
         moves = [
             (m, t)
@@ -706,7 +768,7 @@ def verify_stab_equivalence(kind: str, p: int, threads: Optional[int] = None) ->
         ]
         moves.extend(enumerate_tree_moves(mec))
         for move, target in moves:
-            j = index.get(imset_vector(target, vs.coords))
+            j = index.get(target)
             if j is not None and j != i:
                 classified.add((min(i, j), max(i, j)))
 

@@ -358,3 +358,14 @@ def test_discover_rejects_more_columns_than_the_full_imset_limit(tmp_path, capsy
     err = capsys.readouterr().err
     assert "18 columns" in err and "p <= 16" in err
     assert not out.exists()
+
+
+def test_analyze_polytope_manifest_records_stage_seconds(tmp_path):
+    out = tmp_path / "census.json"
+    assert _run("analyze-polytope", "--p", "3", "--threads", "1",
+                "--out", str(out)) == 0
+    manifest = json.loads((tmp_path / "census.json.manifest.json").read_text())
+    stages = manifest["stage_seconds"]
+    assert set(stages) == {"enumerate", "prefilter", "certify", "classify"}
+    assert all(t >= 0 for t in stages.values())
+    assert "seconds" not in out.read_text()

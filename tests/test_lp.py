@@ -4,8 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from cimwalk.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, simplex_max
+from cimwalk import lp, polytope
+from cimwalk.lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpError, LpResult, simplex_max,
+                        simplex_max_many)
 
 
 def test_small_known_optimum():
@@ -152,3 +156,248 @@ def test_duals_absent_unless_optimal():
 def test_unknown_sense_is_rejected():
     with pytest.raises(ValueError):
         simplex_max([1], [[1]], ["<"], [1])
+
+
+# ---------------------------------------------------------------------------
+# The lockstep float kernel against the serial float simplex it replaced
+
+
+_FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
+
+
+def _reference_pivot(tableau, basis, r, col):
+    tableau[r] = tableau[r] / tableau[r, col]
+    factors = tableau[:, col].copy()
+    factors[r] = 0 * factors[r]
+    tableau -= np.outer(factors, tableau[r])
+    basis[r] = col
+
+
+def _reference_run(tableau, basis, m, obj_row, allowed_mask, width, counter, max_pivots):
+    tol = 1e-9
+    for _ in range(max_pivots):
+        reduced = tableau[obj_row, : width - 1]
+        candidates = np.nonzero((reduced > tol) & allowed_mask)[0]
+        if candidates.size == 0:
+            return True
+        enter = int(candidates[0])
+        col = tableau[:m, enter]
+        pos = np.nonzero(col > tol)[0]
+        if pos.size == 0:
+            return False
+        ratios = tableau[pos, -1] / col[pos]
+        best = ratios.min()
+        near = pos[ratios <= best + 1e-12 + 1e-9 * abs(best)]
+        leave = int(min(near, key=lambda i: basis[i]))
+        _reference_pivot(tableau, basis, leave, enter)
+        counter[0] += 1
+    raise LpError("pivot limit exceeded")
+
+
+def _reference_simplex_max(c, a_rows, senses, b, counter=None, max_pivots=50_000):
+    """The serial float simplex, one tableau at a time (the reference for
+    the lockstep kernel); counter[0] counts its pivots."""
+    counter = [0] if counter is None else counter
+    n, m = len(c), len(senses)
+    a = np.array(a_rows, dtype=np.float64).reshape(m, n)
+    rhs = np.array(b, dtype=np.float64).reshape(m)
+    cost = np.array(c, dtype=np.float64).reshape(n)
+    flip = rhs < 0.0
+    a[flip] = -a[flip]
+    rhs[flip] = -rhs[flip]
+    senses = [_FLIPPED[s] if f else s for s, f in zip(senses, flip)]
+    slack_rows = [i for i, s in enumerate(senses) if s != "="]
+    art_rows = [i for i, s in enumerate(senses) if s != "<="]
+    slack_cols = list(range(n, n + len(slack_rows)))
+    art_cols = list(range(n + len(slack_rows), n + len(slack_rows) + len(art_rows)))
+    width = n + len(slack_rows) + len(art_rows) + 1
+    tableau = np.zeros((m + 2, width), dtype=np.float64)
+    tableau[:m, :n] = a
+    tableau[:m, -1] = rhs
+    unit = [0] * m
+    for i, col in zip(slack_rows, slack_cols):
+        if senses[i] == "<=":
+            tableau[i, col] = 1.0
+            unit[i] = col
+        else:
+            tableau[i, col] = -1.0
+    for i, col in zip(art_rows, art_cols):
+        tableau[i, col] = 1.0
+        unit[i] = col
+    basis = list(unit)
+    rows = list(range(m))
+    obj1, obj2 = m, m + 1
+    if art_rows:
+        tableau[obj1] = tableau[art_rows].sum(axis=0)
+        tableau[obj1, art_cols] = 0.0
+    tableau[obj2, :n] = cost
+    art_mask = np.zeros(width - 1, dtype=bool)
+    art_mask[art_cols] = True
+    if art_cols:
+        if not _reference_run(tableau, basis, m, obj1, np.ones(width - 1, dtype=bool),
+                              width, counter, max_pivots):
+            raise LpError("phase 1 reported unbounded")
+        if tableau[obj1, -1] > 1e-7:
+            return LpResult(INFEASIBLE, [], None)
+        drop = []
+        for i in range(m):
+            if art_mask[basis[i]]:
+                cols = np.nonzero(~art_mask & (np.abs(tableau[i, :-1]) > 1e-9))[0]
+                if cols.size:
+                    _reference_pivot(tableau, basis, i, int(cols[0]))
+                else:
+                    drop.append(i)
+        if drop:
+            keep = [i for i in range(m) if i not in set(drop)]
+            tableau = tableau[keep + [obj1, obj2]]
+            basis = [basis[i] for i in keep]
+            rows = keep
+            m = len(keep)
+            obj1, obj2 = m, m + 1
+    if not _reference_run(tableau, basis, m, obj2, ~art_mask, width, counter, max_pivots):
+        return LpResult(UNBOUNDED, [], None)
+    x = [0.0] * n
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = tableau[i, -1]
+    duals = [0.0] * len(unit)
+    for i in rows:
+        dual = -tableau[obj2, unit[i]]
+        duals[i] = -dual if flip[i] else dual
+    return LpResult(OPTIMAL, x, -tableau[obj2, -1], duals)
+
+
+def _bits(values):
+    return np.array(values, dtype=np.float64).view(np.int64).tolist()
+
+
+def _assert_same(got, want):
+    """Bitwise equality of two outcomes: an LpResult or an LpError each."""
+    if isinstance(want, LpError):
+        assert isinstance(got, LpError) and str(got) == str(want)
+        return
+    assert isinstance(got, LpResult)
+    assert got.status == want.status
+    assert _bits(got.x) == _bits(want.x)
+    assert _bits(got.duals) == _bits(want.duals)
+    if want.objective is None:
+        assert got.objective is None
+    else:
+        assert _bits([got.objective]) == _bits([want.objective])
+
+
+def _reference_outcome(c, a, senses, b, **kwargs):
+    try:
+        return _reference_simplex_max(c, a, senses, b, **kwargs)
+    except LpError as exc:
+        return exc
+
+
+def _outcome(c, a, senses, b):
+    try:
+        return simplex_max(c, a, senses, b)
+    except LpError as exc:
+        return exc
+
+
+_entries = st.one_of(st.integers(-3, 3),
+                     st.sampled_from([0.5, -0.25, 1e-10, -0.0, 2.0 / 3.0, 1e-9]))
+
+
+@st.composite
+def _small_lps(draw, count=1):
+    """count LPs sharing c and senses, with mixed senses, negative right-hand
+    sides and rows repeated (scaled) as redundant constraints."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 4))
+    senses = draw(st.lists(st.sampled_from(["<=", "=", ">="]), min_size=m, max_size=m))
+    c = draw(st.lists(_entries, min_size=n, max_size=n))
+    repeat = draw(st.lists(st.tuples(st.integers(0, m - 1), st.sampled_from([1, 2, -1])),
+                           max_size=2))
+    senses = senses + [senses[i] if k > 0 else _FLIPPED[senses[i]] for i, k in repeat]
+    lps = []
+    for _ in range(count):
+        a = draw(st.lists(st.lists(_entries, min_size=n, max_size=n), min_size=m, max_size=m))
+        b = draw(st.lists(_entries, min_size=m, max_size=m))
+        a = a + [[k * x for x in a[i]] for i, k in repeat]
+        b = b + [k * b[i] for i, k in repeat]
+        lps.append((a, b))
+    return c, senses, lps
+
+
+@given(_small_lps())
+def test_float_simplex_matches_the_serial_reference_bitwise(lp_data):
+    c, senses, [(a, b)] = lp_data
+    _assert_same(_outcome(c, a, senses, b), _reference_outcome(c, a, senses, b))
+
+
+@given(_small_lps(count=6))
+def test_batch_matches_the_serial_reference_bitwise(lp_data):
+    c, senses, lps = lp_data
+    got = simplex_max_many(c, [a for a, _ in lps], senses, [b for _, b in lps])
+    for res, (a, b) in zip(got, lps):
+        _assert_same(res, _reference_outcome(c, a, senses, b))
+
+
+# max x - y + z over rows (<=, >=, <=): optima reached after 1, 3, 5 and 7
+# pivots, then an infeasible LP, an unbounded one and one whose negative
+# right-hand sides flip two rows and make it infeasible
+_MIXED_C, _MIXED_SENSES = [1, -1, 1], ["<=", ">=", "<="]
+_MIXED = [
+    ([[2, 1, -1], [-2, 1, -1], [3, -1, -1]], [5, 0, 3]),
+    ([[1, 0, 1], [3, -2, 1], [-2, 0, 3]], [6, 3, 5]),
+    ([[1, 2, 1], [2, -2, 1], [-1, 3, 1]], [3, 1, 2]),
+    ([[2, 1, -1], [3, 3, 2], [-1, 1, 1]], [0, 2, 4]),
+    ([[1, 1, 1], [1, 1, 1], [0, 0, 1]], [1, 2, 5]),
+    ([[-1, 0, 0], [0, 1, 0], [0, 0, 1]], [1, 1, 1]),
+    ([[1, 2, 0], [1, 0, 0], [0, 0, 1]], [-3, -5, 1]),
+]
+
+
+def _solve_mixed():
+    return simplex_max_many(_MIXED_C, [a for a, _ in _MIXED], _MIXED_SENSES,
+                            [b for _, b in _MIXED])
+
+
+def test_batch_with_mixed_outcomes_and_finishing_steps():
+    got = _solve_mixed()
+    pivots = []
+    for res, (a, b) in zip(got, _MIXED):
+        counter = [0]
+        _assert_same(res, _reference_outcome(_MIXED_C, a, _MIXED_SENSES, b, counter=counter))
+        pivots.append(counter[0])
+    assert [r.status for r in got] == [OPTIMAL] * 4 + [INFEASIBLE, UNBOUNDED, INFEASIBLE]
+    assert pivots[:4] == [1, 3, 5, 7]
+
+
+def test_pivot_limit_fails_only_the_lps_that_reach_it(monkeypatch):
+    monkeypatch.setattr(lp, "_MAX_PIVOTS", 2)
+    got = _solve_mixed()
+    for res, (a, b) in zip(got, _MIXED):
+        _assert_same(res, _reference_outcome(_MIXED_C, a, _MIXED_SENSES, b, max_pivots=2))
+    assert isinstance(got[0], LpResult) and isinstance(got[3], LpError)
+    with pytest.raises(LpError, match="pivot limit"):
+        simplex_max(_MIXED_C, _MIXED[3][0], _MIXED_SENSES, _MIXED[3][1])
+
+
+def _assert_margin_lps_match(vs, step=1):
+    _, rmat = polytope._restricted(vs)
+    n = len(rmat)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)][::step]
+    c, a, b = polytope._margin_lps(rmat, pairs)
+    senses = ["="] * len(b)
+    for res, mat in zip(simplex_max_many(c, a, senses, [b] * len(a)), a):
+        _assert_same(res, _reference_outcome(c, mat, senses, b))
+
+
+def test_margin_lps_match_the_serial_reference_p3():
+    _assert_margin_lps_match(polytope.enumerate_mecs(3))
+
+
+@pytest.mark.parametrize("p", [4, 5, 6])
+def test_margin_lps_match_the_serial_reference_cycle_faces(p):
+    _assert_margin_lps_match(polytope.enumerate_mecs_with_skeleton(polytope.cycle_graph(p)))
+
+
+def test_margin_lps_match_the_serial_reference_every_tenth_p4_pair():
+    _assert_margin_lps_match(polytope.enumerate_mecs(4), step=10)

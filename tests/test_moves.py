@@ -1,6 +1,7 @@
 """Moves between classes: kinds, deltas, application, enumeration."""
 
 import itertools
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +10,12 @@ from hypothesis import strategies as st
 from cimwalk.graphs import (Dag, GraphError, Mec, UndirectedGraph, VStructure,
                             all_mecs, consistent_extension, mec_of)
 from cimwalk.imset import (CharImset, ImsetError, full_imset, imset_delta,
-                           mec_restricted_imset, recover_mec)
+                           imset_entry, mec_restricted_imset, recover_mec)
 from cimwalk.moves import (BUDDING, EDGE_PAIR, FLIP, MARKOV_EQUIVALENT,
-                           SHIFT, SPLIT, V_STRUCTURE_ADDITION, Move, MoveError,
-                           _raw_edge_candidates, _raw_tree_candidates,
-                           _raw_turn_candidates, add_edge_delta, apply_move,
+                           SHIFT, SPLIT, V_STRUCTURE_ADDITION, _EMPTY, Move,
+                           MoveError, _admissible, _family, _raw_edge_candidates,
+                           _raw_tree_candidates, _raw_turn_candidates,
+                           add_edge_delta, apply_move,
                            enumerate_edge_moves, enumerate_tree_moves,
                            enumerate_turn_moves, representative,
                            turn_edge_delta, verify_pair)
@@ -294,3 +296,54 @@ def test_representative_requires_realizable_class():
     vs = frozenset({VStructure(1, (0, 2)), VStructure(2, (1, 3))})
     with pytest.raises(MoveError):
         representative(Mec(skel, vs))
+
+
+def _turn_candidates_unhoisted(mec, cap):
+    """The turn sweep that rebuilds the lost family for every S_i (the
+    reference for the hoisted generator): same moves, same order."""
+    c = partial(imset_entry, representative(mec))
+    ne = [mec.skeleton.neighbors(i) for i in range(mec.p)]
+    for i in range(mec.p):
+        for j in sorted(ne[i]):
+            s_i_list = [_EMPTY] + [t for t in _admissible(mec, i, cap) if j not in t]
+            s_j_list = [_EMPTY] + [t for t in _admissible(mec, j, cap) if i not in t]
+            for s_i in s_i_list:
+                if s_i and set(s_i) <= ne[j]:
+                    continue
+                plus = _family(s_i, i, j, ne[j]) if s_i else frozenset()
+                if any(c(k) for k in plus):
+                    continue
+                for s_j in s_j_list:
+                    if not s_i and not s_j:
+                        continue
+                    if s_j and set(s_j) <= ne[i]:
+                        continue
+                    minus = _family(s_j, j, i, ne[i]) if s_j else frozenset()
+                    if any(not c(k) for k in minus):
+                        continue
+                    if s_i and s_j:
+                        yield Move(FLIP, (i, j, s_i, s_j), plus, minus)
+                    elif s_i:
+                        if len(s_i) == 1:
+                            yield Move(V_STRUCTURE_ADDITION, (next(iter(plus)),), plus, minus)
+                        else:
+                            yield Move(BUDDING, (i, j, s_i), plus, minus)
+                    elif len(s_j) == 1:
+                        yield Move(V_STRUCTURE_ADDITION, (next(iter(minus)),), plus, minus)
+                    else:
+                        yield Move(BUDDING, (j, i, s_j), plus, minus)
+
+
+def test_turn_candidates_match_the_unhoisted_sweep_on_all_small_classes():
+    for p in (2, 3, 4):
+        for mec in all_mecs(p):
+            for cap in (None, 1, 2):
+                assert (list(_raw_turn_candidates(mec, cap))
+                        == list(_turn_candidates_unhoisted(mec, cap))), (mec, cap)
+
+
+@settings(max_examples=40)
+@given(_random_classes())
+def test_turn_candidates_match_the_unhoisted_sweep_on_random_classes(mec):
+    for cap in (None, 2):
+        assert list(_raw_turn_candidates(mec, cap)) == list(_turn_candidates_unhoisted(mec, cap))

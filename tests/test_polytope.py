@@ -8,7 +8,8 @@ from cimwalk import polytope
 from cimwalk.graphs import GraphError, UndirectedGraph
 from cimwalk.imset import full_imset
 from cimwalk.lp import OPTIMAL, simplex_max
-from cimwalk.moves import representative
+from cimwalk.moves import (enumerate_edge_moves, enumerate_tree_moves,
+                           enumerate_turn_moves, representative)
 from cimwalk.polytope import (EdgeCertificate, _midpoint_prefilter,
                               _restricted, _solve_margin, certify_all_edges,
                               certify_edge, complete_minus_edge, cycle_graph,
@@ -392,3 +393,51 @@ def test_every_p4_certificate_checks():
     survey = certify_all_edges(vs, threads=2)
     assert len(survey.certificates) == 4259
     assert all(cert.check(vs) for cert in survey.certificates.values())
+
+
+def test_certify_all_edges_pooled_batches_give_equal_certificates(monkeypatch):
+    monkeypatch.setattr(polytope.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(polytope, "Pool", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "workers", [])
+    vs = enumerate_mecs_with_skeleton(cycle_graph(6))  # 76 pairs, two batches
+    pooled = certify_all_edges(vs, threads=2)
+    single = certify_all_edges(vs, threads=1)
+    assert _InProcessPool.workers == [2]
+    assert pooled.edges == single.edges
+    assert pooled.certificates == single.certificates
+    assert pooled.stats == single.stats
+
+
+def _pair_move_kinds_by_vector(vs):
+    """The classification before the class index: every target's imset
+    vector is rebuilt and looked up among the rows."""
+    index = {row: i for i, row in enumerate(vs.matrix)}
+    kinds = {}
+    for i, mec in enumerate(vs.mecs):
+        moves = enumerate_turn_moves(mec) + enumerate_edge_moves(mec)
+        if mec.skeleton.is_tree() or mec.skeleton.is_single_cycle():
+            moves += enumerate_tree_moves(mec)
+        for move, target in moves:
+            j = index.get(imset_vector(target, vs.coords))
+            if j is not None and j != i:
+                kinds.setdefault((min(i, j), max(i, j)), set()).add(move.kind)
+    return kinds
+
+
+@pytest.mark.parametrize("face, p", [("full", 2), ("full", 3), ("full", 4),
+                                     ("cycle", 4), ("cycle", 5), ("cycle", 6)])
+def test_pair_move_kinds_match_the_imset_vector_lookup(face, p):
+    if face == "full":
+        vs = enumerate_mecs(p)
+    else:
+        vs = enumerate_mecs_with_skeleton(cycle_graph(p))
+    assert polytope._pair_move_kinds(vs) == _pair_move_kinds_by_vector(vs)
+
+
+def test_edge_census_reports_stage_seconds_apart_from_the_census():
+    vs = enumerate_mecs(3)
+    seconds = {}
+    census = edge_census(vs, threads=1, seconds=seconds)
+    assert set(seconds) == {"prefilter", "certify", "classify"}
+    assert all(t >= 0 for t in seconds.values())
+    assert census == edge_census(vs, threads=1)
