@@ -113,11 +113,16 @@ def pc_skeleton(stats: SufficientStats, alpha: float,
             if not graph.has_edge(i, j):
                 continue
             removed = False
+            # a set in both anchors' pools was found dependent the first time
+            tried = set()
             for anchor, other in ((i, j), (j, i)):
                 pool = tuple(v for v in frozen[anchor] if v != other)
                 if len(pool) < level:
                     continue
                 for cond in combinations(pool, level):
+                    if cond in tried:
+                        continue
+                    tried.add(cond)
                     decision = fisher_z_test(i, j, cond, stats, alpha)
                     if decision.independent:
                         graph = graph.remove_edge(i, j)

@@ -1,4 +1,4 @@
-"""Dense two-phase primal simplex with Bland's rule.
+"""Dense primal simplex with Bland's rule: two-phase, or phase 2 from a given basis.
 
 Solves  max c.x  s.t.  A x (<=|=|>=) b,  x >= 0.
 
@@ -9,7 +9,8 @@ tableaux pivoted in lockstep, so many LPs of one shape cost one numpy call
 per step; a single float LP is a stack of one.  Entering columns follow
 Bland's smallest-index rule, which rules out cycling in the exact mode and
 is harmless in the float mode.  An optimal result carries the row duals as
-well as the primal point.
+well as the primal point.  A caller that knows a feasible basis of
+structural columns passes it as a start, and the solve skips phase 1.
 """
 
 from __future__ import annotations
@@ -143,7 +144,9 @@ def _start(cost, a, rhs, senses, zero, one):
     then one slack or surplus per '<=' / '>=' row, then one artificial per
     '>=' / '=' row, each block in row order.  Returns (stack, unit,
     art_cols), where unit[i] is the column holding e_i in the starting basis
-    (the slack of a '<=' row, the artificial of any other).
+    (the slack of a '<=' row, the artificial of any other).  Row m is left
+    zero for the phase-1 objective, which _solve fills in only when phase 1
+    runs.
     """
     count, m, n = a.shape
     slack_rows = [i for i, s in enumerate(senses) if s != "="]
@@ -164,11 +167,6 @@ def _start(cost, a, rhs, senses, zero, one):
     for i, col in zip(art_rows, art_cols):
         stack[:, i, col] = one
         unit[i] = col
-    # phase-1 objective (row m): the sum of the artificial rows, so the rhs
-    # cell tracks the current total infeasibility
-    if art_rows:
-        stack[:, m] = stack[:, art_rows].sum(axis=1)
-        stack[:, m, art_cols] = zero
     # phase-2 objective (row m + 1): reduced costs of the original objective
     stack[:, m + 1, :n] = cost
     return stack, unit, art_cols
@@ -192,8 +190,67 @@ def _drive_out(tableau, basis, m, art_mask, piv_tol):
     return tableau[keep + [m, m + 1]], basis[keep], keep
 
 
-def _solve(stack, unit, art_cols, n, flip, exact):
-    """Both phases on a stack of starting tableaux from _start.
+def _enter_basis(stack, basis, start, exact):
+    """Turn starting tableaux from _start into B^-1 [A | b] for the basis start.
+
+    start is (count, m): the column made basic in each row.  The phase-2 row
+    becomes c - c_B B^-1 A with -c_B B^-1 b in its rhs cell, and basis is
+    set to start.  Float stacks are multiplied by their batched basis
+    inverses; exact tableaux are pivoted column by column, swapping in a
+    later row where a pivot entry is zero.  Returns one entry per LP: None,
+    or the LpError for a singular or infeasible start.
+    """
+    count, rows, width = stack.shape
+    m = rows - 2
+    out = [None] * count
+    if exact:
+        zero = Fraction(0)
+        for k in range(count):
+            tab, cols = stack[k], start[k]
+            for i, col in enumerate(cols):
+                nonzero = [r for r in range(i, m) if tab[r, col] != zero]
+                if not nonzero:
+                    out[k] = LpError("singular start basis")
+                    break
+                tab[[i, nonzero[0]]] = tab[[nonzero[0], i]]
+                _pivot(tab, basis[k], i, col)
+            if out[k] is None and (tab[:m, -1] < zero).any():
+                out[k] = LpError("infeasible start basis")
+    else:
+        lpi = np.arange(count)[:, None]
+        mats = stack[lpi, :m, start].transpose(0, 2, 1)
+        # a singular basis leaves nan or inf behind, and is flagged below
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            try:
+                inverse = np.linalg.inv(mats)
+            except np.linalg.LinAlgError:
+                inverse = np.full(mats.shape, np.nan)
+                for k in range(count):
+                    try:
+                        inverse[k] = np.linalg.inv(mats[k])
+                    except np.linalg.LinAlgError:
+                        pass
+            prices = stack[lpi, m + 1, start][:, None, :] @ inverse
+            stack[:, m + 1] -= (prices @ stack[:, :m])[:, 0]
+            stack[:, :m] = inverse @ stack[:, :m]
+            basic = stack[:, :m][lpi, :, start]
+            singular = ~(np.abs(basic - np.eye(m)) <= 1e-9).all(axis=(1, 2))
+            infeasible = (stack[:, :m, -1] < -1e-7).any(axis=1)
+        # the basic columns are exactly the unit vectors of their rows
+        stack[:, :m][lpi, :, start] = np.eye(m)
+        stack[:, m + 1][lpi, start] = 0.0
+        for k in range(count):
+            if singular[k]:
+                out[k] = LpError("singular start basis")
+            elif infeasible[k]:
+                out[k] = LpError("infeasible start basis")
+    basis[:] = start
+    return out
+
+
+def _solve(stack, unit, art_cols, n, flip, exact, start=None):
+    """Both phases on a stack of starting tableaux from _start, or phase 2
+    alone from the basis start (count, m) of structural columns.
 
     flip marks the rows that were negated for a negative rhs.  Returns one
     entry per LP: its LpResult, or the LpError that simplex_max raises for
@@ -209,7 +266,14 @@ def _solve(stack, unit, art_cols, n, flip, exact):
     art_mask[art_cols] = True
     out = [None] * count
 
-    if art_cols:
+    if start is not None:
+        out = _enter_basis(stack, basis, start, exact)
+    elif art_cols:
+        # phase-1 objective (row m): the sum of the artificial rows, so the
+        # rhs cell tracks the current total infeasibility
+        art_rows = [i for i, col in enumerate(unit) if art_mask[col]]
+        stack[:, m] = stack[:, art_rows].sum(axis=1)
+        stack[:, m, art_cols] = zero
         feas_tol = zero if exact else 1e-7
         for k, status in enumerate(run(stack, basis, m, m, np.ones(width - 1, dtype=bool))):
             if status is None:
@@ -251,7 +315,7 @@ def _solve(stack, unit, art_cols, n, flip, exact):
     return out
 
 
-def simplex_max(c, a_rows, senses, b, exact: bool = False) -> LpResult:
+def simplex_max(c, a_rows, senses, b, exact: bool = False, start=None) -> LpResult:
     """Maximize c.x subject to rows of (a_rows, senses, b) and x >= 0.
 
     senses[i] is one of '<=', '=', '>='.  a_rows may be a nested sequence or
@@ -265,20 +329,26 @@ def simplex_max(c, a_rows, senses, b, exact: bool = False) -> LpResult:
     under the column that held e_i in the starting basis (the slack of a
     '<=' row, the artificial of any other).  A row dropped as redundant
     after phase 1 gets dual 0.
+
+    start, if given, is a feasible basis: one structural column per row.
+    The solve then skips phase 1 and runs phase 2 from that basis; a start
+    that is singular or whose basic solution is negative raises LpError.
     """
-    res = simplex_max_many(c, [a_rows], senses, [b], exact=exact)[0]
+    starts = None if start is None else [start]
+    res = simplex_max_many(c, [a_rows], senses, [b], exact=exact, start=starts)[0]
     if isinstance(res, LpError):
         raise res
     return res
 
 
-def simplex_max_many(c, a_stack, senses, b_stack, exact: bool = False) -> list:
-    """simplex_max(c, a, senses, b, exact) for every (a, b) of two stacks.
+def simplex_max_many(c, a_stack, senses, b_stack, exact: bool = False, start=None) -> list:
+    """simplex_max(c, a, senses, b, exact, s) for every (a, b, s) of the stacks.
 
     a_stack holds one (m, n) matrix per LP and b_stack one length-m rhs;
-    c and senses are shared.  In float mode, LPs whose negative right-hand
-    sides fall on the same rows are pivoted in lockstep, each exactly as it
-    would be pivoted alone.  Exact LPs are solved one after another, and
+    c and senses are shared; start is None or holds one starting basis of
+    m structural columns per LP.  In float mode, LPs whose negative
+    right-hand sides fall on the same rows are pivoted in lockstep, each
+    exactly as it would be pivoted alone.  Exact LPs are solved one after another, and
     their pivot limit raises.  Returns one entry per LP: its LpResult, or
     the LpError that simplex_max raises for it.
     """
@@ -297,6 +367,10 @@ def simplex_max_many(c, a_stack, senses, b_stack, exact: bool = False) -> list:
         a = np.array(a_stack, dtype=np.float64).reshape(count, m, n)
         rhs = np.array(b_stack, dtype=np.float64).reshape(count, m)
         cost = np.array(c, dtype=np.float64).reshape(n)
+    if start is not None:
+        start = np.array(start, dtype=np.int64).reshape(count, m)
+        if ((start < 0) | (start >= n)).any():
+            raise ValueError("a start basis holds structural columns only")
     # a negative right-hand side is negated with its row, so the starting
     # basis of slacks and artificials is feasible
     flips = rhs < zero
@@ -310,6 +384,7 @@ def simplex_max_many(c, a_stack, senses, b_stack, exact: bool = False) -> list:
         flip = flips[members[0]]
         flipped = [_FLIPPED[s] if f else s for s, f in zip(senses, flip)]
         stack, unit, art_cols = _start(cost, a[members], rhs[members], flipped, zero, one)
-        for k, res in zip(members, _solve(stack, unit, art_cols, n, flip, exact)):
+        begin = None if start is None else start[members]
+        for k, res in zip(members, _solve(stack, unit, art_cols, n, flip, exact, begin)):
             out[k] = res
     return out

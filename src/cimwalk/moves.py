@@ -89,6 +89,12 @@ def representative(mec: Mec) -> Dag:
     return dag
 
 
+@lru_cache(maxsize=65_536)
+def _class_imset(mec: Mec):
+    """The class's full imset, built once from its representative DAG."""
+    return full_imset(representative(mec))
+
+
 # ---------------------------------------------------------------------------
 # Single-arc operations on DAGs
 
@@ -206,9 +212,7 @@ def apply_move(mec: Mec, move: Move) -> Mec:
 
 def verify_pair(source: Mec, target: Mec, move: Move) -> bool:
     """Check the move's delta against full imsets recomputed from scratch."""
-    cs = full_imset(representative(source))
-    ct = full_imset(representative(target))
-    added, removed = imset_delta(cs, ct)
+    added, removed = imset_delta(_class_imset(source), _class_imset(target))
     return added == move.added and removed == move.removed
 
 

@@ -217,8 +217,10 @@ def _margin_lps(rmat, pairs):
     with z free.  The residual is split as r = s+ - s-, so the rows are the d
     coordinate equations s+ - s- - r = 0 and the convexity row, and the
     tableau has d + 1 rows whatever the vertex count.  Columns run s-, y,
-    z+, z-, s+; this order takes the fewest Bland pivots on the p = 4
-    polytope.  c and b are shared by all pairs; a holds one matrix per pair.
+    z+, z-, s+; of the orders tried for the two-phase solve, this one took
+    the fewest Bland pivots on the p = 4 polytope.  c and b are shared by
+    all pairs; a holds one matrix per pair, and _margin_start gives a
+    feasible basis to start each from.
     """
     n, d = rmat.shape
     k = n - 2
@@ -228,7 +230,9 @@ def _margin_lps(rmat, pairs):
     eye = np.eye(d, dtype=np.int64)
     a = np.zeros((len(u), d + 1, d + k + 2 + d), dtype=np.int64)
     a[:, :d, :d] = -eye
-    a[:, :d, d:d + k] = (rmat[others] - rmat[u][:, None]).transpose(0, 2, 1)
+    # gathered from rmat.T, so the subtraction's inner loop runs along k
+    np.subtract(rmat.T[:, others].transpose(1, 0, 2), rmat[u][:, :, None],
+                out=a[:, :d, d:d + k])
     a[:, d, d:d + k] = 1
     a[:, :d, d + k] = rmat[v] - rmat[u]
     a[:, :d, d + k + 1] = rmat[u] - rmat[v]
@@ -239,6 +243,31 @@ def _margin_lps(rmat, pairs):
     b = np.zeros(d + 1, dtype=np.int64)
     b[d] = 1
     return c, a, b
+
+
+def _margin_start(rmat, pairs):
+    """A feasible starting basis for each margin LP of _margin_lps, one
+    column per row.
+
+    y = e_x0 for the other vertex x0 nearest to u and v in summed l1
+    distance (the first on ties), z = 0, and in coordinate row i the
+    residual u_i - x0_i carried by s+_i where it is >= 0 and by s-_i where
+    it is negative.  The basis matrix is a signed identity plus the y_x0
+    column, so it is never singular.
+    """
+    n, d = rmat.shape
+    u, v = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    lpi = np.arange(len(u))
+    dist = (np.abs(rmat - rmat[u][:, None]).sum(axis=2)
+            + np.abs(rmat - rmat[v][:, None]).sum(axis=2))
+    dist[lpi, u] = dist[lpi, v] = np.iinfo(dist.dtype).max
+    x0 = dist.argmin(axis=1)
+    coord = np.arange(d)
+    start = np.empty((len(u), d + 1), dtype=np.int64)
+    start[:, :d] = np.where(rmat[u] >= rmat[x0], d + n + coord, coord)
+    # y_x0 is column d + (position of x0 among the vertices other than u, v)
+    start[:, d] = d + x0 - (x0 > u) - (x0 > v)
+    return start
 
 
 def _margin_solution(res, d: int):
@@ -254,7 +283,8 @@ def _margin_solution(res, d: int):
 def _solve_margin(rmat, u: int, v: int, exact: bool):
     """The largest exposure margin t* of (u, v), and a cost vector attaining it."""
     c, a, b = _margin_lps(rmat, [(u, v)])
-    res = simplex_max(c, a[0], ["="] * len(b), b, exact=exact)
+    start = _margin_start(rmat, [(u, v)])[0]
+    res = simplex_max(c, a[0], ["="] * len(b), b, exact=exact, start=start)
     return _margin_solution(res, rmat.shape[1])
 
 
@@ -301,7 +331,8 @@ def _decide_pairs(rmat, pairs) -> list:
         zeros = tuple(0.0 for _ in rmat[0])
         return [(u, v, True, math.inf, "trivial", zeros, math.inf) for u, v in pairs]
     c, a, b = _margin_lps(rmat, pairs)
-    solved = simplex_max_many(c, a, ["="] * len(b), [b] * len(a))
+    solved = simplex_max_many(c, a, ["="] * len(b), [b] * len(a),
+                              start=_margin_start(rmat, pairs))
     return [(u, v, *_decide_pair(rmat, u, v, res)) for (u, v), res in zip(pairs, solved)]
 
 

@@ -16,14 +16,14 @@ the finiteness of the class space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Optional
 
 # consistent_extension stays importable here for perfbench's tracer
 from .graphs import Dag, Mec, consistent_extension, mec_of
+# full_imset stays importable here for perfbench's tracer
 from .imset import imset_delta, full_imset
-from .moves import (Move, MoveError, apply_move, representative, verify_pair,
-                    _raw_edge_candidates, _raw_tree_candidates,
+from .moves import (Move, MoveError, apply_move, verify_pair,
+                    _class_imset, _raw_edge_candidates, _raw_tree_candidates,
                     _raw_turn_candidates)
 from .scoring import (LocalScoreCache, ScoringError, SufficientStats,
                       class_delta, score_mec)
@@ -140,11 +140,6 @@ def _candidates(mec: Mec, phase: str, config: SearchConfig) -> Iterator[Move]:
                 yield move
     else:
         raise SearchError(f"unknown phase {phase!r}")
-
-
-@lru_cache(maxsize=65_536)
-def _class_imset(mec: Mec):
-    return full_imset(representative(mec))
 
 
 def _extension_delta(source: Mec, target: Mec, run: _Run) -> float:

@@ -1,12 +1,16 @@
 """Fisher z tests and the order-stable PC skeleton."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+from cimwalk import ci_tests
 from cimwalk.ci_tests import CiTestError, fisher_z_test, pc_skeleton
+from cimwalk.graphs import UndirectedGraph
 from cimwalk.scoring import SufficientStats
+from cimwalk.simulate import assign_weights, make_rng, random_dag, sample
 
 # population covariances of x0 -> x1 -> x2 and x0 -> x2 <- x1, unit weights
 CHAIN_COV = [[1.0, 1.0, 1.0], [1.0, 2.0, 2.0], [1.0, 2.0, 3.0]]
@@ -125,3 +129,59 @@ def test_pc_skeleton_from_samples():
     stats = SufficientStats.from_data(np.column_stack([x0, x1, x2]))
     graph, _ = pc_skeleton(stats, alpha=0.01)
     assert sorted(graph.edges) == [(0, 1), (1, 2)]
+
+
+def _pc_skeleton_unskipped(stats, alpha, max_cond=None):
+    """pc_skeleton before it skipped conditioning sets already tried for a
+    pair: both anchors test every set of their pools."""
+    p = stats.p
+    graph = UndirectedGraph.from_edges(p, combinations(range(p), 2))
+    sepsets = {}
+    level = 0
+    while True:
+        if max_cond is not None and level > max_cond:
+            break
+        frozen = {v: tuple(sorted(graph.neighbors(v))) for v in range(p)}
+        if all(len(frozen[v]) - 1 < level for v in range(p)):
+            break
+        if stats.n <= level + 3:
+            break
+        for i, j in combinations(range(p), 2):
+            if not graph.has_edge(i, j):
+                continue
+            removed = False
+            for anchor, other in ((i, j), (j, i)):
+                pool = tuple(v for v in frozen[anchor] if v != other)
+                if len(pool) < level:
+                    continue
+                for cond in combinations(pool, level):
+                    decision = fisher_z_test(i, j, cond, stats, alpha)
+                    if decision.independent:
+                        graph = graph.remove_edge(i, j)
+                        sepsets[(i, j)] = decision.cond
+                        sepsets[(j, i)] = decision.cond
+                        removed = True
+                        break
+                if removed:
+                    break
+        level += 1
+    return graph, sepsets
+
+
+@pytest.mark.parametrize("seed, p", enumerate([5, 6, 7, 8, 9, 10, 11, 12, 14, 16]))
+def test_pc_skeleton_matches_the_unskipped_loop(seed, p, monkeypatch):
+    rng = make_rng(seed)
+    _, stats = sample(assign_weights(random_dag(p, 2.0, rng), rng), 2000, rng)
+    want = _pc_skeleton_unskipped(stats, alpha=0.01)
+    calls = []
+
+    def counting(i, j, cond, *args):
+        calls.append((i, j, tuple(cond)))
+        return fisher_z_test(i, j, cond, *args)
+
+    monkeypatch.setattr(ci_tests, "fisher_z_test", counting)
+    graph, sepsets = pc_skeleton(stats, alpha=0.01)
+    assert sorted(graph.edges) == sorted(want[0].edges)
+    assert sepsets == want[1]
+    # no test is run twice: a conditioning set has one size per level
+    assert len(calls) == len(set(calls))

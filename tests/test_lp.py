@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from cimwalk import lp, polytope
@@ -401,3 +401,146 @@ def test_margin_lps_match_the_serial_reference_cycle_faces(p):
 
 def test_margin_lps_match_the_serial_reference_every_tenth_p4_pair():
     _assert_margin_lps_match(polytope.enumerate_mecs(4), step=10)
+
+
+# ---------------------------------------------------------------------------
+# Phase 2 from a given feasible basis
+
+
+def _nonsingular(rows):
+    """Exact nonsingularity of a square matrix, by fraction elimination."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    for i in range(len(mat)):
+        pivot = next((r for r in range(i, len(mat)) if mat[r][i] != 0), None)
+        if pivot is None:
+            return False
+        mat[i], mat[pivot] = mat[pivot], mat[i]
+        for r in range(i + 1, len(mat)):
+            f = mat[r][i] / mat[i][i]
+            mat[r] = [a - f * b for a, b in zip(mat[r], mat[i])]
+    return True
+
+
+_basis_entries = st.one_of(st.integers(-3, 3),
+                           st.sampled_from([Fraction(1, 2), Fraction(-2, 3)]))
+
+
+@st.composite
+def _based_lps(draw):
+    """An '=' LP built around a known basis: A, a nonsingular column subset
+    B and x_B >= 0 (zeros allowed, for degenerate starts), with b = B x_B.
+    Returns (c, a, b, start) with exact entries."""
+    m = draw(st.integers(1, 4))
+    n = m + draw(st.integers(0, 3))
+    a = draw(st.lists(st.lists(_basis_entries, min_size=n, max_size=n),
+                      min_size=m, max_size=m))
+    start = draw(st.permutations(range(n)))[:m]
+    assume(_nonsingular([[row[j] for j in start] for row in a]))
+    x_b = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+    b = [sum(Fraction(row[j]) * x for j, x in zip(start, x_b)) for row in a]
+    c = draw(st.lists(_basis_entries, min_size=n, max_size=n))
+    return c, a, b, start
+
+
+def _floats(rows):
+    return [[float(x) for x in row] for row in rows]
+
+
+@given(_based_lps())
+def test_started_float_solve_matches_the_two_phase_solve(lp_data):
+    c, a, b, start = lp_data
+    c, a, b = [float(x) for x in c], _floats(a), [float(x) for x in b]
+    senses = ["="] * len(b)
+    two = simplex_max(c, a, senses, b)
+    got = simplex_max(c, a, senses, b, start=start)
+    assert got.status == two.status
+    if got.status == OPTIMAL:
+        assert abs(got.objective - two.objective) <= 1e-9
+        assert abs(sum(y * bi for y, bi in zip(got.duals, b)) - got.objective) <= 1e-9
+
+
+@given(_based_lps())
+def test_started_exact_solve_matches_the_two_phase_solve(lp_data):
+    c, a, b, start = lp_data
+    senses = ["="] * len(b)
+    two = simplex_max(c, a, senses, b, exact=True)
+    got = simplex_max(c, a, senses, b, exact=True, start=start)
+    assert got.status == two.status
+    if got.status == OPTIMAL:
+        assert got.objective == two.objective
+        assert sum(y * bi for y, bi in zip(got.duals, b)) == got.objective
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@given(lp_data=_based_lps())
+def test_infeasible_or_singular_start_is_an_error(exact, lp_data):
+    c, a, b, start = lp_data
+    senses = ["="] * len(b)
+    # a zero column in the basis makes it singular
+    a_zero = [row + [0] for row in a]
+    with pytest.raises(LpError, match="singular"):
+        simplex_max(c + [0], a_zero, senses, b, exact=exact, start=[len(c)] + start[1:])
+    # x_B with a negative entry: b = B x_B is reached only off the start's orthant
+    x_b = [-1] + [1] * (len(start) - 1)
+    b_neg = [sum(Fraction(row[j]) * x for j, x in zip(start, x_b)) for row in a]
+    if not exact:
+        a, b_neg = _floats(a), [float(x) for x in b_neg]
+    with pytest.raises(LpError, match="infeasible"):
+        simplex_max(c, a, senses, b_neg, exact=exact, start=start)
+
+
+def test_start_holds_structural_columns_only():
+    with pytest.raises(ValueError):
+        simplex_max([1], [[1]], ["="], [1], start=[1])
+
+
+def _started_reference(c, a, b, starts):
+    """Each LP of an '=' batch with b >= 0, pivoted by the serial reference
+    from the tableau that lp builds for its start basis.  Returns the
+    outcomes and the pivot count of each."""
+    m, n = len(b[0]), len(c)
+    stack, unit, art_cols = lp._start(np.array(c, dtype=np.float64),
+                                      np.array(a, dtype=np.float64),
+                                      np.array(b, dtype=np.float64), ["="] * m, 0.0, 1.0)
+    basis = np.array(starts, dtype=np.int64)
+    assert lp._enter_basis(stack, basis, basis.copy(), False) == [None] * len(b)
+    width = stack.shape[2]
+    allowed = np.ones(width - 1, dtype=bool)
+    allowed[art_cols] = False
+    outcomes, pivots = [], []
+    for tableau, bas in zip(stack, basis.tolist()):
+        counter = [0]
+        if not _reference_run(tableau, bas, m, m + 1, allowed, width, counter, 50_000):
+            outcomes.append(LpResult(UNBOUNDED, [], None))
+        else:
+            x = [0.0] * n
+            for i, col in enumerate(bas):
+                x[col] = tableau[i, -1]
+            duals = [-tableau[m + 1, col] for col in unit]
+            outcomes.append(LpResult(OPTIMAL, x, -tableau[m + 1, -1], duals))
+        pivots.append(counter[0])
+    return outcomes, pivots
+
+
+def test_started_margin_lps_take_at_most_three_quarters_of_the_two_phase_pivots():
+    # every 10th p = 4 pair that the census solves (the midpoint prefilter
+    # settles the rest): the batch solve from the census start basis is
+    # bitwise the serial reference's phase 2 from the same tableau, and it
+    # needs no more than 75% of the serial two-phase solve's pivots
+    _, rmat = polytope._restricted(polytope.enumerate_mecs(4))
+    n = len(rmat)
+    skip = polytope._midpoint_prefilter(rmat)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in skip][::10]
+    c, a, b = polytope._margin_lps(rmat, pairs)
+    starts = polytope._margin_start(rmat, pairs)
+    senses = ["="] * len(b)
+    want, started = _started_reference(c, a, [b] * len(a), starts)
+    got = simplex_max_many(c, a, senses, [b] * len(a), start=starts)
+    for res, ref in zip(got, want):
+        _assert_same(res, ref)
+    two_phase = 0
+    for mat in a:
+        counter = [0]
+        _reference_simplex_max(c, mat, senses, b, counter=counter)
+        two_phase += counter[0]
+    assert sum(started) <= 0.75 * two_phase, (sum(started), two_phase)

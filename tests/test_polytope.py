@@ -1,13 +1,17 @@
 """Vertex sets, LP edge certification, censuses, and structural checks."""
 
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from cimwalk import moves as moves_mod
 from cimwalk import polytope
+from cimwalk import search as search_mod
 from cimwalk.graphs import GraphError, UndirectedGraph
 from cimwalk.imset import full_imset
-from cimwalk.lp import OPTIMAL, simplex_max
+from cimwalk.lp import OPTIMAL, simplex_max, simplex_max_many
 from cimwalk.moves import (enumerate_edge_moves, enumerate_tree_moves,
                            enumerate_turn_moves, representative)
 from cimwalk.polytope import (EdgeCertificate, _midpoint_prefilter,
@@ -441,3 +445,82 @@ def test_edge_census_reports_stage_seconds_apart_from_the_census():
     assert set(seconds) == {"prefilter", "certify", "classify"}
     assert all(t >= 0 for t in seconds.values())
     assert census == edge_census(vs, threads=1)
+
+
+# ---------------------------------------------------------------------------
+# Margin LPs started from the census basis
+
+
+def _margin_batches(vs, step=1):
+    _, rmat = _restricted(vs)
+    n = len(rmat)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)][::step]
+    c, a, b = polytope._margin_lps(rmat, pairs)
+    return rmat, pairs, c, a, b
+
+
+@pytest.mark.parametrize("face, p, step", [("full", 3, 1), ("cycle", 4, 1), ("cycle", 5, 1),
+                                           ("cycle", 6, 1), ("full", 4, 10)])
+def test_started_margin_equals_the_two_phase_margin(face, p, step):
+    vs = enumerate_mecs(p) if face == "full" else enumerate_mecs_with_skeleton(cycle_graph(p))
+    rmat, pairs, c, a, b = _margin_batches(vs, step)
+    senses = ["="] * len(b)
+    d = rmat.shape[1]
+    two = simplex_max_many(c, a, senses, [b] * len(a))
+    started = simplex_max_many(c, a, senses, [b] * len(a),
+                               start=polytope._margin_start(rmat, pairs))
+    for x, y in zip(two, started):
+        t_two = polytope._margin_solution(x, d)[1]
+        assert abs(polytope._margin_solution(y, d)[1] - t_two) <= 1e-12
+
+
+def test_started_exact_margin_equals_the_two_phase_exact_margin_p3():
+    rmat, pairs, c, a, b = _margin_batches(enumerate_mecs(3))
+    senses = ["="] * len(b)
+    for mat, start in zip(a, polytope._margin_start(rmat, pairs)):
+        two = simplex_max(c, mat, senses, b, exact=True)
+        started = simplex_max(c, mat, senses, b, exact=True, start=start)
+        assert started.status == two.status == OPTIMAL
+        assert started.objective == two.objective
+
+
+def test_margin_start_is_a_feasible_basis():
+    # the y column of the vertex x0 closest to u and v, and per coordinate
+    # the residual slack whose sign matches u - x0
+    rmat, pairs, c, a, b = _margin_batches(enumerate_mecs(3))
+    n, d = rmat.shape
+    for (u, v), mat, start in zip(pairs, a, polytope._margin_start(rmat, pairs)):
+        others = [x for x in range(n) if x not in (u, v)]
+        dist = [abs(rmat[x] - rmat[u]).sum() + abs(rmat[x] - rmat[v]).sum() for x in others]
+        x0 = others[dist.index(min(dist))]
+        assert start[d] == d + others.index(x0)
+        for i in range(d):
+            assert start[i] == (d + n + i if rmat[u, i] >= rmat[x0, i] else i)
+        basic = np.zeros(mat.shape[1])
+        basic[start[d]] = 1
+        basic[start[:d]] = np.abs(rmat[u] - rmat[x0])
+        assert (mat @ basic == b).all()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_every_p4_certificate_checks_without_exact_resolves(threads):
+    vs = enumerate_mecs(4)
+    survey = certify_all_edges(vs, threads=threads)
+    assert survey.stats["lp_solved"] == len(survey.certificates) == 4259
+    assert survey.stats["exact_resolves"] == 0
+    assert all(cert.check(vs) for cert in survey.certificates.values())
+
+
+def test_pair_move_kinds_build_each_class_imset_at_most_once(monkeypatch):
+    vs = enumerate_mecs(4)
+    built = Counter()
+
+    def counting(dag):
+        built[dag] += 1
+        return full_imset(dag)
+
+    moves_mod._class_imset.cache_clear()
+    monkeypatch.setattr(moves_mod, "full_imset", counting)
+    polytope._pair_move_kinds(vs)
+    assert built and max(built.values()) == 1
+    assert search_mod._class_imset is moves_mod._class_imset
