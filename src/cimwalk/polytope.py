@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from multiprocessing import Pool
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -149,6 +149,167 @@ def enumerate_mecs_with_skeleton(g: UndirectedGraph) -> VertexSet:
     if g.p > 12:
         raise GraphError("p too large for dense imset vectors")
     return _build_vertex_set(g.p, _mecs_with_skeleton(g))
+
+
+# ---------------------------------------------------------------------------
+# Node relabellings
+
+
+class Symmetry(NamedTuple):
+    """A node relabelling that maps a vertex set onto itself.
+
+    nodes[x] is the new label of node x.  coords[k] is the position of the
+    coordinate that coordinate k (a node set S) becomes, nodes[S].  rows[i]
+    is the row that row i becomes when each entry k moves to coords[k].
+    """
+
+    nodes: tuple
+    coords: tuple
+    rows: tuple
+
+
+# Work units that _symmetries may spend on one vertex set: one per candidate
+# image tried, and one per coordinate and per row when a candidate is
+# checked against the rows.  Past it the generators found so far are kept;
+# orbits then only get finer, which costs LPs and never changes a decision.
+_SYMMETRY_BUDGET = 200_000
+
+
+def _adjacency(p: int, edges: Iterable) -> list:
+    """Neighbour bitmask of each node."""
+    adj = [0] * p
+    for a, b in edges:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return adj
+
+
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _refined_colours(adj: list) -> list:
+    """Stable colour refinement of a graph given by neighbour bitmasks;
+    every automorphism maps each node to a node of the same colour."""
+    colours = [0] * len(adj)
+    while True:
+        sig = [(colours[x], tuple(sorted(colours[y] for y in _bits(adj[x]))))
+               for x in range(len(adj))]
+        ids = {s: k for k, s in enumerate(sorted(set(sig)))}
+        refined = [ids[s] for s in sig]
+        if len(ids) == len(set(colours)):
+            return refined
+        colours = refined
+
+
+def _node_orbit(x: int, gens: list) -> set:
+    orbit, stack = {x}, [x]
+    while stack:
+        y = stack.pop()
+        for g in gens:
+            z = g.nodes[y]
+            if z not in orbit:
+                orbit.add(z)
+                stack.append(z)
+    return orbit
+
+
+@lru_cache(maxsize=64)
+def _symmetries(vs: VertexSet) -> tuple:
+    """Generators of the node relabellings that map vs onto itself.
+
+    A relabelling of the nodes permutes the imset coordinates and maps the
+    polytope onto itself, so it maps edges to edges.  Candidates are the
+    automorphisms of the union of the class skeletons, found by
+    backtracking along the stabiliser chain of nodes p-1, ..., 0: at level
+    i every generator found so far fixes the nodes below i, and i is sent
+    to each node outside its orbit so far.  A candidate is kept only if it
+    maps every row onto a row.  Each kept generator joins two node orbits,
+    so there are at most p - 1; unless _SYMMETRY_BUDGET runs out they
+    generate the whole group.
+    """
+    p = vs.p
+    adj = _adjacency(p, frozenset().union(*(mec.skeleton.edges for mec in vs.mecs)))
+    colours = _refined_colours(adj)
+    pos = _coord_pos(vs)
+    rows = np.array(vs.matrix, dtype=np.uint8)
+    row_of = {row.tobytes(): i for i, row in enumerate(rows)}
+    budget = _SYMMETRY_BUDGET
+
+    def fits(img, t):
+        # node len(img) -> t keeps every adjacency to the nodes placed so far
+        k = len(img)
+        used = sum(1 << y for y in img)
+        return (colours[t] == colours[k] and not used >> t & 1
+                and sum(1 << img[x] for x in _bits(adj[k] & ((1 << k) - 1)))
+                == adj[t] & used)
+
+    def verified(img):
+        nonlocal budget
+        budget -= len(vs.coords) + len(rows)
+        cp = tuple(pos[tuple(sorted(img[x] for x in key))] for key in vs.coords)
+        image = np.empty_like(rows)
+        image[:, cp] = rows
+        vp = tuple(row_of.get(row.tobytes()) for row in image)
+        return None if None in vp else Symmetry(tuple(img), cp, vp)
+
+    def extend(img):
+        nonlocal budget
+        if len(img) == p:
+            return verified(img)
+        for t in range(p):
+            budget -= 1
+            if budget < 0:
+                return None
+            if fits(img, t):
+                found = extend(img + [t])
+                if found:
+                    return found
+        return None
+
+    gens = []
+    for i in reversed(range(p)):
+        orbit = _node_orbit(i, gens)
+        for y in range(i + 1, p):
+            if y not in orbit and fits(list(range(i)), y):
+                found = extend(list(range(i)) + [y])
+                if found:
+                    gens.append(found)
+                    orbit = _node_orbit(i, gens)
+    return tuple(gens)
+
+
+def _orbit_tree(items: Iterable, perms: list, image) -> tuple:
+    """Split items, a set closed under perms, into orbits, in item order.
+
+    Returns the first item of each orbit, and every other item as
+    (item, source, k) with item = image(source, perms[k]); each source
+    comes before the items derived from it.
+    """
+    seen = set()
+    reps, derived = [], []
+    for item in items:
+        if item in seen:
+            continue
+        seen.add(item)
+        reps.append(item)
+        queue = [item]
+        for source in queue:
+            for k, perm in enumerate(perms):
+                new = image(source, perm)
+                if new not in seen:
+                    seen.add(new)
+                    queue.append(new)
+                    derived.append((new, source, k))
+    return reps, derived
+
+
+def _pair_image(pair, perm):
+    a, b = perm[pair[0]], perm[pair[1]]
+    return (a, b) if a < b else (b, a)
 
 
 # ---------------------------------------------------------------------------
@@ -379,27 +540,38 @@ def _pool_decide(pairs):
     return _decide_pairs(_POOL_MATRIX, pairs)
 
 
+# Coordinates per base-3 key: 3**39 - 1 < 2**63, so a key of a row sum fits
+# an int64.
+_KEY_DIGITS = 39
+
+
 def _midpoint_prefilter(matrix) -> set:
     """Pairs whose midpoint provably lies in the hull of other vertices.
 
     If u + v = x + y for a different pair {x, y}, any exposing w would have
     to put both sums at the same maximum, so neither pair is an edge.  The
-    same argument applies when u + v doubles a third vertex.
+    same argument applies when u + v doubles a third vertex.  Each sum is
+    keyed by its base-3 digits, one int64 per chunk of _KEY_DIGITS
+    coordinates; a row's key plus another's is the key of their sum, since
+    no digit exceeds 2.  Pair sums and doubled rows are sorted together,
+    and a pair whose key equals a neighbour's is skipped: doubled rows are
+    pairwise distinct, so that neighbour is another pair or a double.
     """
-    rows = matrix.tolist()
-    sums = {}
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            s = tuple(a + b for a, b in zip(rows[i], rows[j]))
-            sums.setdefault(s, []).append((i, j))
-    doubles = {tuple(2 * a for a in row): i for i, row in enumerate(rows)}
-    skip = set()
-    for s, plist in sums.items():
-        if len(plist) > 1:
-            skip.update(plist)
-        elif s in doubles:
-            skip.update(plist)
-    return skip
+    m = np.asarray(matrix, dtype=np.int64)
+    n, d = m.shape
+    chunks = np.arange(d) // _KEY_DIGITS
+    weights = 3 ** (np.arange(d) % _KEY_DIGITS)
+    keys = np.zeros((n, max(1, -(-d // _KEY_DIGITS))), dtype=np.int64)
+    np.add.at(keys.T, chunks, (m * weights).T)
+    i, j = np.triu_indices(n, 1)
+    sums = np.concatenate([keys[i] + keys[j], 2 * keys])
+    order = np.lexsort(sums.T[::-1])
+    same = (sums[order[1:]] == sums[order[:-1]]).all(axis=1)
+    collides = np.zeros(len(sums), dtype=bool)
+    collides[order[1:]] |= same
+    collides[order[:-1]] |= same
+    hit = collides[:len(i)]
+    return set(zip(i[hit].tolist(), j[hit].tolist()))
 
 
 def thread_count(requested: Optional[int] = None) -> int:
@@ -448,9 +620,13 @@ class EdgeSurvey:
 def certify_all_edges(vs: VertexSet, threads: Optional[int] = None) -> EdgeSurvey:
     """Certify every vertex pair; deterministic regardless of worker count.
 
-    The pairs that pass the prefilter are cut into batches whose margin LPs
-    are solved in lockstep; with more than one worker the batches are
-    shared out over a process pool.
+    The pairs that pass the prefilter are split into orbits under the
+    relabellings of _symmetries, and only the first pair of each orbit has
+    its margin LP solved.  These are cut into batches whose margin LPs are
+    solved in lockstep; with more than one worker the batches are shared out
+    over a process pool.  Every other pair takes the decision, mode, margin
+    and objective of the pair it was reached from, with the weights moved
+    to its own coordinates.
     """
     t0 = time.perf_counter()
     varying, rmat = _restricted(vs)
@@ -460,32 +636,44 @@ def certify_all_edges(vs: VertexSet, threads: Optional[int] = None) -> EdgeSurve
         (i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in skip
     ]
     t1 = time.perf_counter()
+    syms = _symmetries(vs)
+    reps, derived = _orbit_tree(todo, [g.rows for g in syms], _pair_image)
     workers = thread_count(threads)
-    pool_used = workers > 1 and len(todo) > 64
-    size = _batch_size(rmat, len(todo), workers if pool_used else 1)
-    batches = [todo[k:k + size] for k in range(0, len(todo), size)]
+    pool_used = workers > 1 and len(reps) > 64
+    size = _batch_size(rmat, len(reps), workers if pool_used else 1)
+    batches = [reps[k:k + size] for k in range(0, len(reps), size)]
     if pool_used:
         with Pool(workers, initializer=_pool_init, initargs=(rmat,)) as pool:
             parts = list(pool.imap_unordered(_pool_decide, batches, chunksize=1))
     else:
         parts = [_decide_pairs(rmat, batch) for batch in batches]
 
-    edges = []
-    certificates = {}
+    decided = {}
     exact_used = 0
     for part in parts:
-        for u, v, is_edge, margin, mode, weights, objective in part:
-            if mode == "exact":
+        for u, v, *decision in part:
+            if decision[1] == "exact":
                 exact_used += 1
-            if not is_edge:
-                continue
-            edges.append((u, v))
-            certificates[(u, v)] = _certificate(vs, varying, u, v, margin, mode, weights, objective)
-    edges.sort()
+            decided[(u, v)] = decision
+    # under syms[s], restricted weight k of a pair moves to position moved[s][k]
+    column = {pos: k for k, pos in enumerate(varying)}
+    moved = [[column[g.coords[pos]] for pos in varying] for g in syms]
+    for pair, source, s in derived:
+        is_edge, margin, mode, weights, objective = decided[source]
+        if is_edge:
+            image = [0.0] * len(weights)
+            for k, w in zip(moved[s], weights):
+                image[k] = w
+            weights = tuple(image)
+        decided[pair] = (is_edge, margin, mode, weights, objective)
+    edges = sorted(pair for pair, decision in decided.items() if decision[0])
+    certificates = {(u, v): _certificate(vs, varying, u, v, *decided[(u, v)][1:])
+                    for u, v in edges}
     stats = {
         "pairs": n * (n - 1) // 2,
         "prefiltered": len(skip),
-        "lp_solved": len(todo),
+        "lp_solved": len(reps),
+        "by_symmetry": len(derived),
         "exact_resolves": exact_used,
         "edges": len(edges),
     }
@@ -504,36 +692,83 @@ def _member_dags(mec: Mec) -> tuple:
 
 
 def _pair_move_kinds(vs: VertexSet) -> dict:
-    """Map vertex pair -> set of move kinds whose delta joins the pair."""
+    """Map vertex pair -> set of move kinds whose delta joins the pair.
+
+    A relabelling of the nodes maps a class's moves to its image's moves of
+    the same kinds, so the moves are enumerated for the first class of each
+    orbit under _symmetries and carried along to the rest of the orbit.  An
+    edge move adds or removes one skeleton edge, so edge moves are skipped
+    for a class when no class of vs has such a skeleton.
+    """
     index = _mec_index(vs)
+    skeletons = {mec.skeleton.edges for mec in vs.mecs}
+    perms = [g.rows for g in _symmetries(vs)]
+    reps, derived = _orbit_tree(range(len(vs)), perms, lambda i, perm: perm[i])
+    found = {}
+    for i in reps:
+        mec = vs.mecs[i]
+        moves = enumerate_turn_moves(mec)
+        if any(len(mec.skeleton.edges ^ s) == 1 for s in skeletons):
+            moves += enumerate_edge_moves(mec)
+        if mec.skeleton.is_tree() or mec.skeleton.is_single_cycle():
+            moves += enumerate_tree_moves(mec)
+        targets = ((index.get(target), move.kind) for move, target in moves)
+        found[i] = [(j, kind) for j, kind in targets if j is not None and j != i]
+    for i, source, k in derived:
+        found[i] = [(perms[k][j], kind) for j, kind in found[source]]
     kinds = {}
-
-    def note(i, target, kind):
-        j = index.get(target)
-        if j is None or j == i:
-            return
-        kinds.setdefault((min(i, j), max(i, j)), set()).add(kind)
-
-    for i, mec in enumerate(vs.mecs):
-        for move, target in enumerate_turn_moves(mec):
-            note(i, target, move.kind)
-        for move, target in enumerate_edge_moves(mec):
-            note(i, target, move.kind)
-        skel = mec.skeleton
-        if skel.is_tree() or skel.is_single_cycle():
-            for move, target in enumerate_tree_moves(mec):
-                note(i, target, move.kind)
+    for i, targets in found.items():
+        for j, kind in targets:
+            kinds.setdefault((min(i, j), max(i, j)), set()).add(kind)
     return kinds
 
 
 @lru_cache(maxsize=4096)
 def _canonical_skeleton(g: UndirectedGraph) -> tuple:
-    best = None
-    for perm in itertools.permutations(range(g.p)):
-        mapped = tuple(sorted(tuple(sorted((perm[a], perm[b]))) for a, b in g.edges))
-        if best is None or mapped < best:
-            best = mapped
-    return best
+    """The lexicographically smallest sorted edge tuple of any relabelling of g.
+
+    Of two relabellings with the same edge count, the smaller edge tuple
+    has the larger upper triangle of the adjacency matrix, read row by row.
+    Labels 0, 1, ... are handed out in turn by branch and bound.  A partial
+    labelling is dropped when the best triangle it could still reach is no
+    larger than the best found: its rows as far as known, each then filled
+    with as many ones as the row's node has unlabelled neighbours, then
+    ones for all edges among the unlabelled nodes.  Of two unlabelled twins
+    (nodes with the same other neighbours) only the first is tried, since
+    swapping them is an automorphism.
+    """
+    p = g.p
+    adj = _adjacency(p, g.edges)
+    twins = [sum(1 << x for x in range(y)
+                 if adj[x] & ~(1 << y) == adj[y] & ~(1 << x)) for y in range(p)]
+    best = [()]
+
+    def bound(order, free):
+        bits = []
+        for a, x in enumerate(order):
+            bits.extend(adj[x] >> order[b] & 1 for b in range(a + 1, len(order)))
+            rest = (adj[x] & free).bit_count()
+            bits.extend([1] * rest + [0] * (p - len(order) - rest))
+        inner = sum((adj[x] & free).bit_count() for x in _bits(free)) // 2
+        tail = (p - len(order)) * (p - len(order) - 1) // 2
+        return tuple(bits + [1] * inner + [0] * (tail - inner))
+
+    def search(order, free):
+        if not free:
+            best[0] = max(best[0], bound(order, free))
+            return
+        children = sorted(
+            ((bound(order + [x], free & ~(1 << x)), x)
+             for x in _bits(free) if not twins[x] & free),
+            reverse=True)
+        for b, x in children:
+            if b <= best[0]:
+                break
+            search(order + [x], free & ~(1 << x))
+
+    search([], (1 << p) - 1)
+    pairs = itertools.combinations(range(p), 2)
+    return tuple(pair for pair, bit in zip(pairs, best[0]) if bit)
 
 
 def classify_edges(vs: VertexSet, edges: Iterable, kinds: dict) -> dict:

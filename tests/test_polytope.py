@@ -1,15 +1,19 @@
 """Vertex sets, LP edge certification, censuses, and structural checks."""
 
+import itertools
+import time
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cimwalk import moves as moves_mod
 from cimwalk import polytope
 from cimwalk import search as search_mod
-from cimwalk.graphs import GraphError, UndirectedGraph
+from cimwalk.graphs import Dag, GraphError, UndirectedGraph, mec_of
 from cimwalk.imset import full_imset
 from cimwalk.lp import OPTIMAL, simplex_max, simplex_max_many
 from cimwalk.moves import (enumerate_edge_moves, enumerate_tree_moves,
@@ -126,7 +130,8 @@ def test_certify_all_edges_stats():
     survey = certify_all_edges(vs, threads=1)
     stats = survey.stats
     assert stats["pairs"] == 55
-    assert stats["prefiltered"] + stats["lp_solved"] == 55
+    assert stats["prefiltered"] + stats["lp_solved"] + stats["by_symmetry"] == 55
+    assert (stats["prefiltered"], stats["lp_solved"], stats["by_symmetry"]) == (22, 9, 24)
     assert stats["edges"] == len(survey.edges) == 33
     assert set(survey.certificates) == set(survey.edges)
 
@@ -348,7 +353,7 @@ def test_certify_all_edges_never_asks_for_more_workers_than_cpus(monkeypatch):
     monkeypatch.setattr(polytope.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(polytope, "Pool", _InProcessPool)
     monkeypatch.setattr(_InProcessPool, "workers", [])
-    vs = enumerate_mecs_with_skeleton(cycle_graph(6))  # 76 pairs reach the LP
+    vs = enumerate_mecs(4)  # 237 orbit representatives reach the LP
     pooled = certify_all_edges(vs, threads=10**9)
     assert _InProcessPool.workers == [2]
     assert pooled.edges == certify_all_edges(vs, threads=1).edges
@@ -403,13 +408,38 @@ def test_certify_all_edges_pooled_batches_give_equal_certificates(monkeypatch):
     monkeypatch.setattr(polytope.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(polytope, "Pool", _InProcessPool)
     monkeypatch.setattr(_InProcessPool, "workers", [])
-    vs = enumerate_mecs_with_skeleton(cycle_graph(6))  # 76 pairs, two batches
+    vs = enumerate_mecs(4)  # 237 orbit representatives, two batches
     pooled = certify_all_edges(vs, threads=2)
     single = certify_all_edges(vs, threads=1)
     assert _InProcessPool.workers == [2]
     assert pooled.edges == single.edges
     assert pooled.certificates == single.certificates
     assert pooled.stats == single.stats
+
+
+# a triangle with pendant paths of lengths 2 and 1: no automorphism but the
+# identity
+_ASYMMETRIC = UndirectedGraph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4),
+                                             (2, 5), (3, 5)])
+
+
+def _rotation_orbit():
+    """The three rotations of a class with no symmetry of its own under the
+    3-cycle (0 1 2): the only relabellings that map this set onto itself
+    are the rotations, though the union of its skeletons is K4."""
+    dags = [Dag.from_arcs(4, [(a, b), (c, b), (c, 3)])
+            for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1))]
+    return polytope._build_vertex_set(4, [mec_of(dag) for dag in dags])
+
+
+def _face(kind, p):
+    if kind == "full":
+        return enumerate_mecs(p)
+    if kind == "asym":
+        return enumerate_mecs_with_skeleton(_ASYMMETRIC)
+    if kind == "rotations":
+        return _rotation_orbit()
+    return enumerate_mecs_with_skeleton({"path": path_graph, "cycle": cycle_graph}[kind](p))
 
 
 def _pair_move_kinds_by_vector(vs):
@@ -429,12 +459,11 @@ def _pair_move_kinds_by_vector(vs):
 
 
 @pytest.mark.parametrize("face, p", [("full", 2), ("full", 3), ("full", 4),
-                                     ("cycle", 4), ("cycle", 5), ("cycle", 6)])
+                                     ("cycle", 4), ("cycle", 5), ("cycle", 6),
+                                     ("path", 4), ("path", 5), ("path", 6),
+                                     ("path", 7), ("asym", 6)])
 def test_pair_move_kinds_match_the_imset_vector_lookup(face, p):
-    if face == "full":
-        vs = enumerate_mecs(p)
-    else:
-        vs = enumerate_mecs_with_skeleton(cycle_graph(p))
+    vs = _face(face, p)
     assert polytope._pair_move_kinds(vs) == _pair_move_kinds_by_vector(vs)
 
 
@@ -506,8 +535,11 @@ def test_margin_start_is_a_feasible_basis():
 def test_every_p4_certificate_checks_without_exact_resolves(threads):
     vs = enumerate_mecs(4)
     survey = certify_all_edges(vs, threads=threads)
-    assert survey.stats["lp_solved"] == len(survey.certificates) == 4259
-    assert survey.stats["exact_resolves"] == 0
+    stats = survey.stats
+    assert stats["prefiltered"] + stats["lp_solved"] + stats["by_symmetry"] == stats["pairs"]
+    assert (stats["lp_solved"], stats["by_symmetry"]) == (237, 4022)
+    assert len(survey.certificates) == stats["edges"] == 4259
+    assert stats["exact_resolves"] == 0
     assert all(cert.check(vs) for cert in survey.certificates.values())
 
 
@@ -524,3 +556,186 @@ def test_pair_move_kinds_build_each_class_imset_at_most_once(monkeypatch):
     polytope._pair_move_kinds(vs)
     assert built and max(built.values()) == 1
     assert search_mod._class_imset is moves_mod._class_imset
+
+
+# ---------------------------------------------------------------------------
+# Node relabellings: orbits of vertex pairs and of classes
+
+
+def _group_order(gens, p):
+    """Size of the group of node relabellings that gens generate."""
+    seen = {tuple(range(p))}
+    stack = list(seen)
+    while stack:
+        perm = stack.pop()
+        for g in gens:
+            image = tuple(g.nodes[x] for x in perm)
+            if image not in seen:
+                seen.add(image)
+                stack.append(image)
+    return len(seen)
+
+
+@pytest.mark.parametrize("kind, p, order", [
+    ("full", 2, 2), ("full", 3, 6), ("full", 4, 24),
+    *[("cycle", p, 2 * p) for p in range(4, 9)],
+    *[("path", p, 2) for p in range(4, 9)],
+    ("asym", 6, 1), ("rotations", 4, 3),
+])
+def test_symmetries_generate_the_relabelling_group(kind, p, order):
+    vs = _face(kind, p)
+    gens = polytope._symmetries(vs)
+    assert len(gens) <= p - 1
+    assert _group_order(gens, p) == order
+
+
+@pytest.mark.parametrize("kind, p", [("full", 2), ("full", 3), ("full", 4),
+                                     ("cycle", 6), ("path", 7), ("rotations", 4)])
+def test_every_symmetry_maps_the_rows_onto_the_rows(kind, p):
+    vs = _face(kind, p)
+    pos = {key: k for k, key in enumerate(vs.coords)}
+    for g in polytope._symmetries(vs):
+        assert sorted(g.nodes) == list(range(p))
+        assert g.coords == tuple(pos[tuple(sorted(g.nodes[x] for x in key))]
+                                 for key in vs.coords)
+        assert sorted(g.rows) == list(range(len(vs)))
+        for i, row in enumerate(vs.matrix):
+            image = [None] * len(row)
+            for k, bit in enumerate(row):
+                image[g.coords[k]] = bit
+            assert tuple(image) == vs.matrix[g.rows[i]]
+
+
+def test_symmetry_detection_on_the_star_face_is_fast():
+    vs = enumerate_mecs_with_skeleton(star_over_cliques(9, (1,) * 8))
+    start = time.perf_counter()
+    gens = polytope._symmetries.__wrapped__(vs)
+    assert time.perf_counter() - start < 2
+    assert len(gens) == 7
+    assert all(g.nodes[8] == 8 for g in gens)  # the centre stays put
+
+
+@pytest.mark.parametrize("budget, generators, solved", [(0, 0, 33), (20, 1, 20)])
+def test_a_spent_symmetry_budget_only_costs_lps(monkeypatch, budget, generators, solved):
+    vs = enumerate_mecs(3)
+    full = certify_all_edges(vs, threads=1)
+    monkeypatch.setattr(polytope, "_SYMMETRY_BUDGET", budget)
+    assert len(polytope._symmetries.__wrapped__(vs)) == generators
+    monkeypatch.setattr(polytope, "_symmetries", polytope._symmetries.__wrapped__)
+    spent = certify_all_edges(vs, threads=1)
+    assert spent.stats["lp_solved"] == solved
+    assert spent.edges == full.edges
+    assert {pair: cert.mode for pair, cert in spent.certificates.items()} == \
+        {pair: cert.mode for pair, cert in full.certificates.items()}
+    assert all(cert.check(vs) for cert in spent.certificates.values())
+    assert polytope._pair_move_kinds(vs) == _pair_move_kinds_by_vector(vs)
+
+
+def _per_pair_survey(vs):
+    """Edges and the mode of each, with a margin LP for every pair that
+    passes the prefilter: the certification before pair orbits."""
+    _, rmat = _restricted(vs)
+    n = len(rmat)
+    skip = _midpoint_prefilter(rmat)
+    todo = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in skip]
+    decided = polytope._decide_pairs(rmat, todo)
+    return {(u, v): mode for u, v, is_edge, _, mode, _, _ in decided if is_edge}
+
+
+@pytest.mark.parametrize("kind, p", [("full", 2), ("full", 3), ("full", 4),
+                                     *[(k, p) for k in ("path", "cycle") for p in (4, 5, 6)],
+                                     ("rotations", 4)])
+def test_orbit_certification_matches_a_margin_lp_per_pair(kind, p):
+    vs = _face(kind, p)
+    expected = _per_pair_survey(vs)
+    single = certify_all_edges(vs, threads=1)
+    assert set(single.edges) == set(expected)
+    assert {pair: cert.mode for pair, cert in single.certificates.items()} == expected
+    assert all(cert.check(vs) for cert in single.certificates.values())
+    pooled = certify_all_edges(vs, threads=2)
+    assert pooled.certificates == single.certificates
+    assert pooled.stats == single.stats
+
+
+def _midpoint_prefilter_by_dict(matrix):
+    """The prefilter before integer keys: a dict of every pair sum."""
+    rows = matrix.tolist()
+    sums = {}
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            sums.setdefault(tuple(a + b for a, b in zip(rows[i], rows[j])), []).append((i, j))
+    doubles = {tuple(2 * a for a in row) for row in rows}
+    skip = set()
+    for s, pairs in sums.items():
+        if len(pairs) > 1 or s in doubles:
+            skip.update(pairs)
+    return skip
+
+
+@pytest.mark.parametrize("kind, p", [("full", 2), ("full", 3), ("full", 4),
+                                     *[(k, p) for k in ("path", "cycle") for p in range(4, 9)]])
+def test_midpoint_prefilter_matches_the_dict_of_pair_sums(kind, p):
+    _, rmat = _restricted(_face(kind, p))
+    assert _midpoint_prefilter(rmat) == _midpoint_prefilter_by_dict(rmat)
+
+
+def test_census_of_a_single_class_face():
+    # the triangle has one class, so no coordinate varies and no pair exists
+    vs = enumerate_mecs_with_skeleton(UndirectedGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)]))
+    assert _restricted(vs)[1].shape == (1, 0)
+    census = edge_census(vs, threads=1)
+    assert census["total_edges"] == 0
+    assert census["lp_stats"] == {"pairs": 0, "prefiltered": 0, "lp_solved": 0,
+                                  "by_symmetry": 0, "exact_resolves": 0, "edges": 0}
+
+
+def test_midpoint_prefilter_keys_rows_wider_than_one_chunk():
+    # 100 coordinates take three base-3 keys.  Rows 4, 5 and 6 are row 0
+    # with coordinate 99, 98 or both flipped, so r0 + r6 = r4 + r5 and the
+    # two sums differ from each other's neighbours only in the last key.
+    rng = np.random.default_rng(5)
+    m = rng.integers(0, 2, size=(30, 100))
+    m[4] = m[5] = m[6] = m[0]
+    m[4, 99], m[5, 98], m[6, 99], m[6, 98] = 1 - m[0, 99], 1 - m[0, 98], 1 - m[0, 99], 1 - m[0, 98]
+    assert len({tuple(r) for r in m.tolist()}) == len(m)
+    skip = _midpoint_prefilter(m)
+    assert skip == _midpoint_prefilter_by_dict(m)
+    assert (0, 6) in skip and (4, 5) in skip
+
+
+def _canonical_by_brute_force(g):
+    best = None
+    for perm in itertools.permutations(range(g.p)):
+        mapped = tuple(sorted(tuple(sorted((perm[a], perm[b]))) for a, b in g.edges))
+        if best is None or mapped < best:
+            best = mapped
+    return best
+
+
+def test_canonical_skeleton_matches_brute_force_on_every_small_graph():
+    for p in range(6):
+        pairs = list(itertools.combinations(range(p), 2))
+        for mask in range(1 << len(pairs)):
+            g = UndirectedGraph.from_edges(p, [e for k, e in enumerate(pairs) if mask >> k & 1])
+            assert polytope._canonical_skeleton(g) == _canonical_by_brute_force(g), g
+
+
+@st.composite
+def _graphs(draw):
+    p = draw(st.integers(6, 7))
+    pairs = list(itertools.combinations(range(p), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return UndirectedGraph.from_edges(p, [e for e, k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=30)
+@given(_graphs())
+def test_canonical_skeleton_matches_brute_force_on_drawn_graphs(g):
+    assert polytope._canonical_skeleton(g) == _canonical_by_brute_force(g)
+
+
+def test_canonical_skeleton_of_a_ten_node_path_is_fast():
+    start = time.perf_counter()
+    canon = polytope._canonical_skeleton.__wrapped__(path_graph(10))
+    assert time.perf_counter() - start < 1
+    assert len(canon) == 9 and canon[:2] == ((0, 1), (0, 2))
