@@ -398,13 +398,17 @@ def _raw_tree_candidates(mec: Mec) -> Iterator[Move]:
         yield Move(kind, (path,), odd, even)
 
 
-def _verified(mec: Mec, raw: Iterator[Move]) -> Iterator[tuple]:
+def _verified(mec: Mec, raw: Iterator[Move], keep=None) -> Iterator[tuple]:
+    """(move, target) for each distinct delta of raw that passes keep, if
+    given, then apply_move and verify_pair."""
     seen = set()
     for move in raw:
         key = (move.added, move.removed)
         if key in seen:
             continue
         seen.add(key)
+        if keep is not None and not keep(move):
+            continue
         try:
             target = apply_move(mec, move)
         except MoveError:

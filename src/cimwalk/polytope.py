@@ -16,12 +16,10 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from multiprocessing import Pool
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -526,20 +524,6 @@ def _certificate(vs, varying, u, v, margin, mode, weights, objective) -> EdgeCer
     return EdgeCertificate(u, v, tuple(full), margin, objective, mode)
 
 
-# Pool workers share the restricted matrix through a module global, set once
-# per worker by the initializer.
-_POOL_MATRIX = None
-
-
-def _pool_init(rmat):
-    global _POOL_MATRIX
-    _POOL_MATRIX = rmat
-
-
-def _pool_decide(pairs):
-    return _decide_pairs(_POOL_MATRIX, pairs)
-
-
 # Coordinates per base-3 key: 3**39 - 1 < 2**63, so a key of a row sum fits
 # an int64.
 _KEY_DIGITS = 39
@@ -574,33 +558,22 @@ def _midpoint_prefilter(matrix) -> set:
     return set(zip(i[hit].tolist(), j[hit].tolist()))
 
 
-def thread_count(requested: Optional[int] = None) -> int:
-    """Worker count: explicit argument, else CIMWALK_THREADS, else CPU count;
-    never more than the CPU count."""
-    cpus = os.cpu_count() or 1
-    env = os.environ.get("CIMWALK_THREADS", "")
-    if requested is None or requested < 1:
-        requested = int(env) if env.isdigit() and int(env) > 0 else cpus
-    return min(requested, cpus)
-
-
 # Bytes of the tableau stack of one lockstep batch of margin LPs (about 170
 # LPs at p = 4): enough LPs to spread each step's fixed numpy overhead, few
-# enough that a process holds only a few stacks of this size.  On a 2-CPU
-# host, 1 to 8 MiB gave the same census time within noise.
+# enough that the stack stays small.  On a 2-CPU host, 1 to 8 MiB gave the
+# same census time within noise.
 _BATCH_BYTES = 4 << 20
 
 
-def _batch_size(rmat, pairs: int, workers: int) -> int:
+def _batch_size(rmat) -> int:
     """Margin LPs per lockstep batch, from the byte size of one tableau.
 
     A margin LP has d + 1 rows, 3d + n + 2 columns with the artificials and
-    the rhs, and two objective rows.  Batches are also cut small enough that
-    every worker gets one.
+    the rhs, and two objective rows.
     """
     n, d = rmat.shape
     tableau_bytes = 8 * (d + 3) * (3 * d + n + 2)
-    return max(1, min(_BATCH_BYTES // tableau_bytes, -(-pairs // workers)))
+    return max(1, _BATCH_BYTES // tableau_bytes)
 
 
 @dataclass(frozen=True)
@@ -617,14 +590,13 @@ class EdgeSurvey:
     seconds: dict
 
 
-def certify_all_edges(vs: VertexSet, threads: Optional[int] = None) -> EdgeSurvey:
-    """Certify every vertex pair; deterministic regardless of worker count.
+def certify_all_edges(vs: VertexSet) -> EdgeSurvey:
+    """Certify every vertex pair; deterministic regardless of batching.
 
     The pairs that pass the prefilter are split into orbits under the
     relabellings of _symmetries, and only the first pair of each orbit has
     its margin LP solved.  These are cut into batches whose margin LPs are
-    solved in lockstep; with more than one worker the batches are shared out
-    over a process pool.  Every other pair takes the decision, mode, margin
+    solved in lockstep.  Every other pair takes the decision, mode, margin
     and objective of the pair it was reached from, with the weights moved
     to its own coordinates.
     """
@@ -638,20 +610,11 @@ def certify_all_edges(vs: VertexSet, threads: Optional[int] = None) -> EdgeSurve
     t1 = time.perf_counter()
     syms = _symmetries(vs)
     reps, derived = _orbit_tree(todo, [g.rows for g in syms], _pair_image)
-    workers = thread_count(threads)
-    pool_used = workers > 1 and len(reps) > 64
-    size = _batch_size(rmat, len(reps), workers if pool_used else 1)
-    batches = [reps[k:k + size] for k in range(0, len(reps), size)]
-    if pool_used:
-        with Pool(workers, initializer=_pool_init, initargs=(rmat,)) as pool:
-            parts = list(pool.imap_unordered(_pool_decide, batches, chunksize=1))
-    else:
-        parts = [_decide_pairs(rmat, batch) for batch in batches]
-
+    size = _batch_size(rmat)
     decided = {}
     exact_used = 0
-    for part in parts:
-        for u, v, *decision in part:
+    for k in range(0, len(reps), size):
+        for u, v, *decision in _decide_pairs(rmat, reps[k:k + size]):
             if decision[1] == "exact":
                 exact_used += 1
             decided[(u, v)] = decision
@@ -798,8 +761,7 @@ def classify_edges(vs: VertexSet, edges: Iterable, kinds: dict) -> dict:
     return tags
 
 
-def edge_census(vs: VertexSet, threads: Optional[int] = None,
-                seconds: Optional[dict] = None) -> dict:
+def edge_census(vs: VertexSet, seconds: Optional[dict] = None) -> dict:
     """Full LP census of the polytope's edges, grouped the way the counts
     are usually reported: turn pairs by kind, edge pairs by addition status,
     and same-skeleton non-turn edges by skeleton isomorphism class.
@@ -808,7 +770,7 @@ def edge_census(vs: VertexSet, threads: Optional[int] = None,
     certify and classify stages are stored in it; the census itself holds
     only deterministic counts.
     """
-    survey = certify_all_edges(vs, threads)
+    survey = certify_all_edges(vs)
     start = time.perf_counter()
     kinds = _pair_move_kinds(vs)
     tags = classify_edges(vs, survey.edges, kinds)
@@ -955,7 +917,7 @@ def _stable_sets(n: int, adjacent) -> list:
     return out
 
 
-def verify_stab_equivalence(kind: str, p: int, threads: Optional[int] = None) -> dict:
+def verify_stab_equivalence(kind: str, p: int) -> dict:
     """Compare a path or cycle face against its stable-set model.
 
     The model: MECs on the skeleton correspond to stable sets of collider
@@ -1014,7 +976,7 @@ def verify_stab_equivalence(kind: str, p: int, threads: Optional[int] = None) ->
             coordinate_ok = False
     actual = {frozenset(triple_of(i) for i in s) for s in vertex_sets}
 
-    survey = certify_all_edges(vs, threads)
+    survey = certify_all_edges(vs)
     lp_edges = set(survey.edges)
 
     chvatal = set()

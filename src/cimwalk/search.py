@@ -21,10 +21,11 @@ from typing import Iterator, Optional
 # consistent_extension stays importable here for perfbench's tracer
 from .graphs import Dag, Mec, consistent_extension, mec_of
 # full_imset stays importable here for perfbench's tracer
-from .imset import imset_delta, full_imset
-from .moves import (Move, MoveError, apply_move, verify_pair,
-                    _class_imset, _raw_edge_candidates, _raw_tree_candidates,
-                    _raw_turn_candidates)
+from .imset import full_imset
+# apply_move, verify_pair and _class_imset stay importable here for perfbench's tracer
+from .moves import (Move, apply_move, verify_pair, _class_imset,
+                    _raw_edge_candidates, _raw_tree_candidates,
+                    _raw_turn_candidates, _verified)
 from .scoring import (LocalScoreCache, ScoringError, SufficientStats,
                       class_delta, score_mec)
 from .ci_tests import pc_skeleton
@@ -50,12 +51,11 @@ BEST_IMPROVEMENT = "best_improvement"
 ALTERNATING = "alternating"
 RECURRENT_PHASED = "recurrent_phased"
 
-_AUDIT_EVERY = 10
 _SCREEN_MAX = 8  # largest screened |S|: r(S) costs 2^(|S|-1) local scores
 
 
 class SearchError(Exception):
-    """Raised when an applied move fails its audit or a config is invalid."""
+    """Raised when a search config or phase is invalid."""
 
 
 @dataclass(frozen=True)
@@ -110,19 +110,9 @@ class SearchTrace:
 class _Run:
     """Mutable state threaded through the phases of one search."""
 
-    def __init__(self, stats: SufficientStats,
-                 cache: Optional[LocalScoreCache] = None) -> None:
-        self.stats = stats
-        self.cache = cache if cache is not None else LocalScoreCache(stats)
+    def __init__(self, stats: SufficientStats) -> None:
+        self.cache = LocalScoreCache(stats)
         self.steps: list[TraceStep] = []
-        self.applied = 0
-
-    def audit(self, source: Mec, target: Mec, move: Move) -> None:
-        self.applied += 1
-        if self.applied % _AUDIT_EVERY == 0:
-            if not verify_pair(source, target, move):
-                raise SearchError(
-                    f"applied move failed its audit: {move.to_json()}")
 
 
 def _candidates(mec: Mec, phase: str, config: SearchConfig) -> Iterator[Move]:
@@ -160,34 +150,24 @@ def _run_phase(mec: Mec, score: float, phase: str, strategy: str,
                config: SearchConfig, run: _Run):
     """Drive one phase to its fixpoint; returns (mec, score).
 
-    Candidates are deduplicated by delta and checked against the true
-    full-imset difference before being considered, mirroring the
-    verified enumeration; claimed deltas that do not match the actual
-    pair of classes are discarded.  First, a candidate is skipped when
-    its estimate plus a rounding margin cannot beat the best delta so far
-    (or 0); a valid move's delta is within the margin of its estimate.
+    Candidates come through the verified enumeration: deduplicated by
+    delta, materialised, and kept only when the claimed delta matches the
+    full imsets of both classes.  Before it is materialised, a candidate is
+    skipped when its estimate plus a rounding margin cannot beat the best
+    delta so far (or 0); a valid move's delta is within the margin of its
+    estimate.
     """
+
+    def promising(move: Move) -> bool:  # reads best and margin as they change
+        est = _estimate(move, run.cache)
+        return est is None or est + margin > (best[0] if best else 0.0)
+
     current = mec
     while True:
-        source_imset = _class_imset(current)
         margin = 1e-9 * max(1.0, abs(score))
         best = None
-        seen = set()
-        for move in _candidates(current, phase, config):
-            key = (move.added, move.removed)
-            if key in seen:
-                continue
-            seen.add(key)
-            est = _estimate(move, run.cache)
-            if est is not None and est + margin <= (best[0] if best else 0.0):
-                continue
-            try:
-                target = apply_move(current, move)
-            except MoveError:
-                continue
-            added, removed = imset_delta(source_imset, _class_imset(target))
-            if added != move.added or removed != move.removed:
-                continue
+        for move, target in _verified(current, _candidates(current, phase, config),
+                                      promising):
             delta = _extension_delta(current, target, run)
             if delta > 0.0 and (best is None or delta > best[0]):
                 best = (delta, move, target)
@@ -196,7 +176,6 @@ def _run_phase(mec: Mec, score: float, phase: str, strategy: str,
         if best is None:
             return current, score
         delta, move, target = best
-        run.audit(current, target, move)
         run.steps.append(TraceStep(move, score, score + delta, phase))
         current = target
         score += delta

@@ -302,6 +302,18 @@ def test_analyze_polytope_rejects_non_positive_threads(tmp_path, capsys, threads
     assert not out.exists()
 
 
+def test_analyze_polytope_threads_are_recorded_and_change_no_byte(tmp_path):
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"census-{threads}.json"
+        assert _run("analyze-polytope", "--p", "4", "--threads", threads,
+                    "--out", str(out)) == 0
+        manifest = json.loads((tmp_path / f"census-{threads}.json.manifest.json").read_text())
+        assert manifest["config"]["threads"] == int(threads)
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_version_flag():
     assert _run("--version") == 0
 

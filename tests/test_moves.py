@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cimwalk import moves as moves_mod
 from cimwalk.graphs import (Dag, GraphError, Mec, UndirectedGraph, VStructure,
                             all_mecs, consistent_extension, mec_of)
 from cimwalk.imset import (CharImset, ImsetError, full_imset, imset_delta,
@@ -277,6 +278,29 @@ def test_enumeration_is_deterministic():
     second = [(m.kind, m.params, m.added, m.removed)
               for m, _ in enumerate_turn_moves(mec) + enumerate_edge_moves(mec)]
     assert first == second
+
+
+def test_verified_filters_each_distinct_delta_once_before_materialising(monkeypatch):
+    mec = mec_of(Dag.from_arcs(4, [(0, 1), (1, 2), (2, 3)]))
+    raw = list(_raw_edge_candidates(mec, None))
+    distinct = list(dict.fromkeys((m.added, m.removed) for m in raw))
+    assert len(distinct) < len(raw)
+    unfiltered = list(moves_mod._verified(mec, iter(raw)))
+    offered, applied = [], []
+
+    def keep(move):
+        offered.append((move.added, move.removed))
+        return len(offered) % 2 == 0
+
+    def counting(source, move):
+        applied.append((move.added, move.removed))
+        return apply_move(source, move)
+
+    monkeypatch.setattr(moves_mod, "apply_move", counting)
+    kept = list(moves_mod._verified(mec, iter(raw), keep))
+    assert offered == distinct
+    assert applied == distinct[1::2]
+    assert kept == [(m, t) for m, t in unfiltered if (m.added, m.removed) in applied]
 
 
 def test_move_json_round_trip():

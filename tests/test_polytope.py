@@ -25,7 +25,7 @@ from cimwalk.polytope import (EdgeCertificate, _midpoint_prefilter,
                               enumerate_mecs, enumerate_mecs_with_skeleton,
                               exact_rank, face_objective, imset_vector,
                               maximizers, path_graph, poset_b_matrix,
-                              star_over_cliques, thread_count,
+                              star_over_cliques,
                               verify_simplex_faces, verify_stab_equivalence,
                               verify_turn_connectivity)
 
@@ -107,7 +107,7 @@ def test_certify_edge_input_validation():
 
 def test_certificate_check_rejects_zero_weights():
     vs = enumerate_mecs(3)
-    survey = certify_all_edges(vs, threads=1)
+    survey = certify_all_edges(vs)
     u, v = survey.edges[0]
     good = survey.certificates[(u, v)]
     assert good.check(vs)
@@ -127,7 +127,7 @@ def test_midpoint_prefilter_is_sound():
 
 def test_certify_all_edges_stats():
     vs = enumerate_mecs(3)
-    survey = certify_all_edges(vs, threads=1)
+    survey = certify_all_edges(vs)
     stats = survey.stats
     assert stats["pairs"] == 55
     assert stats["prefiltered"] + stats["lp_solved"] + stats["by_symmetry"] == 55
@@ -137,7 +137,7 @@ def test_certify_all_edges_stats():
 
 
 def test_edge_census_p2():
-    census = edge_census(enumerate_mecs(2), threads=1)
+    census = edge_census(enumerate_mecs(2))
     census.pop("lp_stats")
     assert census == {
         "p": 2,
@@ -163,7 +163,7 @@ def test_edge_census_p2():
 
 
 def test_edge_census_p3():
-    census = edge_census(enumerate_mecs(3), threads=1)
+    census = edge_census(enumerate_mecs(3))
     census.pop("lp_stats")
     assert census == {
         "p": 3,
@@ -206,7 +206,7 @@ def test_face_objective_maximizers_path3():
 
 
 def test_stab_equivalence_path4():
-    report = verify_stab_equivalence("path", 4, threads=1)
+    report = verify_stab_equivalence("path", 4)
     assert report == {
         "kind": "path",
         "p": 4,
@@ -227,7 +227,7 @@ def test_stab_equivalence_path4():
 
 
 def test_stab_equivalence_path5():
-    report = verify_stab_equivalence("path", 5, threads=1)
+    report = verify_stab_equivalence("path", 5)
     assert report["vertices"] == report["stable_sets"] == 5
     assert report["lp_edges"] == report["chvatal_edges"] == 8
     assert report["classified_edges"] == 8
@@ -237,7 +237,7 @@ def test_stab_equivalence_path5():
 
 
 def test_stab_equivalence_cycle4():
-    report = verify_stab_equivalence("cycle", 4, threads=1)
+    report = verify_stab_equivalence("cycle", 4)
     assert report["vertices"] == 6 and report["stable_sets"] == 7
     assert not report["count_match"] and not report["bijection_match"]
     # the collider-free stable set has no acyclic counterpart
@@ -250,7 +250,7 @@ def test_stab_equivalence_cycle4():
 
 
 def test_stab_equivalence_cycle5():
-    report = verify_stab_equivalence("cycle", 5, threads=1)
+    report = verify_stab_equivalence("cycle", 5)
     assert report["vertices"] == 10 and report["stable_sets"] == 11
     assert report["missing_stable_sets"] == [[]]
     assert report["lp_edges"] == 35
@@ -310,56 +310,6 @@ def test_star_over_cliques_shapes():
     assert len(cme.edges) == 5 and (0, 1) not in cme.edges
 
 
-def test_thread_count_env_fallback(monkeypatch):
-    monkeypatch.setattr(polytope.os, "cpu_count", lambda: 8)
-    assert thread_count(3) == 3
-    monkeypatch.setenv("CIMWALK_THREADS", "2")
-    assert thread_count() == 2
-    monkeypatch.setenv("CIMWALK_THREADS", "junk")
-    assert thread_count() >= 1
-    monkeypatch.delenv("CIMWALK_THREADS")
-    assert thread_count() >= 1
-
-
-def test_thread_count_is_capped_by_cpu_count(monkeypatch):
-    monkeypatch.setattr(polytope.os, "cpu_count", lambda: 2)
-    assert thread_count(1) == 1
-    assert thread_count(10**9) == 2
-    monkeypatch.setenv("CIMWALK_THREADS", str(10**9))
-    assert thread_count() == 2
-
-
-class _InProcessPool:
-    """Stands in for multiprocessing.Pool: records the worker count and
-    runs the work in this process, so no worker is ever started."""
-
-    workers = []
-
-    def __init__(self, workers, initializer, initargs):
-        self.workers.append(workers)
-        initializer(*initargs)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def imap_unordered(self, fn, items, chunksize):
-        return map(fn, items)
-
-
-def test_certify_all_edges_never_asks_for_more_workers_than_cpus(monkeypatch):
-    monkeypatch.setattr(polytope.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(polytope, "Pool", _InProcessPool)
-    monkeypatch.setattr(_InProcessPool, "workers", [])
-    vs = enumerate_mecs(4)  # 237 orbit representatives reach the LP
-    pooled = certify_all_edges(vs, threads=10**9)
-    assert _InProcessPool.workers == [2]
-    assert pooled.edges == certify_all_edges(vs, threads=1).edges
-    assert _InProcessPool.workers == [2]
-
-
 def _assert_float_and_exact_agree(vs):
     n = len(vs)
     for u in range(n):
@@ -399,22 +349,9 @@ def test_exact_margin_lp_duals_attain_the_margin():
 
 def test_every_p4_certificate_checks():
     vs = enumerate_mecs(4)
-    survey = certify_all_edges(vs, threads=2)
+    survey = certify_all_edges(vs)
     assert len(survey.certificates) == 4259
     assert all(cert.check(vs) for cert in survey.certificates.values())
-
-
-def test_certify_all_edges_pooled_batches_give_equal_certificates(monkeypatch):
-    monkeypatch.setattr(polytope.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(polytope, "Pool", _InProcessPool)
-    monkeypatch.setattr(_InProcessPool, "workers", [])
-    vs = enumerate_mecs(4)  # 237 orbit representatives, two batches
-    pooled = certify_all_edges(vs, threads=2)
-    single = certify_all_edges(vs, threads=1)
-    assert _InProcessPool.workers == [2]
-    assert pooled.edges == single.edges
-    assert pooled.certificates == single.certificates
-    assert pooled.stats == single.stats
 
 
 # a triangle with pendant paths of lengths 2 and 1: no automorphism but the
@@ -470,10 +407,10 @@ def test_pair_move_kinds_match_the_imset_vector_lookup(face, p):
 def test_edge_census_reports_stage_seconds_apart_from_the_census():
     vs = enumerate_mecs(3)
     seconds = {}
-    census = edge_census(vs, threads=1, seconds=seconds)
+    census = edge_census(vs, seconds=seconds)
     assert set(seconds) == {"prefilter", "certify", "classify"}
     assert all(t >= 0 for t in seconds.values())
-    assert census == edge_census(vs, threads=1)
+    assert census == edge_census(vs)
 
 
 # ---------------------------------------------------------------------------
@@ -531,10 +468,9 @@ def test_margin_start_is_a_feasible_basis():
         assert (mat @ basic == b).all()
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_every_p4_certificate_checks_without_exact_resolves(threads):
+def test_every_p4_certificate_checks_without_exact_resolves():
     vs = enumerate_mecs(4)
-    survey = certify_all_edges(vs, threads=threads)
+    survey = certify_all_edges(vs)
     stats = survey.stats
     assert stats["prefiltered"] + stats["lp_solved"] + stats["by_symmetry"] == stats["pairs"]
     assert (stats["lp_solved"], stats["by_symmetry"]) == (237, 4022)
@@ -618,11 +554,11 @@ def test_symmetry_detection_on_the_star_face_is_fast():
 @pytest.mark.parametrize("budget, generators, solved", [(0, 0, 33), (20, 1, 20)])
 def test_a_spent_symmetry_budget_only_costs_lps(monkeypatch, budget, generators, solved):
     vs = enumerate_mecs(3)
-    full = certify_all_edges(vs, threads=1)
+    full = certify_all_edges(vs)
     monkeypatch.setattr(polytope, "_SYMMETRY_BUDGET", budget)
     assert len(polytope._symmetries.__wrapped__(vs)) == generators
     monkeypatch.setattr(polytope, "_symmetries", polytope._symmetries.__wrapped__)
-    spent = certify_all_edges(vs, threads=1)
+    spent = certify_all_edges(vs)
     assert spent.stats["lp_solved"] == solved
     assert spent.edges == full.edges
     assert {pair: cert.mode for pair, cert in spent.certificates.items()} == \
@@ -648,13 +584,24 @@ def _per_pair_survey(vs):
 def test_orbit_certification_matches_a_margin_lp_per_pair(kind, p):
     vs = _face(kind, p)
     expected = _per_pair_survey(vs)
-    single = certify_all_edges(vs, threads=1)
-    assert set(single.edges) == set(expected)
-    assert {pair: cert.mode for pair, cert in single.certificates.items()} == expected
-    assert all(cert.check(vs) for cert in single.certificates.values())
-    pooled = certify_all_edges(vs, threads=2)
-    assert pooled.certificates == single.certificates
-    assert pooled.stats == single.stats
+    survey = certify_all_edges(vs)
+    assert set(survey.edges) == set(expected)
+    assert {pair: cert.mode for pair, cert in survey.certificates.items()} == expected
+    assert all(cert.check(vs) for cert in survey.certificates.values())
+
+
+@pytest.mark.parametrize("kind, p, batches", [("full", 4, 2), ("cycle", 6, 1)])
+def test_certificates_do_not_depend_on_the_lp_batching(monkeypatch, kind, p, batches):
+    vs = _face(kind, p)
+    _, rmat = _restricted(vs)
+    default = certify_all_edges(vs)
+    assert -(-default.stats["lp_solved"] // polytope._batch_size(rmat)) == batches
+    monkeypatch.setattr(polytope, "_BATCH_BYTES", 1)
+    assert polytope._batch_size(rmat) == 1
+    one_lp = certify_all_edges(vs)
+    assert one_lp.edges == default.edges
+    assert one_lp.certificates == default.certificates
+    assert one_lp.stats == default.stats
 
 
 def _midpoint_prefilter_by_dict(matrix):
@@ -683,7 +630,7 @@ def test_census_of_a_single_class_face():
     # the triangle has one class, so no coordinate varies and no pair exists
     vs = enumerate_mecs_with_skeleton(UndirectedGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)]))
     assert _restricted(vs)[1].shape == (1, 0)
-    census = edge_census(vs, threads=1)
+    census = edge_census(vs)
     assert census["total_edges"] == 0
     assert census["lp_stats"] == {"pairs": 0, "prefiltered": 0, "lp_solved": 0,
                                   "by_symmetry": 0, "exact_resolves": 0, "edges": 0}

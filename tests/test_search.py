@@ -1,4 +1,4 @@
-"""Search drivers: phases, traces, determinism, audit, candidate screen."""
+"""Search drivers: phases, traces, determinism, candidate screen."""
 
 import itertools
 
@@ -128,13 +128,6 @@ def test_config_validation():
         SearchConfig(alpha=1.5)
 
 
-def test_audit_failure_raises(monkeypatch):
-    monkeypatch.setattr(search_mod, "_AUDIT_EVERY", 1)
-    monkeypatch.setattr(search_mod, "verify_pair", lambda *args: False)
-    with pytest.raises(SearchError):
-        greedy_cim(_stats(COLLIDER_COV), SearchConfig())
-
-
 # ---------------------------------------------------------------------------
 # The imset-delta screen
 
@@ -210,7 +203,6 @@ def _unscreened_run_phase(mec, score, phase, strategy, config, run):
         if best is None:
             return current, score
         delta, move, target = best
-        run.audit(current, target, move)
         run.steps.append(TraceStep(move, score, score + delta, phase))
         current = target
         score += delta
