@@ -54,11 +54,24 @@ def _partial_correlation(i: int, j: int, cond: tuple[int, ...],
     except np.linalg.LinAlgError:
         raise CiTestError(
             f"singular covariance block for ({i},{j}) given {list(cond)}")
+    return _precision_correlation(prec, i, j, cond)
+
+
+def _precision_correlation(prec: np.ndarray, i: int, j: int, cond: tuple) -> float:
+    """The partial correlation of i and j from the inverse of their block."""
     denom = prec[0, 0] * prec[1, 1]
     if denom <= 0.0:
         raise CiTestError(
             f"non-positive precision diagonal for ({i},{j}) given {list(cond)}")
     return float(-prec[0, 1] / math.sqrt(denom))
+
+
+def _fisher_z(r: float, n: int, size: int) -> tuple[float, float]:
+    """(statistic, two-sided p value) of r given size conditioning nodes."""
+    if abs(r) >= 1.0:
+        return (math.inf if r > 0 else -math.inf), 0.0
+    statistic = math.sqrt(n - size - 3) * math.atanh(r)
+    return statistic, math.erfc(abs(statistic) / math.sqrt(2.0))
 
 
 def fisher_z_test(i: int, j: int, cond: Iterable[int],
@@ -74,15 +87,51 @@ def fisher_z_test(i: int, j: int, cond: Iterable[int],
         raise CiTestError(
             f"need n > |cond| + 3, got n={stats.n} with |cond|={len(cond)}")
     r = _partial_correlation(i, j, cond, stats.cov_matrix())
-    scale = math.sqrt(stats.n - len(cond) - 3)
-    if abs(r) >= 1.0:
-        statistic = math.inf if r > 0 else -math.inf
-        p_value = 0.0
-    else:
-        statistic = scale * math.atanh(r)
-        p_value = math.erfc(abs(statistic) / math.sqrt(2.0))
+    statistic, p_value = _fisher_z(r, stats.n, len(cond))
     return CiDecision(i=i, j=j, cond=cond, statistic=statistic,
                       p_value=p_value, independent=p_value > alpha)
+
+
+# Tests per stacked inverse: spreads numpy's call cost, bounds a dense level's memory
+_STACK_BLOCKS = 4096
+
+
+def _separated(pairs, frozen: dict, level: int, stats: SufficientStats, alpha: float):
+    """(i, j, cond) for each pair the level separates, with the first cond found.
+
+    A pair tries the sets of i's pool, then those of j's pool not yet tried.
+    The blocks of about _STACK_BLOCKS tests are inverted in one call, then
+    read in scan order up to each pair's first independent test, so an
+    unreached test cannot raise.  A singular block sends its batch through
+    fisher_z_test, which raises at the first singular block the scan reaches.
+    """
+    cov, batch = stats.cov_matrix(), []
+    for count, (i, j) in enumerate(pairs, 1):
+        conds = {}
+        for anchor, other in ((i, j), (j, i)):
+            pool = tuple(v for v in frozen[anchor] if v != other)
+            conds.update(dict.fromkeys(combinations(pool, level)))
+        batch.extend((i, j, cond) for cond in conds)
+        if not batch or (len(batch) < _STACK_BLOCKS and count < len(pairs)):
+            continue
+        ix = np.array([(a, b, *cond) for a, b, cond in batch], dtype=np.intp)
+        try:
+            prec = np.linalg.inv(cov[ix[:, :, None], ix[:, None, :]])
+        except np.linalg.LinAlgError:
+            prec = None
+        done = None
+        for t, (a, b, cond) in enumerate(batch):
+            if (a, b) == done:
+                continue
+            if prec is None:
+                independent = fisher_z_test(a, b, cond, stats, alpha).independent
+            else:
+                r = _precision_correlation(prec[t], a, b, cond)
+                independent = _fisher_z(r, stats.n, level)[1] > alpha
+            if independent:
+                done = (a, b)
+                yield a, b, cond
+        batch = []
 
 
 def pc_skeleton(stats: SufficientStats, alpha: float,
@@ -109,28 +158,9 @@ def pc_skeleton(stats: SufficientStats, alpha: float,
             break
         if stats.n <= level + 3:
             break
-        for i, j in combinations(range(p), 2):
-            if not graph.has_edge(i, j):
-                continue
-            removed = False
-            # a set in both anchors' pools was found dependent the first time
-            tried = set()
-            for anchor, other in ((i, j), (j, i)):
-                pool = tuple(v for v in frozen[anchor] if v != other)
-                if len(pool) < level:
-                    continue
-                for cond in combinations(pool, level):
-                    if cond in tried:
-                        continue
-                    tried.add(cond)
-                    decision = fisher_z_test(i, j, cond, stats, alpha)
-                    if decision.independent:
-                        graph = graph.remove_edge(i, j)
-                        sepsets[(i, j)] = decision.cond
-                        sepsets[(j, i)] = decision.cond
-                        removed = True
-                        break
-                if removed:
-                    break
+        pairs = [(i, j) for i, j in combinations(range(p), 2) if graph.has_edge(i, j)]
+        for i, j, cond in _separated(pairs, frozen, level, stats, alpha):
+            graph = graph.remove_edge(i, j)
+            sepsets[(i, j)] = sepsets[(j, i)] = cond
         level += 1
     return graph, sepsets

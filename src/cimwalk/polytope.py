@@ -17,9 +17,10 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -412,13 +413,14 @@ def _margin_start(rmat, pairs):
     distance (the first on ties), z = 0, and in coordinate row i the
     residual u_i - x0_i carried by s+_i where it is >= 0 and by s-_i where
     it is negative.  The basis matrix is a signed identity plus the y_x0
-    column, so it is never singular.
+    column, so it is never singular.  Rows are 0/1, so the l1 distance of
+    u and x is |u| + |x| - 2 u.x.
     """
     n, d = rmat.shape
     u, v = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     lpi = np.arange(len(u))
-    dist = (np.abs(rmat - rmat[u][:, None]).sum(axis=2)
-            + np.abs(rmat - rmat[v][:, None]).sum(axis=2))
+    ones = rmat.sum(axis=1)
+    dist = (ones[u] + ones[v])[:, None] + 2 * ones - 2 * (rmat[u] + rmat[v]) @ rmat.T
     dist[lpi, u] = dist[lpi, v] = np.iinfo(dist.dtype).max
     x0 = dist.argmin(axis=1)
     coord = np.arange(d)
@@ -578,16 +580,42 @@ def _batch_size(rmat) -> int:
 
 @dataclass(frozen=True)
 class EdgeSurvey:
-    """All certified edges of a vertex set, with certificates and LP stats.
+    """All certified edges of a vertex set, with their orbits and LP stats.
 
-    seconds holds the wall-clock time of the prefilter and certify stages;
-    it is kept out of stats so that stats stays deterministic.
+    orbits maps the first edge of each orbit of edges under _symmetries to
+    the orbit's size.  certificates is built on first access.  seconds
+    holds the wall-clock time of the prefilter and certify stages; it is
+    kept out of stats so that stats stays deterministic.
     """
 
     edges: tuple
-    certificates: dict
+    orbits: dict
     stats: dict
     seconds: dict
+    # vs, its relabellings, and the decisions and walk of certify_all_edges
+    _lift: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def certificates(self) -> dict:
+        """Every edge's certificate.  An edge decided by symmetry takes the
+        witness of the pair it was reached from, with the weights moved to
+        its own coordinates."""
+        vs, syms, decided, derived = self._lift
+        varying, _ = _restricted(vs)
+        decided = dict(decided)
+        # under syms[s], restricted weight k of a pair moves to position moved[s][k]
+        column = {pos: k for k, pos in enumerate(varying)}
+        moved = [[column[g.coords[pos]] for pos in varying] for g in syms]
+        for pair, source, s in derived:
+            is_edge, margin, mode, weights, objective = decided[source]
+            if is_edge:
+                image = [0.0] * len(weights)
+                for k, w in zip(moved[s], weights):
+                    image[k] = w
+                weights = tuple(image)
+            decided[pair] = (is_edge, margin, mode, weights, objective)
+        return {(u, v): _certificate(vs, varying, u, v, *decided[(u, v)][1:])
+                for u, v in self.edges}
 
 
 def certify_all_edges(vs: VertexSet) -> EdgeSurvey:
@@ -596,12 +624,10 @@ def certify_all_edges(vs: VertexSet) -> EdgeSurvey:
     The pairs that pass the prefilter are split into orbits under the
     relabellings of _symmetries, and only the first pair of each orbit has
     its margin LP solved.  These are cut into batches whose margin LPs are
-    solved in lockstep.  Every other pair takes the decision, mode, margin
-    and objective of the pair it was reached from, with the weights moved
-    to its own coordinates.
+    solved in lockstep.  Every other pair takes the decision of its orbit.
     """
     t0 = time.perf_counter()
-    varying, rmat = _restricted(vs)
+    _, rmat = _restricted(vs)
     n = len(rmat)
     skip = _midpoint_prefilter(rmat)
     todo = [
@@ -618,20 +644,11 @@ def certify_all_edges(vs: VertexSet) -> EdgeSurvey:
             if decision[1] == "exact":
                 exact_used += 1
             decided[(u, v)] = decision
-    # under syms[s], restricted weight k of a pair moves to position moved[s][k]
-    column = {pos: k for k, pos in enumerate(varying)}
-    moved = [[column[g.coords[pos]] for pos in varying] for g in syms]
-    for pair, source, s in derived:
-        is_edge, margin, mode, weights, objective = decided[source]
-        if is_edge:
-            image = [0.0] * len(weights)
-            for k, w in zip(moved[s], weights):
-                image[k] = w
-            weights = tuple(image)
-        decided[pair] = (is_edge, margin, mode, weights, objective)
-    edges = sorted(pair for pair, decision in decided.items() if decision[0])
-    certificates = {(u, v): _certificate(vs, varying, u, v, *decided[(u, v)][1:])
-                    for u, v in edges}
+    root = {pair: pair for pair in reps}
+    for pair, source, _ in derived:
+        root[pair] = root[source]
+    edges = [pair for pair in todo if decided[root[pair]][0]]
+    orbits = Counter(root[pair] for pair in edges)
     stats = {
         "pairs": n * (n - 1) // 2,
         "prefiltered": len(skip),
@@ -641,7 +658,7 @@ def certify_all_edges(vs: VertexSet) -> EdgeSurvey:
         "edges": len(edges),
     }
     seconds = {"prefilter": t1 - t0, "certify": time.perf_counter() - t1}
-    return EdgeSurvey(tuple(edges), certificates, stats, seconds)
+    return EdgeSurvey(tuple(edges), orbits, stats, seconds, (vs, syms, decided, derived))
 
 
 # ---------------------------------------------------------------------------
@@ -773,49 +790,35 @@ def edge_census(vs: VertexSet, seconds: Optional[dict] = None) -> dict:
     survey = certify_all_edges(vs)
     start = time.perf_counter()
     kinds = _pair_move_kinds(vs)
-    tags = classify_edges(vs, survey.edges, kinds)
+    # a relabelling keeps move kinds, permutes coordinates and keeps skeleton
+    # classes, so an orbit's edges share its first edge's tags and count by its size
+    tags = classify_edges(vs, survey.orbits, kinds)
+    uncertified_moves = sorted(set(kinds) - set(survey.edges))
 
-    edge_set = set(survey.edges)
-    move_pairs = set(kinds)
-    uncertified_moves = sorted(move_pairs - edge_set)
-
-    counts = {
-        V_STRUCTURE_ADDITION: 0,
-        BUDDING: 0,
-        FLIP: 0,
-        EDGE_ADDITION: 0,
-        EDGE_PAIR_OTHER: 0,
-        SHIFT: 0,
-        SPLIT: 0,
-        UNCLASSIFIED: 0,
-    }
-    multiplicities = []
-    same_skeleton = []
-    for pair in survey.edges:
-        primary = tags[pair][0]
-        counts[primary] += 1
-        if len(tags[pair]) > 1:
-            multiplicities.append((pair, tags[pair]))
-        i, j = pair
-        if vs.mecs[i].skeleton == vs.mecs[j].skeleton:
-            same_skeleton.append(pair)
+    counts = dict.fromkeys((V_STRUCTURE_ADDITION, BUDDING, FLIP, EDGE_ADDITION,
+                            EDGE_PAIR_OTHER, SHIFT, SPLIT, UNCLASSIFIED), 0)
+    multiplicities = same_turn = same_non_turn = 0
+    by_class = {}
+    for (i, j), size in survey.orbits.items():
+        primary = tags[(i, j)][0]
+        counts[primary] += size
+        if len(tags[(i, j)]) > 1:
+            multiplicities += size
+        if vs.mecs[i].skeleton != vs.mecs[j].skeleton:
+            continue
+        if primary in TURN_KINDS:
+            same_turn += size
+        else:
+            same_non_turn += size
+            canon = _canonical_skeleton(vs.mecs[i].skeleton)
+            by_class[canon] = by_class.get(canon, 0) + size
 
     turn_total = counts[V_STRUCTURE_ADDITION] + counts[BUDDING] + counts[FLIP]
-    same_turn = [p for p in same_skeleton if tags[p][0] in TURN_KINDS]
-    same_non_turn = [p for p in same_skeleton if tags[p][0] not in TURN_KINDS]
-    by_class = {}
-    for (i, j) in same_non_turn:
-        canon = _canonical_skeleton(vs.mecs[i].skeleton)
-        by_class[canon] = by_class.get(canon, 0) + 1
-    class_rows = [
-        {
-            "skeleton_edges": [list(e) for e in canon],
-            "degree_sequence": _degree_sequence(vs.p, canon),
-            "count": cnt,
-        }
-        for canon, cnt in by_class.items()
-    ]
-    class_rows.sort(key=lambda r: (-r["count"], r["skeleton_edges"]))
+    class_rows = sorted(
+        ({"skeleton_edges": [list(e) for e in canon],
+          "degree_sequence": sorted(sum(x in e for e in canon) for x in range(vs.p)),
+          "count": cnt} for canon, cnt in by_class.items()),
+        key=lambda r: (-r["count"], r["skeleton_edges"]))
 
     if seconds is not None:
         seconds.update(survey.seconds, classify=time.perf_counter() - start)
@@ -833,22 +836,14 @@ def edge_census(vs: VertexSet, seconds: Optional[dict] = None) -> dict:
         "shifts": counts[SHIFT],
         "splits": counts[SPLIT],
         "unclassified": counts[UNCLASSIFIED],
-        "same_skeleton_edges": len(same_skeleton),
-        "same_skeleton_turn": len(same_turn),
-        "same_skeleton_non_turn": len(same_non_turn),
+        "same_skeleton_edges": same_turn + same_non_turn,
+        "same_skeleton_turn": same_turn,
+        "same_skeleton_non_turn": same_non_turn,
         "same_skeleton_non_turn_by_class": class_rows,
-        "tag_multiplicities": len(multiplicities),
+        "tag_multiplicities": multiplicities,
         "moves_not_certified": [list(p) for p in uncertified_moves],
         "lp_stats": survey.stats,
     }
-
-
-def _degree_sequence(p: int, canon_edges: tuple) -> list:
-    deg = [0] * p
-    for a, b in canon_edges:
-        deg[a] += 1
-        deg[b] += 1
-    return sorted(deg)
 
 
 # ---------------------------------------------------------------------------

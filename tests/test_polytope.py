@@ -1,6 +1,7 @@
 """Vertex sets, LP edge certification, censuses, and structural checks."""
 
 import itertools
+import json
 import time
 from collections import Counter
 from fractions import Fraction
@@ -451,9 +452,18 @@ def test_started_exact_margin_equals_the_two_phase_exact_margin_p3():
 
 
 def test_margin_start_is_a_feasible_basis():
+    _check_margin_start(enumerate_mecs(3))
+
+
+@pytest.mark.parametrize("face, p, step", [("cycle", 6, 1), ("full", 4, 41)])
+def test_margin_start_is_a_feasible_basis_on_larger_faces(face, p, step):
+    _check_margin_start(_face(face, p), step)
+
+
+def _check_margin_start(vs, step=1):
     # the y column of the vertex x0 closest to u and v, and per coordinate
     # the residual slack whose sign matches u - x0
-    rmat, pairs, c, a, b = _margin_batches(enumerate_mecs(3))
+    rmat, pairs, c, a, b = _margin_batches(vs, step)
     n, d = rmat.shape
     for (u, v), mat, start in zip(pairs, a, polytope._margin_start(rmat, pairs)):
         others = [x for x in range(n) if x not in (u, v)]
@@ -606,6 +616,143 @@ def test_certificates_do_not_depend_on_the_lp_batching(monkeypatch, kind, p, bat
     assert one_lp.edges == default.edges
     assert one_lp.certificates == default.certificates
     assert one_lp.stats == default.stats
+
+
+def _census_per_edge(vs):
+    """edge_census before orbit weighting: every edge is classified and
+    counted on its own."""
+    survey = polytope.certify_all_edges(vs)
+    kinds = polytope._pair_move_kinds(vs)
+    tags = polytope.classify_edges(vs, survey.edges, kinds)
+    uncertified_moves = sorted(set(kinds) - set(survey.edges))
+    counts = Counter()
+    multiplicities = []
+    same_skeleton = []
+    for pair in survey.edges:
+        counts[tags[pair][0]] += 1
+        if len(tags[pair]) > 1:
+            multiplicities.append(pair)
+        i, j = pair
+        if vs.mecs[i].skeleton == vs.mecs[j].skeleton:
+            same_skeleton.append(pair)
+    turn_kinds = (moves_mod.V_STRUCTURE_ADDITION, moves_mod.BUDDING, moves_mod.FLIP)
+    same_turn = [q for q in same_skeleton if tags[q][0] in turn_kinds]
+    same_non_turn = [q for q in same_skeleton if tags[q][0] not in turn_kinds]
+    by_class = Counter(polytope._canonical_skeleton(vs.mecs[i].skeleton)
+                       for i, _ in same_non_turn)
+    class_rows = []
+    for canon, cnt in by_class.items():
+        deg = [0] * vs.p
+        for a, b in canon:
+            deg[a] += 1
+            deg[b] += 1
+        class_rows.append({"skeleton_edges": [list(e) for e in canon],
+                           "degree_sequence": sorted(deg), "count": cnt})
+    class_rows.sort(key=lambda r: (-r["count"], r["skeleton_edges"]))
+    return {
+        "p": vs.p,
+        "vertices": len(vs),
+        "total_edges": len(survey.edges),
+        "v_structure_additions": counts[moves_mod.V_STRUCTURE_ADDITION],
+        "buddings": counts[moves_mod.BUDDING],
+        "flips": counts[moves_mod.FLIP],
+        "turn_pairs": sum(counts[k] for k in turn_kinds),
+        "edge_additions": counts[polytope.EDGE_ADDITION],
+        "edge_pairs_not_additions": counts[polytope.EDGE_PAIR_OTHER],
+        "edge_pairs": counts[polytope.EDGE_ADDITION] + counts[polytope.EDGE_PAIR_OTHER],
+        "shifts": counts[moves_mod.SHIFT],
+        "splits": counts[moves_mod.SPLIT],
+        "unclassified": counts[polytope.UNCLASSIFIED],
+        "same_skeleton_edges": len(same_skeleton),
+        "same_skeleton_turn": len(same_turn),
+        "same_skeleton_non_turn": len(same_non_turn),
+        "same_skeleton_non_turn_by_class": class_rows,
+        "tag_multiplicities": len(multiplicities),
+        "moves_not_certified": [list(q) for q in uncertified_moves],
+        "lp_stats": survey.stats,
+    }
+
+
+@pytest.mark.parametrize("kind, p", [("full", 2), ("full", 3), ("full", 4),
+                                     *[(k, p) for k in ("path", "cycle") for p in range(4, 9)],
+                                     ("rotations", 4), ("asym", 6)])
+def test_orbit_weighted_census_matches_the_per_edge_count(kind, p):
+    vs = _face(kind, p)
+    census = edge_census(vs)
+    assert json.dumps(census) == json.dumps(_census_per_edge(vs))
+    survey = certify_all_edges(vs)
+    assert sum(survey.orbits.values()) == len(survey.edges)
+    assert set(survey.orbits) <= set(survey.edges)
+
+
+@pytest.mark.parametrize("budget", [0, 20])
+@pytest.mark.parametrize("p", [3, 4])
+def test_orbit_weighted_census_with_finer_orbits(monkeypatch, p, budget):
+    vs = enumerate_mecs(p)
+    full = edge_census(vs)
+    monkeypatch.setattr(polytope, "_SYMMETRY_BUDGET", budget)
+    monkeypatch.setattr(polytope, "_symmetries", polytope._symmetries.__wrapped__)
+    # one survey serves the census and its reference, since without orbits
+    # every survey solves all the LPs again
+    survey = certify_all_edges(vs)
+    monkeypatch.setattr(polytope, "certify_all_edges", lambda _: survey)
+    census = edge_census(vs)
+    assert census["lp_stats"]["lp_solved"] > full["lp_stats"]["lp_solved"]
+    assert json.dumps(census) == json.dumps(_census_per_edge(vs))
+    census.pop("lp_stats")
+    full.pop("lp_stats")
+    assert census == full
+
+
+def _eager_certificates(vs):
+    """certify_all_edges before lazy certificates: every edge decided by
+    symmetry has its weights lifted while the survey is built."""
+    varying, rmat = _restricted(vs)
+    n = len(rmat)
+    skip = _midpoint_prefilter(rmat)
+    todo = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in skip]
+    syms = polytope._symmetries(vs)
+    reps, derived = polytope._orbit_tree(todo, [g.rows for g in syms], polytope._pair_image)
+    decided = {(u, v): decision for u, v, *decision in polytope._decide_pairs(rmat, reps)}
+    column = {pos: k for k, pos in enumerate(varying)}
+    moved = [[column[g.coords[pos]] for pos in varying] for g in syms]
+    for pair, source, s in derived:
+        is_edge, margin, mode, weights, objective = decided[source]
+        if is_edge:
+            image = [0.0] * len(weights)
+            for k, w in zip(moved[s], weights):
+                image[k] = w
+            weights = tuple(image)
+        decided[pair] = (is_edge, margin, mode, weights, objective)
+    edges = sorted(pair for pair, decision in decided.items() if decision[0])
+    return {(u, v): polytope._certificate(vs, varying, u, v, *decided[(u, v)][1:])
+            for u, v in edges}
+
+
+def test_edge_census_builds_no_certificate(monkeypatch):
+    vs = enumerate_mecs(4)
+    want = edge_census(vs)
+
+    def refuse(*args):
+        raise AssertionError("the census built a certificate")
+
+    monkeypatch.setattr(polytope, "_certificate", refuse)
+    assert edge_census(vs) == want
+    assert (want["total_edges"], want["turn_pairs"], want["edge_pairs"]) == (4259, 180, 756)
+    with pytest.raises(AssertionError):
+        certify_all_edges(vs).certificates
+
+
+@pytest.mark.parametrize("kind, p", [("full", 3), ("full", 4), ("cycle", 6)])
+def test_lazy_certificates_equal_the_eager_lift(kind, p):
+    vs = _face(kind, p)
+    survey = certify_all_edges(vs)
+    assert "certificates" not in vars(survey)
+    want = _eager_certificates(vs)
+    assert list(survey.certificates) == list(want) == list(survey.edges)
+    for pair, cert in want.items():
+        assert survey.certificates[pair] == cert
+    assert survey.certificates is survey.certificates
 
 
 def _midpoint_prefilter_by_dict(matrix):
