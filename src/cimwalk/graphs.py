@@ -503,18 +503,24 @@ def undirected_from_text(text: str) -> UndirectedGraph:
     return UndirectedGraph.from_edges(p, edges)
 
 
+def acyclic_orientations(g: UndirectedGraph) -> Iterator[Dag]:
+    """Every acyclic orientation of g, in a fixed order."""
+    edges = sorted(g.edges)
+    for bits in itertools.product((0, 1), repeat=len(edges)):
+        try:
+            yield Dag.from_arcs(g.p, [(a, b) if bit == 0 else (b, a)
+                                      for (a, b), bit in zip(edges, bits)])
+        except CycleError:
+            continue
+
+
 def all_dags(p: int) -> Iterator[Dag]:
-    """Yield every DAG on p nodes (use only for small p)."""
+    """Yield every DAG on p nodes, as the acyclic orientations of each of the
+    2^C(p,2) skeletons (use only for small p)."""
     pairs = list(itertools.combinations(range(p), 2))
-    for states in itertools.product((0, 1, 2), repeat=len(pairs)):
-        arcs = []
-        for (a, b), s in zip(pairs, states):
-            if s == 1:
-                arcs.append((a, b))
-            elif s == 2:
-                arcs.append((b, a))
-        if is_acyclic(p, arcs):
-            yield Dag.from_arcs(p, arcs)
+    for keep in itertools.product((False, True), repeat=len(pairs)):
+        skeleton = UndirectedGraph.from_edges(p, itertools.compress(pairs, keep))
+        yield from acyclic_orientations(skeleton)
 
 
 def all_mecs(p: int) -> list:

@@ -1,6 +1,10 @@
-"""Dense primal simplex with Bland's rule: two-phase, or phase 2 from a given basis.
+"""Dense primal simplex with Bland's rule, run from a feasible basis the caller gives.
 
-Solves  max c.x  s.t.  A x (<=|=|>=) b,  x >= 0.
+Solves  max c.x  s.t.  A x = b,  x >= 0,  starting from a basis of m columns
+of A whose basic solution B^-1 b is nonnegative.  Each LP's tableau is
+[A | I | b] with one objective row; the identity columns never enter the
+basis, and after the pivots they hold B^-1, from which the row duals are
+read.
 
 One tableau layout serves two arithmetic modes: float64 numpy arrays for
 speed, and Fraction object arrays with exact comparisons for re-solves of
@@ -9,8 +13,7 @@ tableaux pivoted in lockstep, so many LPs of one shape cost one numpy call
 per step; a single float LP is a stack of one.  Entering columns follow
 Bland's smallest-index rule, which rules out cycling in the exact mode and
 is harmless in the float mode.  An optimal result carries the row duals as
-well as the primal point.  A caller that knows a feasible basis of
-structural columns passes it as a start, and the solve skips phase 1.
+well as the primal point.
 """
 
 from __future__ import annotations
@@ -22,11 +25,9 @@ from typing import Sequence
 import numpy as np
 
 OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 _MAX_PIVOTS = 50_000
-_FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
 
 
 class LpError(RuntimeError):
@@ -137,71 +138,18 @@ def _run_exact_stack(stack, basis, m, obj_row, allowed_mask):
             for tab, bas in zip(stack, basis)]
 
 
-def _start(cost, a, rhs, senses, zero, one):
-    """Starting tableaux of a stack of LPs that share cost and senses.
-
-    a is (count, m, n) and rhs (count, m) >= 0.  Columns run structural,
-    then one slack or surplus per '<=' / '>=' row, then one artificial per
-    '>=' / '=' row, each block in row order.  Returns (stack, unit,
-    art_cols), where unit[i] is the column holding e_i in the starting basis
-    (the slack of a '<=' row, the artificial of any other).  Row m is left
-    zero for the phase-1 objective, which _solve fills in only when phase 1
-    runs.
-    """
-    count, m, n = a.shape
-    slack_rows = [i for i, s in enumerate(senses) if s != "="]
-    art_rows = [i for i, s in enumerate(senses) if s != "<="]
-    slack_cols = list(range(n, n + len(slack_rows)))
-    art_cols = list(range(n + len(slack_rows), n + len(slack_rows) + len(art_rows)))
-    width = n + len(slack_rows) + len(art_rows) + 1
-    stack = np.full((count, m + 2, width), zero, dtype=a.dtype)
-    stack[:, :m, :n] = a
-    stack[:, :m, -1] = rhs
-    unit = [0] * m
-    for i, col in zip(slack_rows, slack_cols):
-        if senses[i] == "<=":
-            stack[:, i, col] = one
-            unit[i] = col
-        else:
-            stack[:, i, col] = -one
-    for i, col in zip(art_rows, art_cols):
-        stack[:, i, col] = one
-        unit[i] = col
-    # phase-2 objective (row m + 1): reduced costs of the original objective
-    stack[:, m + 1, :n] = cost
-    return stack, unit, art_cols
-
-
-def _drive_out(tableau, basis, m, art_mask, piv_tol):
-    """Pivot leftover artificials out of the basis after phase 1.
-
-    A row whose artificial cannot leave is redundant and is dropped.
-    Returns the tableau, the basis and the original row of each kept row.
-    """
-    drop = []
-    for i in range(m):
-        if art_mask[basis[i]]:
-            cols = np.nonzero(~art_mask & (np.abs(tableau[i, :-1]) > piv_tol))[0]
-            if cols.size:
-                _pivot(tableau, basis, i, int(cols[0]))
-            else:
-                drop.append(i)
-    keep = [i for i in range(m) if i not in drop]
-    return tableau[keep + [m, m + 1]], basis[keep], keep
-
-
 def _enter_basis(stack, basis, start, exact):
-    """Turn starting tableaux from _start into B^-1 [A | b] for the basis start.
+    """Turn tableaux [A | I | b] over c into B^-1 [A | I | b] for the basis start.
 
-    start is (count, m): the column made basic in each row.  The phase-2 row
-    becomes c - c_B B^-1 A with -c_B B^-1 b in its rhs cell, and basis is
+    start is (count, m): the column made basic in each row.  The objective
+    row becomes c - c_B B^-1 A with -c_B B^-1 b in its rhs cell, and basis is
     set to start.  Float stacks are multiplied by their batched basis
     inverses; exact tableaux are pivoted column by column, swapping in a
     later row where a pivot entry is zero.  Returns one entry per LP: None,
     or the LpError for a singular or infeasible start.
     """
     count, rows, width = stack.shape
-    m = rows - 2
+    m = rows - 1
     out = [None] * count
     if exact:
         zero = Fraction(0)
@@ -230,15 +178,15 @@ def _enter_basis(stack, basis, start, exact):
                         inverse[k] = np.linalg.inv(mats[k])
                     except np.linalg.LinAlgError:
                         pass
-            prices = stack[lpi, m + 1, start][:, None, :] @ inverse
-            stack[:, m + 1] -= (prices @ stack[:, :m])[:, 0]
+            prices = stack[lpi, m, start][:, None, :] @ inverse
+            stack[:, m] -= (prices @ stack[:, :m])[:, 0]
             stack[:, :m] = inverse @ stack[:, :m]
             basic = stack[:, :m][lpi, :, start]
             singular = ~(np.abs(basic - np.eye(m)) <= 1e-9).all(axis=(1, 2))
             infeasible = (stack[:, :m, -1] < -1e-7).any(axis=1)
         # the basic columns are exactly the unit vectors of their rows
         stack[:, :m][lpi, :, start] = np.eye(m)
-        stack[:, m + 1][lpi, start] = 0.0
+        stack[:, m][lpi, start] = 0.0
         for k in range(count):
             if singular[k]:
                 out[k] = LpError("singular start basis")
@@ -248,114 +196,35 @@ def _enter_basis(stack, basis, start, exact):
     return out
 
 
-def _solve(stack, unit, art_cols, n, flip, exact, start=None):
-    """Both phases on a stack of starting tableaux from _start, or phase 2
-    alone from the basis start (count, m) of structural columns.
+def simplex_max(c, a, b, start, exact: bool = False) -> LpResult:
+    """Maximize c.x subject to a x = b and x >= 0, from the basis start.
 
-    flip marks the rows that were negated for a negative rhs.  Returns one
-    entry per LP: its LpResult, or the LpError that simplex_max raises for
-    it.  An LP that keeps an artificial in its basis after phase 1 goes
-    through _drive_out and finishes on its own; the rest finish together.
-    """
-    count, rows, width = stack.shape
-    m = rows - 2
-    zero = Fraction(0) if exact else 0.0
-    run = _run_exact_stack if exact else _run_float
-    basis = np.tile(np.array(unit, dtype=np.int64), (count, 1))
-    art_mask = np.zeros(width - 1, dtype=bool)
-    art_mask[art_cols] = True
-    out = [None] * count
-
-    if start is not None:
-        out = _enter_basis(stack, basis, start, exact)
-    elif art_cols:
-        # phase-1 objective (row m): the sum of the artificial rows, so the
-        # rhs cell tracks the current total infeasibility
-        art_rows = [i for i, col in enumerate(unit) if art_mask[col]]
-        stack[:, m] = stack[:, art_rows].sum(axis=1)
-        stack[:, m, art_cols] = zero
-        feas_tol = zero if exact else 1e-7
-        for k, status in enumerate(run(stack, basis, m, m, np.ones(width - 1, dtype=bool))):
-            if status is None:
-                out[k] = LpError("pivot limit exceeded")
-            elif status == UNBOUNDED:
-                out[k] = LpError("phase 1 reported unbounded")
-            elif stack[k, m, -1] > feas_tol:
-                out[k] = LpResult(INFEASIBLE, [], None)
-    # phase 2 runs on (LPs, their tableaux, their bases, original row of
-    # each tableau row) jobs
-    stuck = [k for k in range(count) if out[k] is None and art_mask[basis[k]].any()]
-    together = [k for k in range(count) if out[k] is None and k not in stuck]
-    jobs = [(together, stack[together], basis[together], list(range(m)))] if together else []
-    for k in stuck:
-        tableau, bas, kept = _drive_out(stack[k], basis[k], m, art_mask, zero if exact else 1e-9)
-        jobs.append(([k], tableau[None], bas[None], kept))
-
-    for members, tabs, bases, kept in jobs:
-        obj2 = len(kept) + 1
-        outcomes = run(tabs, bases, len(kept), obj2, ~art_mask)
-        for k, tableau, bas, status in zip(members, tabs, bases, outcomes):
-            if status is None:
-                out[k] = LpError("pivot limit exceeded")
-                continue
-            if status == UNBOUNDED:
-                out[k] = LpResult(UNBOUNDED, [], None)
-                continue
-            rhs, reduced = tableau[:, -1], tableau[obj2]
-            x = [zero] * n
-            for i, col in enumerate(bas.tolist()):
-                if col < n:
-                    x[col] = rhs[i]
-            # a row dropped as redundant keeps dual 0
-            duals = [zero] * m
-            for i in kept:
-                dual = -reduced[unit[i]]
-                duals[i] = -dual if flip[i] else dual
-            out[k] = LpResult(OPTIMAL, x, -reduced[-1], duals)
-    return out
-
-
-def simplex_max(c, a_rows, senses, b, exact: bool = False, start=None) -> LpResult:
-    """Maximize c.x subject to rows of (a_rows, senses, b) and x >= 0.
-
-    senses[i] is one of '<=', '=', '>='.  a_rows may be a nested sequence or
-    a 2-d array.  With exact=True all data is lifted to Fractions and the
-    solve is exact; otherwise float64.  Raises LpError when the pivot limit
-    is hit or phase 1 reports an unbounded ray.
+    a may be a nested sequence or a 2-d array.  start holds one column of a
+    per row, and the basis they form must be nonsingular with a nonnegative
+    basic solution; otherwise LpError is raised, as it is when the pivot
+    limit is hit.  With exact=True all data is lifted to Fractions and the
+    solve is exact; otherwise float64.
 
     An optimal result also carries the row duals: duals[i] is the rate at
-    which the optimum grows with b[i], so it is >= 0 on a '<=' row, <= 0 on a
-    '>=' row and free on an '=' row.  It is read from the final objective row
-    under the column that held e_i in the starting basis (the slack of a
-    '<=' row, the artificial of any other).  A row dropped as redundant
-    after phase 1 gets dual 0.
-
-    start, if given, is a feasible basis: one structural column per row.
-    The solve then skips phase 1 and runs phase 2 from that basis; a start
-    that is singular or whose basic solution is negative raises LpError.
+    which the optimum grows with b[i].  It is read from the final objective
+    row under the identity column of row i.
     """
-    starts = None if start is None else [start]
-    res = simplex_max_many(c, [a_rows], senses, [b], exact=exact, start=starts)[0]
+    res = simplex_max_many(c, [a], [b], [start], exact=exact)[0]
     if isinstance(res, LpError):
         raise res
     return res
 
 
-def simplex_max_many(c, a_stack, senses, b_stack, exact: bool = False, start=None) -> list:
-    """simplex_max(c, a, senses, b, exact, s) for every (a, b, s) of the stacks.
+def simplex_max_many(c, a_stack, b_stack, start, exact: bool = False) -> list:
+    """simplex_max(c, a, b, s, exact) for every (a, b, s) of the stacks.
 
-    a_stack holds one (m, n) matrix per LP and b_stack one length-m rhs;
-    c and senses are shared; start is None or holds one starting basis of
-    m structural columns per LP.  In float mode, LPs whose negative
-    right-hand sides fall on the same rows are pivoted in lockstep, each
-    exactly as it would be pivoted alone.  Exact LPs are solved one after another, and
-    their pivot limit raises.  Returns one entry per LP: its LpResult, or
-    the LpError that simplex_max raises for it.
+    a_stack holds one (m, n) matrix per LP, b_stack one length-m rhs and
+    start one basis of m columns; c is shared.  Float LPs are pivoted in
+    lockstep, each exactly as it would be pivoted alone.  Exact LPs are
+    solved one after another, and their pivot limit raises.  Returns one
+    entry per LP: its LpResult, or the LpError that simplex_max raises for it.
     """
-    senses = list(senses)
-    if any(s not in _FLIPPED for s in senses):
-        raise ValueError("senses must be '<=', '=' or '>='")
-    n, m, count = len(c), len(senses), len(b_stack)
+    n, (count, m) = len(c), np.shape(b_stack)
     if exact:
         zero, one = Fraction(0), Fraction(1)
         lift = np.frompyfunc(Fraction, 1, 1)
@@ -367,24 +236,32 @@ def simplex_max_many(c, a_stack, senses, b_stack, exact: bool = False, start=Non
         a = np.array(a_stack, dtype=np.float64).reshape(count, m, n)
         rhs = np.array(b_stack, dtype=np.float64).reshape(count, m)
         cost = np.array(c, dtype=np.float64).reshape(n)
-    if start is not None:
-        start = np.array(start, dtype=np.int64).reshape(count, m)
-        if ((start < 0) | (start >= n)).any():
-            raise ValueError("a start basis holds structural columns only")
-    # a negative right-hand side is negated with its row, so the starting
-    # basis of slacks and artificials is feasible
-    flips = rhs < zero
-    a[flips] = -a[flips]
-    rhs[flips] = -rhs[flips]
-    groups = {}
-    for k, flip in enumerate(flips):
-        groups.setdefault(flip.tobytes(), []).append(k)
-    out = [None] * count
-    for members in groups.values():
-        flip = flips[members[0]]
-        flipped = [_FLIPPED[s] if f else s for s, f in zip(senses, flip)]
-        stack, unit, art_cols = _start(cost, a[members], rhs[members], flipped, zero, one)
-        begin = None if start is None else start[members]
-        for k, res in zip(members, _solve(stack, unit, art_cols, n, flip, exact, begin)):
-            out[k] = res
+    start = np.array(start, dtype=np.int64).reshape(count, m)
+    if ((start < 0) | (start >= n)).any():
+        raise ValueError("a start basis holds structural columns only")
+    stack = np.full((count, m + 1, n + m + 1), zero, dtype=a.dtype)
+    stack[:, :m, :n] = a
+    stack[:, np.arange(m), n + np.arange(m)] = one
+    stack[:, :m, -1] = rhs
+    stack[:, m, :n] = cost
+    basis = start.copy()
+    out = _enter_basis(stack, basis, start, exact)
+    ok = [k for k in range(count) if out[k] is None]
+    if not ok:
+        return out
+    tabs, bases = stack[ok], basis[ok]
+    run = _run_exact_stack if exact else _run_float
+    # the identity columns never enter
+    outcomes = run(tabs, bases, m, m, np.arange(n + m) < n)
+    for k, tableau, bas, status in zip(ok, tabs, bases, outcomes):
+        if status is None:
+            out[k] = LpError("pivot limit exceeded")
+        elif status == UNBOUNDED:
+            out[k] = LpResult(UNBOUNDED, [], None)
+        else:
+            x = [zero] * n
+            for i, col in enumerate(bas.tolist()):
+                x[col] = tableau[i, -1]
+            duals = [-y for y in tableau[m, n:n + m]]
+            out[k] = LpResult(OPTIMAL, x, -tableau[m, -1], duals)
     return out

@@ -26,11 +26,10 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 import numpy as np
 
 from .graphs import (
-    CycleError,
-    Dag,
     GraphError,
     Mec,
     UndirectedGraph,
+    acyclic_orientations,
     all_mecs,
     consistent_extension,
     mec_of,
@@ -124,23 +123,12 @@ def enumerate_mecs(p: int) -> VertexSet:
     return _build_vertex_set(p, all_mecs(p))
 
 
-def _orientations(g: UndirectedGraph) -> Iterator[Dag]:
-    """Every acyclic orientation of g, in a fixed order."""
-    edges = sorted(g.edges)
-    for bits in itertools.product((0, 1), repeat=len(edges)):
-        try:
-            yield Dag.from_arcs(g.p, [(a, b) if bit == 0 else (b, a)
-                                      for (a, b), bit in zip(edges, bits)])
-        except CycleError:
-            continue
-
-
 @lru_cache(maxsize=4096)
 def _mecs_with_skeleton(g: UndirectedGraph) -> tuple:
     """All MECs whose skeleton is exactly g, in order of first orientation."""
     if len(g.edges) > 24:
         raise GraphError("too many edges to orient exhaustively")
-    return tuple(dict.fromkeys(mec_of(dag) for dag in _orientations(g)))
+    return tuple(dict.fromkeys(mec_of(dag) for dag in acyclic_orientations(g)))
 
 
 def enumerate_mecs_with_skeleton(g: UndirectedGraph) -> VertexSet:
@@ -445,7 +433,7 @@ def _solve_margin(rmat, u: int, v: int, exact: bool):
     """The largest exposure margin t* of (u, v), and a cost vector attaining it."""
     c, a, b = _margin_lps(rmat, [(u, v)])
     start = _margin_start(rmat, [(u, v)])[0]
-    res = simplex_max(c, a[0], ["="] * len(b), b, exact=exact, start=start)
+    res = simplex_max(c, a[0], b, start, exact=exact)
     return _margin_solution(res, rmat.shape[1])
 
 
@@ -492,8 +480,7 @@ def _decide_pairs(rmat, pairs) -> list:
         zeros = tuple(0.0 for _ in rmat[0])
         return [(u, v, True, math.inf, "trivial", zeros, math.inf) for u, v in pairs]
     c, a, b = _margin_lps(rmat, pairs)
-    solved = simplex_max_many(c, a, ["="] * len(b), [b] * len(a),
-                              start=_margin_start(rmat, pairs))
+    solved = simplex_max_many(c, a, [b] * len(a), _margin_start(rmat, pairs))
     return [(u, v, *_decide_pair(rmat, u, v, res)) for (u, v), res in zip(pairs, solved)]
 
 
@@ -531,8 +518,9 @@ def _certificate(vs, varying, u, v, margin, mode, weights, objective) -> EdgeCer
 _KEY_DIGITS = 39
 
 
-def _midpoint_prefilter(matrix) -> set:
-    """Pairs whose midpoint provably lies in the hull of other vertices.
+def _midpoint_prefilter(matrix) -> np.ndarray:
+    """Mask over the pairs of np.triu_indices(n, 1): True where the pair's
+    midpoint provably lies in the hull of other vertices.
 
     If u + v = x + y for a different pair {x, y}, any exposing w would have
     to put both sums at the same maximum, so neither pair is an edge.  The
@@ -540,7 +528,7 @@ def _midpoint_prefilter(matrix) -> set:
     keyed by its base-3 digits, one int64 per chunk of _KEY_DIGITS
     coordinates; a row's key plus another's is the key of their sum, since
     no digit exceeds 2.  Pair sums and doubled rows are sorted together,
-    and a pair whose key equals a neighbour's is skipped: doubled rows are
+    and a pair whose key equals a neighbour's is marked: doubled rows are
     pairwise distinct, so that neighbour is another pair or a double.
     """
     m = np.asarray(matrix, dtype=np.int64)
@@ -556,11 +544,10 @@ def _midpoint_prefilter(matrix) -> set:
     collides = np.zeros(len(sums), dtype=bool)
     collides[order[1:]] |= same
     collides[order[:-1]] |= same
-    hit = collides[:len(i)]
-    return set(zip(i[hit].tolist(), j[hit].tolist()))
+    return collides[:len(i)]
 
 
-# Bytes of the tableau stack of one lockstep batch of margin LPs (about 170
+# Bytes of the tableau stack of one lockstep batch of margin LPs (about 180
 # LPs at p = 4): enough LPs to spread each step's fixed numpy overhead, few
 # enough that the stack stays small.  On a 2-CPU host, 1 to 8 MiB gave the
 # same census time within noise.
@@ -570,11 +557,11 @@ _BATCH_BYTES = 4 << 20
 def _batch_size(rmat) -> int:
     """Margin LPs per lockstep batch, from the byte size of one tableau.
 
-    A margin LP has d + 1 rows, 3d + n + 2 columns with the artificials and
-    the rhs, and two objective rows.
+    A margin LP has d + 1 rows and an objective row, and 3d + n + 2 columns
+    with the identity block and the rhs.
     """
     n, d = rmat.shape
-    tableau_bytes = 8 * (d + 3) * (3 * d + n + 2)
+    tableau_bytes = 8 * (d + 2) * (3 * d + n + 2)
     return max(1, _BATCH_BYTES // tableau_bytes)
 
 
@@ -629,10 +616,9 @@ def certify_all_edges(vs: VertexSet) -> EdgeSurvey:
     t0 = time.perf_counter()
     _, rmat = _restricted(vs)
     n = len(rmat)
-    skip = _midpoint_prefilter(rmat)
-    todo = [
-        (i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in skip
-    ]
+    hit = _midpoint_prefilter(rmat)
+    i, j = np.triu_indices(n, 1)
+    todo = list(zip(i[~hit].tolist(), j[~hit].tolist()))
     t1 = time.perf_counter()
     syms = _symmetries(vs)
     reps, derived = _orbit_tree(todo, [g.rows for g in syms], _pair_image)
@@ -651,7 +637,7 @@ def certify_all_edges(vs: VertexSet) -> EdgeSurvey:
     orbits = Counter(root[pair] for pair in edges)
     stats = {
         "pairs": n * (n - 1) // 2,
-        "prefiltered": len(skip),
+        "prefiltered": int(hit.sum()),
         "lp_solved": len(reps),
         "by_symmetry": len(derived),
         "exact_resolves": exact_used,
@@ -668,7 +654,7 @@ def certify_all_edges(vs: VertexSet) -> EdgeSurvey:
 @lru_cache(maxsize=100_000)
 def _member_dags(mec: Mec) -> tuple:
     """Every DAG in the class, via acyclic orientations of the skeleton."""
-    return tuple(dag for dag in _orientations(mec.skeleton) if mec_of(dag) == mec)
+    return tuple(dag for dag in acyclic_orientations(mec.skeleton) if mec_of(dag) == mec)
 
 
 def _pair_move_kinds(vs: VertexSet) -> dict:

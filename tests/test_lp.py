@@ -1,4 +1,6 @@
-"""Two-phase simplex: known optima, senses, exact mode, degenerate cases."""
+"""Phase-2 simplex from a given basis: known optima, duals, exact mode,
+degenerate and unbounded cases, and the lockstep kernel against the serial
+reference."""
 
 from fractions import Fraction
 
@@ -8,77 +10,71 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from cimwalk import lp, polytope
-from cimwalk.lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpError, LpResult, simplex_max,
-                        simplex_max_many)
+from cimwalk.lp import OPTIMAL, UNBOUNDED, LpError, LpResult, simplex_max, simplex_max_many
+from lp_reference import serial_run, two_phase_simplex_max
+
+
+def _le(c, rows):
+    """The LP max c.x s.t. rows x <= b, x >= 0 in '=' form: one slack column
+    per row, appended after the structural columns.  Returns the padded c,
+    the rows with the slack block, and the slack columns as a start basis,
+    which is feasible whenever b >= 0."""
+    n, m = len(c), len(rows)
+    a = [list(row) + [int(i == k) for k in range(m)] for i, row in enumerate(rows)]
+    return list(c) + [0] * m, a, list(range(n, n + m))
 
 
 def test_small_known_optimum():
     # max 3x + 2y, x + y <= 4, x + 3y <= 6: optimum 12 at (4, 0)
-    res = simplex_max([3, 2], [[1, 1], [1, 3]], ["<=", "<="], [4, 6])
+    c, a, start = _le([3, 2], [[1, 1], [1, 3]])
+    res = simplex_max(c, a, [4, 6], start)
     assert res.status == OPTIMAL
     assert res.objective == pytest.approx(12.0)
-    assert list(res.x) == pytest.approx([4.0, 0.0])
+    assert list(res.x[:2]) == pytest.approx([4.0, 0.0])
 
 
 def test_equality_and_ge_senses():
-    res = simplex_max([1], [[1]], ["="], [2])
+    res = simplex_max([1], [[1]], [2], [0])
     assert res.status == OPTIMAL and res.objective == pytest.approx(2.0)
-    res = simplex_max([-1], [[1]], [">="], [3])
+    # x >= 3 as x - s = 3 with a surplus column s
+    res = simplex_max([-1, 0], [[1, -1]], [3], [0])
     assert res.status == OPTIMAL and res.objective == pytest.approx(-3.0)
 
 
-def test_negative_rhs_is_normalized():
-    # -x >= -5 is x <= 5
-    res = simplex_max([1], [[-1]], [">="], [-5])
-    assert res.status == OPTIMAL and res.objective == pytest.approx(5.0)
-
-
-def test_infeasible():
-    res = simplex_max([1], [[1], [1]], ["<=", ">="], [1, 2])
-    assert res.status == INFEASIBLE
-    res = simplex_max([1], [[1], [1]], ["<=", ">="], [1, 2], exact=True)
-    assert res.status == INFEASIBLE
-
-
 def test_unbounded():
-    res = simplex_max([1], [[-1]], ["<="], [1])
+    c, a, start = _le([1], [[-1]])
+    res = simplex_max(c, a, [1], start)
     assert res.status == UNBOUNDED
 
 
 def test_beale_degenerate_instance():
     # classic degenerate instance that cycles under naive pivoting
-    c = [0.75, -150, 0.02, -6]
-    a = [
+    c, a, start = _le([0.75, -150, 0.02, -6], [
         [0.25, -60, -0.04, 9],
         [0.5, -90, -0.02, 3],
         [0, 0, 1, 0],
-    ]
-    b = [0, 0, 1]
-    res = simplex_max(c, a, ["<=", "<=", "<="], b)
+    ])
+    res = simplex_max(c, a, [0, 0, 1], start)
     assert res.status == OPTIMAL
     assert res.objective == pytest.approx(0.05)
 
-    exact = simplex_max(
-        [Fraction(3, 4), -150, Fraction(1, 50), -6],
-        [
-            [Fraction(1, 4), -60, Fraction(-1, 25), 9],
-            [Fraction(1, 2), -90, Fraction(-1, 50), 3],
-            [0, 0, 1, 0],
-        ],
-        ["<=", "<=", "<="],
-        [0, 0, 1],
-        exact=True,
-    )
+    c, a, start = _le([Fraction(3, 4), -150, Fraction(1, 50), -6], [
+        [Fraction(1, 4), -60, Fraction(-1, 25), 9],
+        [Fraction(1, 2), -90, Fraction(-1, 50), 3],
+        [0, 0, 1, 0],
+    ])
+    exact = simplex_max(c, a, [0, 0, 1], start, exact=True)
     assert exact.status == OPTIMAL
     assert exact.objective == Fraction(1, 20)
 
 
 def test_exact_mode_returns_fractions():
-    res = simplex_max([1, 1], [[2, 1], [1, 2]], ["<=", "<="], [1, 1], exact=True)
+    c, a, start = _le([1, 1], [[2, 1], [1, 2]])
+    res = simplex_max(c, a, [1, 1], start, exact=True)
     assert res.status == OPTIMAL
     assert isinstance(res.objective, Fraction)
     assert res.objective == Fraction(2, 3)
-    assert list(res.x) == [Fraction(1, 3), Fraction(1, 3)]
+    assert list(res.x[:2]) == [Fraction(1, 3), Fraction(1, 3)]
 
 
 def test_float_and_exact_agree_on_random_instances():
@@ -88,29 +84,29 @@ def test_float_and_exact_agree_on_random_instances():
         c = rng.uniform(-1, 1, n)
         a = rng.uniform(0, 1, (m, n))
         b = rng.uniform(0.5, 1.5, m)
-        rows = a.tolist() + [[1.0] * n]
-        senses = ["<="] * m + ["<="]
+        c, rows, start = _le(c.tolist(), a.tolist() + [[1.0] * n])
         rhs = b.tolist() + [10.0]
-        flt = simplex_max(c.tolist(), rows, senses, rhs)
-        ext = simplex_max(c.tolist(), rows, senses, rhs, exact=True)
+        flt = simplex_max(c, rows, rhs, start)
+        ext = simplex_max(c, rows, rhs, start, exact=True)
         assert flt.status == OPTIMAL and ext.status == OPTIMAL
         assert flt.objective == pytest.approx(float(ext.objective), abs=1e-9)
 
 
 def test_mixed_senses_with_equality():
-    # max x + y, x + y = 1, x - y <= 0.25: any point on the segment works,
-    # the objective is pinned by the equality
-    res = simplex_max([1, 1], [[1, 1], [1, -1]], ["=", "<="], [1, 0.25])
+    # max x + y, x + y = 1, x - y <= 0.25 (slack s), from the basis (y, s):
+    # any point on the segment works, the objective is pinned by the equality
+    res = simplex_max([1, 1, 0], [[1, 1, 0], [1, -1, 1]], [1, 0.25], [1, 2])
     assert res.status == OPTIMAL
     assert res.objective == pytest.approx(1.0)
-    x, y = res.x
+    x, y, _ = res.x
     assert x + y == pytest.approx(1.0) and x - y <= 0.25 + 1e-9
 
 
 @pytest.mark.parametrize("exact", [False, True])
 def test_duals_of_small_known_optimum(exact):
     # max 3x + 2y, x + y <= 4, x + 3y <= 6: the first row binds with price 3
-    res = simplex_max([3, 2], [[1, 1], [1, 3]], ["<=", "<="], [4, 6], exact=exact)
+    c, a, start = _le([3, 2], [[1, 1], [1, 3]])
+    res = simplex_max(c, a, [4, 6], start, exact=exact)
     assert res.status == OPTIMAL
     assert list(res.duals) == [3, 0]
 
@@ -118,10 +114,12 @@ def test_duals_of_small_known_optimum(exact):
 @pytest.mark.parametrize("exact", [False, True])
 def test_duals_of_every_sense_and_a_negated_rhs(exact):
     # max 3x + 2y + z, x + y + z <= 10, -x >= -4, y - z = 1: optimum 21.5 at
-    # (4, 3.5, 2.5); the '>=' row is stored negated, its dual keeps its sign
+    # (4, 3.5, 2.5).  The '<=' row has slack s1, the '>=' row is -x - s2 = -4
+    # with its negative rhs as given, and the start basis (s1, x, y) puts
+    # (5, 4, 1) on them.  The '>=' row's dual is the rate in its own rhs.
     b = [10, -4, 1]
-    res = simplex_max([3, 2, 1], [[1, 1, 1], [-1, 0, 0], [0, 1, -1]],
-                      ["<=", ">=", "="], b, exact=exact)
+    res = simplex_max([3, 2, 1, 0, 0], [[1, 1, 1, 1, 0], [-1, 0, 0, 0, -1], [0, 1, -1, 0, 0]],
+                      b, [3, 0, 1], exact=exact)
     assert res.status == OPTIMAL
     assert res.objective == Fraction(43, 2)
     assert list(res.duals) == [Fraction(3, 2), Fraction(-3, 2), Fraction(1, 2)]
@@ -132,139 +130,20 @@ def test_duals_of_every_sense_and_a_negated_rhs(exact):
 
 @pytest.mark.parametrize("exact", [False, True])
 def test_duals_of_ge_row_with_positive_rhs(exact):
-    # max -x - y, x + y >= 2, x - y = 0: optimum -2 at (1, 1)
-    res = simplex_max([-1, -1], [[1, 1], [1, -1]], [">=", "="], [2, 0], exact=exact)
+    # max -x - y, x + y >= 2 (surplus s), x - y = 0: optimum -2 at (1, 1),
+    # which is also the start basis (x, y)
+    res = simplex_max([-1, -1, 0], [[1, 1, -1], [1, -1, 0]], [2, 0], [0, 1], exact=exact)
     assert res.status == OPTIMAL
     assert list(res.duals) == [-1, 0]
 
 
-@pytest.mark.parametrize("exact", [False, True])
-def test_redundant_row_gets_dual_zero(exact):
-    # the second equality repeats the first and is dropped after phase 1
-    res = simplex_max([1, 1], [[1, 1], [2, 2], [1, 0]], ["=", "=", "<="],
-                      [2, 4, Fraction(3, 2)], exact=exact)
-    assert res.status == OPTIMAL
-    assert res.objective == 2
-    assert list(res.duals) == [1, 0, 0]
-
-
 def test_duals_absent_unless_optimal():
-    assert simplex_max([1], [[-1]], ["<="], [1]).duals == ()
-    assert simplex_max([1], [[1], [1]], ["<=", ">="], [1, 2]).duals == ()
-
-
-def test_unknown_sense_is_rejected():
-    with pytest.raises(ValueError):
-        simplex_max([1], [[1]], ["<"], [1])
+    c, a, start = _le([1], [[-1]])
+    assert simplex_max(c, a, [1], start).duals == ()
 
 
 # ---------------------------------------------------------------------------
-# The lockstep float kernel against the serial float simplex it replaced
-
-
-_FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
-
-
-def _reference_pivot(tableau, basis, r, col):
-    tableau[r] = tableau[r] / tableau[r, col]
-    factors = tableau[:, col].copy()
-    factors[r] = 0 * factors[r]
-    tableau -= np.outer(factors, tableau[r])
-    basis[r] = col
-
-
-def _reference_run(tableau, basis, m, obj_row, allowed_mask, width, counter, max_pivots):
-    tol = 1e-9
-    for _ in range(max_pivots):
-        reduced = tableau[obj_row, : width - 1]
-        candidates = np.nonzero((reduced > tol) & allowed_mask)[0]
-        if candidates.size == 0:
-            return True
-        enter = int(candidates[0])
-        col = tableau[:m, enter]
-        pos = np.nonzero(col > tol)[0]
-        if pos.size == 0:
-            return False
-        ratios = tableau[pos, -1] / col[pos]
-        best = ratios.min()
-        near = pos[ratios <= best + 1e-12 + 1e-9 * abs(best)]
-        leave = int(min(near, key=lambda i: basis[i]))
-        _reference_pivot(tableau, basis, leave, enter)
-        counter[0] += 1
-    raise LpError("pivot limit exceeded")
-
-
-def _reference_simplex_max(c, a_rows, senses, b, counter=None, max_pivots=50_000):
-    """The serial float simplex, one tableau at a time (the reference for
-    the lockstep kernel); counter[0] counts its pivots."""
-    counter = [0] if counter is None else counter
-    n, m = len(c), len(senses)
-    a = np.array(a_rows, dtype=np.float64).reshape(m, n)
-    rhs = np.array(b, dtype=np.float64).reshape(m)
-    cost = np.array(c, dtype=np.float64).reshape(n)
-    flip = rhs < 0.0
-    a[flip] = -a[flip]
-    rhs[flip] = -rhs[flip]
-    senses = [_FLIPPED[s] if f else s for s, f in zip(senses, flip)]
-    slack_rows = [i for i, s in enumerate(senses) if s != "="]
-    art_rows = [i for i, s in enumerate(senses) if s != "<="]
-    slack_cols = list(range(n, n + len(slack_rows)))
-    art_cols = list(range(n + len(slack_rows), n + len(slack_rows) + len(art_rows)))
-    width = n + len(slack_rows) + len(art_rows) + 1
-    tableau = np.zeros((m + 2, width), dtype=np.float64)
-    tableau[:m, :n] = a
-    tableau[:m, -1] = rhs
-    unit = [0] * m
-    for i, col in zip(slack_rows, slack_cols):
-        if senses[i] == "<=":
-            tableau[i, col] = 1.0
-            unit[i] = col
-        else:
-            tableau[i, col] = -1.0
-    for i, col in zip(art_rows, art_cols):
-        tableau[i, col] = 1.0
-        unit[i] = col
-    basis = list(unit)
-    rows = list(range(m))
-    obj1, obj2 = m, m + 1
-    if art_rows:
-        tableau[obj1] = tableau[art_rows].sum(axis=0)
-        tableau[obj1, art_cols] = 0.0
-    tableau[obj2, :n] = cost
-    art_mask = np.zeros(width - 1, dtype=bool)
-    art_mask[art_cols] = True
-    if art_cols:
-        if not _reference_run(tableau, basis, m, obj1, np.ones(width - 1, dtype=bool),
-                              width, counter, max_pivots):
-            raise LpError("phase 1 reported unbounded")
-        if tableau[obj1, -1] > 1e-7:
-            return LpResult(INFEASIBLE, [], None)
-        drop = []
-        for i in range(m):
-            if art_mask[basis[i]]:
-                cols = np.nonzero(~art_mask & (np.abs(tableau[i, :-1]) > 1e-9))[0]
-                if cols.size:
-                    _reference_pivot(tableau, basis, i, int(cols[0]))
-                else:
-                    drop.append(i)
-        if drop:
-            keep = [i for i in range(m) if i not in set(drop)]
-            tableau = tableau[keep + [obj1, obj2]]
-            basis = [basis[i] for i in keep]
-            rows = keep
-            m = len(keep)
-            obj1, obj2 = m, m + 1
-    if not _reference_run(tableau, basis, m, obj2, ~art_mask, width, counter, max_pivots):
-        return LpResult(UNBOUNDED, [], None)
-    x = [0.0] * n
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = tableau[i, -1]
-    duals = [0.0] * len(unit)
-    for i in rows:
-        dual = -tableau[obj2, unit[i]]
-        duals[i] = -dual if flip[i] else dual
-    return LpResult(OPTIMAL, x, -tableau[obj2, -1], duals)
+# The lockstep float kernel against the serial reference
 
 
 def _bits(values):
@@ -286,125 +165,44 @@ def _assert_same(got, want):
         assert _bits([got.objective]) == _bits([want.objective])
 
 
-def _reference_outcome(c, a, senses, b, **kwargs):
-    try:
-        return _reference_simplex_max(c, a, senses, b, **kwargs)
-    except LpError as exc:
-        return exc
-
-
-def _outcome(c, a, senses, b):
-    try:
-        return simplex_max(c, a, senses, b)
-    except LpError as exc:
-        return exc
-
-
-_entries = st.one_of(st.integers(-3, 3),
-                     st.sampled_from([0.5, -0.25, 1e-10, -0.0, 2.0 / 3.0, 1e-9]))
-
-
-@st.composite
-def _small_lps(draw, count=1):
-    """count LPs sharing c and senses, with mixed senses, negative right-hand
-    sides and rows repeated (scaled) as redundant constraints."""
-    n = draw(st.integers(1, 4))
-    m = draw(st.integers(1, 4))
-    senses = draw(st.lists(st.sampled_from(["<=", "=", ">="]), min_size=m, max_size=m))
-    c = draw(st.lists(_entries, min_size=n, max_size=n))
-    repeat = draw(st.lists(st.tuples(st.integers(0, m - 1), st.sampled_from([1, 2, -1])),
-                           max_size=2))
-    senses = senses + [senses[i] if k > 0 else _FLIPPED[senses[i]] for i, k in repeat]
-    lps = []
-    for _ in range(count):
-        a = draw(st.lists(st.lists(_entries, min_size=n, max_size=n), min_size=m, max_size=m))
-        b = draw(st.lists(_entries, min_size=m, max_size=m))
-        a = a + [[k * x for x in a[i]] for i, k in repeat]
-        b = b + [k * b[i] for i, k in repeat]
-        lps.append((a, b))
-    return c, senses, lps
-
-
-@given(_small_lps())
-def test_float_simplex_matches_the_serial_reference_bitwise(lp_data):
-    c, senses, [(a, b)] = lp_data
-    _assert_same(_outcome(c, a, senses, b), _reference_outcome(c, a, senses, b))
-
-
-@given(_small_lps(count=6))
-def test_batch_matches_the_serial_reference_bitwise(lp_data):
-    c, senses, lps = lp_data
-    got = simplex_max_many(c, [a for a, _ in lps], senses, [b for _, b in lps])
-    for res, (a, b) in zip(got, lps):
-        _assert_same(res, _reference_outcome(c, a, senses, b))
-
-
-# max x - y + z over rows (<=, >=, <=): optima reached after 1, 3, 5 and 7
-# pivots, then an infeasible LP, an unbounded one and one whose negative
-# right-hand sides flip two rows and make it infeasible
-_MIXED_C, _MIXED_SENSES = [1, -1, 1], ["<=", ">=", "<="]
-_MIXED = [
-    ([[2, 1, -1], [-2, 1, -1], [3, -1, -1]], [5, 0, 3]),
-    ([[1, 0, 1], [3, -2, 1], [-2, 0, 3]], [6, 3, 5]),
-    ([[1, 2, 1], [2, -2, 1], [-1, 3, 1]], [3, 1, 2]),
-    ([[2, 1, -1], [3, 3, 2], [-1, 1, 1]], [0, 2, 4]),
-    ([[1, 1, 1], [1, 1, 1], [0, 0, 1]], [1, 2, 5]),
-    ([[-1, 0, 0], [0, 1, 0], [0, 0, 1]], [1, 1, 1]),
-    ([[1, 2, 0], [1, 0, 0], [0, 0, 1]], [-3, -5, 1]),
-]
-
-
-def _solve_mixed():
-    return simplex_max_many(_MIXED_C, [a for a, _ in _MIXED], _MIXED_SENSES,
-                            [b for _, b in _MIXED])
-
-
-def test_batch_with_mixed_outcomes_and_finishing_steps():
-    got = _solve_mixed()
-    pivots = []
-    for res, (a, b) in zip(got, _MIXED):
+def _started_reference(c, a, b, starts, max_pivots=50_000):
+    """Each '=' LP of a batch, pivoted one at a time by the serial reference
+    from the tableau [A | I | b] that lp._enter_basis moves to its start
+    basis.  Returns the outcomes and the pivot count of each."""
+    count, m, n = len(b), len(b[0]), len(c)
+    stack = np.zeros((count, m + 1, n + m + 1))
+    stack[:, :m, :n] = np.array(a, dtype=np.float64).reshape(count, m, n)
+    stack[:, np.arange(m), n + np.arange(m)] = 1.0
+    stack[:, :m, -1] = b
+    stack[:, m, :n] = c
+    basis = np.array(starts, dtype=np.int64).reshape(count, m)
+    errors = lp._enter_basis(stack, basis, basis.copy(), False)
+    allowed = np.arange(n + m) < n
+    outcomes, pivots = [], []
+    for tableau, bas, error in zip(stack, basis.tolist(), errors):
         counter = [0]
-        _assert_same(res, _reference_outcome(_MIXED_C, a, _MIXED_SENSES, b, counter=counter))
+        try:
+            if error is not None:
+                raise error
+            if not serial_run(tableau, bas, m, m, allowed, n + m + 1, counter, max_pivots):
+                outcomes.append(LpResult(UNBOUNDED, [], None))
+            else:
+                x = [0.0] * n
+                for i, col in enumerate(bas):
+                    x[col] = tableau[i, -1]
+                duals = [-tableau[m, n + i] for i in range(m)]
+                outcomes.append(LpResult(OPTIMAL, x, -tableau[m, -1], duals))
+        except LpError as exc:
+            outcomes.append(exc)
         pivots.append(counter[0])
-    assert [r.status for r in got] == [OPTIMAL] * 4 + [INFEASIBLE, UNBOUNDED, INFEASIBLE]
-    assert pivots[:4] == [1, 3, 5, 7]
+    return outcomes, pivots
 
 
-def test_pivot_limit_fails_only_the_lps_that_reach_it(monkeypatch):
-    monkeypatch.setattr(lp, "_MAX_PIVOTS", 2)
-    got = _solve_mixed()
-    for res, (a, b) in zip(got, _MIXED):
-        _assert_same(res, _reference_outcome(_MIXED_C, a, _MIXED_SENSES, b, max_pivots=2))
-    assert isinstance(got[0], LpResult) and isinstance(got[3], LpError)
-    with pytest.raises(LpError, match="pivot limit"):
-        simplex_max(_MIXED_C, _MIXED[3][0], _MIXED_SENSES, _MIXED[3][1])
-
-
-def _assert_margin_lps_match(vs, step=1):
-    _, rmat = polytope._restricted(vs)
-    n = len(rmat)
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)][::step]
-    c, a, b = polytope._margin_lps(rmat, pairs)
-    senses = ["="] * len(b)
-    for res, mat in zip(simplex_max_many(c, a, senses, [b] * len(a)), a):
-        _assert_same(res, _reference_outcome(c, mat, senses, b))
-
-
-def test_margin_lps_match_the_serial_reference_p3():
-    _assert_margin_lps_match(polytope.enumerate_mecs(3))
-
-
-@pytest.mark.parametrize("p", [4, 5, 6])
-def test_margin_lps_match_the_serial_reference_cycle_faces(p):
-    _assert_margin_lps_match(polytope.enumerate_mecs_with_skeleton(polytope.cycle_graph(p)))
-
-
-def test_margin_lps_match_the_serial_reference_every_tenth_p4_pair():
-    _assert_margin_lps_match(polytope.enumerate_mecs(4), step=10)
-
-
-# ---------------------------------------------------------------------------
-# Phase 2 from a given feasible basis
+def _outcome(c, a, b, start):
+    try:
+        return simplex_max(c, a, b, start)
+    except LpError as exc:
+        return exc
 
 
 def _nonsingular(rows):
@@ -423,36 +221,129 @@ def _nonsingular(rows):
 
 _basis_entries = st.one_of(st.integers(-3, 3),
                            st.sampled_from([Fraction(1, 2), Fraction(-2, 3)]))
+# adds entries at and around the kernel's tolerances
+_entries = st.one_of(_basis_entries, st.sampled_from([1e-10, -0.0, 2.0 / 3.0, 1e-9]))
 
 
 @st.composite
-def _based_lps(draw):
-    """An '=' LP built around a known basis: A, a nonsingular column subset
-    B and x_B >= 0 (zeros allowed, for degenerate starts), with b = B x_B.
-    Returns (c, a, b, start) with exact entries."""
+def _based_lps(draw, count=1, entries=_basis_entries):
+    """count '=' LPs of one shape that share c, each built around a known
+    basis: A, a nonsingular column subset B and x_B >= 0 (zeros allowed,
+    for degenerate starts), with b = B x_B.  Returns (c, [(a, b, start),
+    ...]) with exact b."""
     m = draw(st.integers(1, 4))
     n = m + draw(st.integers(0, 3))
-    a = draw(st.lists(st.lists(_basis_entries, min_size=n, max_size=n),
-                      min_size=m, max_size=m))
-    start = draw(st.permutations(range(n)))[:m]
-    assume(_nonsingular([[row[j] for j in start] for row in a]))
-    x_b = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
-    b = [sum(Fraction(row[j]) * x for j, x in zip(start, x_b)) for row in a]
-    c = draw(st.lists(_basis_entries, min_size=n, max_size=n))
-    return c, a, b, start
+    c = draw(st.lists(entries, min_size=n, max_size=n))
+    lps = []
+    for _ in range(count):
+        a = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                          min_size=m, max_size=m))
+        start = draw(st.permutations(range(n)))[:m]
+        assume(_nonsingular([[row[j] for j in start] for row in a]))
+        x_b = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+        b = [sum(Fraction(row[j]) * x for j, x in zip(start, x_b)) for row in a]
+        lps.append((a, b, start))
+    return c, lps
 
 
 def _floats(rows):
     return [[float(x) for x in row] for row in rows]
 
 
+def _float_lps(lp_data):
+    c, lps = lp_data
+    return [float(x) for x in c], [(_floats(a), [float(x) for x in b], s) for a, b, s in lps]
+
+
+@given(_based_lps(entries=_entries))
+def test_float_simplex_matches_the_serial_reference_bitwise(lp_data):
+    c, [(a, b, start)] = _float_lps(lp_data)
+    want, _ = _started_reference(c, [a], [b], [start])
+    _assert_same(_outcome(c, a, b, start), want[0])
+
+
+@given(_based_lps(count=6, entries=_entries))
+def test_batch_matches_the_serial_reference_bitwise(lp_data):
+    c, lps = _float_lps(lp_data)
+    got = simplex_max_many(c, *zip(*lps))
+    for res, (a, b, start) in zip(got, lps):
+        _assert_same(res, _started_reference(c, [a], [b], [start])[0][0])
+
+
+# max x - y + z over three '<=' rows, from the slack basis: optima reached
+# after 1, 3, 5 and 6 pivots, an LP unbounded at the start and one unbounded
+# after 3 pivots, then the first LP again from a singular start
+_MIXED_C, _, _SLACKS = _le([1, -1, 1], [[0] * 3] * 3)
+_MIXED = [(_le([1, -1, 1], rows)[1], b, _SLACKS) for rows, b in [
+    ([[-1, 1, 2], [-1, 0, 3], [1, 1, 2]], [3, 6, 5]),
+    ([[3, 2, 0], [3, -2, 1], [-1, -1, 2]], [5, 6, 1]),
+    ([[1, -2, -2], [3, 1, 1], [3, -1, -1]], [0, 6, 2]),
+    ([[1, 2, 0], [2, -2, 1], [1, -2, 0]], [5, 4, 1]),
+    ([[-1, 2, -1], [0, 1, 1], [-2, -2, 3]], [5, 5, 3]),
+    ([[-2, 0, -1], [2, -2, 1], [-2, 1, 2]], [6, 0, 1]),
+]]
+_MIXED.append((_MIXED[0][0], _MIXED[0][1], [3, 3, 4]))
+
+
+def _solve_mixed():
+    return simplex_max_many(_MIXED_C, *zip(*_MIXED))
+
+
+def test_batch_with_mixed_outcomes_and_finishing_steps():
+    got = _solve_mixed()
+    pivots = []
+    for res, (a, b, start) in zip(got, _MIXED):
+        want, count = _started_reference(_MIXED_C, [a], [b], [start])
+        _assert_same(res, want[0])
+        pivots += count
+    assert [getattr(r, "status", None) for r in got] == [OPTIMAL] * 4 + [UNBOUNDED] * 2 + [None]
+    assert pivots == [1, 3, 5, 6, 0, 3, 0]
+    assert "singular" in str(got[6])
+
+
+def test_pivot_limit_fails_only_the_lps_that_reach_it(monkeypatch):
+    monkeypatch.setattr(lp, "_MAX_PIVOTS", 2)
+    got = _solve_mixed()
+    for res, (a, b, start) in zip(got, _MIXED):
+        _assert_same(res, _started_reference(_MIXED_C, [a], [b], [start], max_pivots=2)[0][0])
+    assert isinstance(got[0], LpResult) and isinstance(got[3], LpError)
+    with pytest.raises(LpError, match="pivot limit"):
+        simplex_max(_MIXED_C, *_MIXED[3])
+
+
+def _assert_margin_lps_match(vs, step=1):
+    _, rmat = polytope._restricted(vs)
+    n = len(rmat)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)][::step]
+    c, a, b = polytope._margin_lps(rmat, pairs)
+    starts = polytope._margin_start(rmat, pairs)
+    want, _ = _started_reference(c, a, [b] * len(a), starts)
+    for res, ref in zip(simplex_max_many(c, a, [b] * len(a), starts), want):
+        _assert_same(res, ref)
+
+
+def test_margin_lps_match_the_serial_reference_p3():
+    _assert_margin_lps_match(polytope.enumerate_mecs(3))
+
+
+@pytest.mark.parametrize("p", [4, 5, 6])
+def test_margin_lps_match_the_serial_reference_cycle_faces(p):
+    _assert_margin_lps_match(polytope.enumerate_mecs_with_skeleton(polytope.cycle_graph(p)))
+
+
+def test_margin_lps_match_the_serial_reference_every_tenth_p4_pair():
+    _assert_margin_lps_match(polytope.enumerate_mecs(4), step=10)
+
+
+# ---------------------------------------------------------------------------
+# Solves from a given feasible basis
+
+
 @given(_based_lps())
 def test_started_float_solve_matches_the_two_phase_solve(lp_data):
-    c, a, b, start = lp_data
-    c, a, b = [float(x) for x in c], _floats(a), [float(x) for x in b]
-    senses = ["="] * len(b)
-    two = simplex_max(c, a, senses, b)
-    got = simplex_max(c, a, senses, b, start=start)
+    c, [(a, b, start)] = _float_lps(lp_data)
+    two = two_phase_simplex_max(c, a, ["="] * len(b), b)
+    got = simplex_max(c, a, b, start)
     assert got.status == two.status
     if got.status == OPTIMAL:
         assert abs(got.objective - two.objective) <= 1e-9
@@ -460,87 +351,64 @@ def test_started_float_solve_matches_the_two_phase_solve(lp_data):
 
 
 @given(_based_lps())
-def test_started_exact_solve_matches_the_two_phase_solve(lp_data):
-    c, a, b, start = lp_data
-    senses = ["="] * len(b)
-    two = simplex_max(c, a, senses, b, exact=True)
-    got = simplex_max(c, a, senses, b, exact=True, start=start)
-    assert got.status == two.status
-    if got.status == OPTIMAL:
-        assert got.objective == two.objective
-        assert sum(y * bi for y, bi in zip(got.duals, b)) == got.objective
+def test_started_exact_solve_meets_strong_duality(lp_data):
+    # an optimal x and its duals y certify each other: A x = b, x >= 0,
+    # c - A^T y <= 0 and c.x = b.y
+    c, [(a, b, start)] = lp_data
+    got = simplex_max(c, a, b, start, exact=True)
+    if got.status == UNBOUNDED:
+        c, [(a, b, _)] = _float_lps(lp_data)
+        assert two_phase_simplex_max(c, a, ["="] * len(b), b).status == UNBOUNDED
+        return
+    assert got.status == OPTIMAL
+    x, y = got.x, got.duals
+    assert all(sum(aij * xj for aij, xj in zip(row, x)) == bi for row, bi in zip(a, b))
+    assert all(xj >= 0 for xj in x)
+    assert all(cj <= sum(row[j] * yi for row, yi in zip(a, y)) for j, cj in enumerate(c))
+    assert sum(cj * xj for cj, xj in zip(c, x)) == got.objective
+    assert sum(bi * yi for bi, yi in zip(b, y)) == got.objective
 
 
 @pytest.mark.parametrize("exact", [False, True])
 @given(lp_data=_based_lps())
 def test_infeasible_or_singular_start_is_an_error(exact, lp_data):
-    c, a, b, start = lp_data
-    senses = ["="] * len(b)
+    c, [(a, b, start)] = lp_data
     # a zero column in the basis makes it singular
     a_zero = [row + [0] for row in a]
     with pytest.raises(LpError, match="singular"):
-        simplex_max(c + [0], a_zero, senses, b, exact=exact, start=[len(c)] + start[1:])
+        simplex_max(c + [0], a_zero, b, [len(c)] + start[1:], exact=exact)
     # x_B with a negative entry: b = B x_B is reached only off the start's orthant
     x_b = [-1] + [1] * (len(start) - 1)
     b_neg = [sum(Fraction(row[j]) * x for j, x in zip(start, x_b)) for row in a]
     if not exact:
         a, b_neg = _floats(a), [float(x) for x in b_neg]
     with pytest.raises(LpError, match="infeasible"):
-        simplex_max(c, a, senses, b_neg, exact=exact, start=start)
+        simplex_max(c, a, b_neg, start, exact=exact)
 
 
 def test_start_holds_structural_columns_only():
     with pytest.raises(ValueError):
-        simplex_max([1], [[1]], ["="], [1], start=[1])
-
-
-def _started_reference(c, a, b, starts):
-    """Each LP of an '=' batch with b >= 0, pivoted by the serial reference
-    from the tableau that lp builds for its start basis.  Returns the
-    outcomes and the pivot count of each."""
-    m, n = len(b[0]), len(c)
-    stack, unit, art_cols = lp._start(np.array(c, dtype=np.float64),
-                                      np.array(a, dtype=np.float64),
-                                      np.array(b, dtype=np.float64), ["="] * m, 0.0, 1.0)
-    basis = np.array(starts, dtype=np.int64)
-    assert lp._enter_basis(stack, basis, basis.copy(), False) == [None] * len(b)
-    width = stack.shape[2]
-    allowed = np.ones(width - 1, dtype=bool)
-    allowed[art_cols] = False
-    outcomes, pivots = [], []
-    for tableau, bas in zip(stack, basis.tolist()):
-        counter = [0]
-        if not _reference_run(tableau, bas, m, m + 1, allowed, width, counter, 50_000):
-            outcomes.append(LpResult(UNBOUNDED, [], None))
-        else:
-            x = [0.0] * n
-            for i, col in enumerate(bas):
-                x[col] = tableau[i, -1]
-            duals = [-tableau[m + 1, col] for col in unit]
-            outcomes.append(LpResult(OPTIMAL, x, -tableau[m + 1, -1], duals))
-        pivots.append(counter[0])
-    return outcomes, pivots
+        simplex_max([1], [[1]], [1], [1])
 
 
 def test_started_margin_lps_take_at_most_three_quarters_of_the_two_phase_pivots():
     # every 10th p = 4 pair that the census solves (the midpoint prefilter
     # settles the rest): the batch solve from the census start basis is
-    # bitwise the serial reference's phase 2 from the same tableau, and it
+    # bitwise the serial reference's pivots from the same tableau, and it
     # needs no more than 75% of the serial two-phase solve's pivots
     _, rmat = polytope._restricted(polytope.enumerate_mecs(4))
-    n = len(rmat)
-    skip = polytope._midpoint_prefilter(rmat)
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in skip][::10]
+    hit = polytope._midpoint_prefilter(rmat)
+    i, j = np.triu_indices(len(rmat), 1)
+    pairs = list(zip(i[~hit].tolist(), j[~hit].tolist()))[::10]
     c, a, b = polytope._margin_lps(rmat, pairs)
     starts = polytope._margin_start(rmat, pairs)
-    senses = ["="] * len(b)
     want, started = _started_reference(c, a, [b] * len(a), starts)
-    got = simplex_max_many(c, a, senses, [b] * len(a), start=starts)
+    got = simplex_max_many(c, a, [b] * len(a), starts)
     for res, ref in zip(got, want):
         _assert_same(res, ref)
     two_phase = 0
     for mat in a:
         counter = [0]
-        _reference_simplex_max(c, mat, senses, b, counter=counter)
+        two_phase_simplex_max(c, mat, ["="] * len(b), b, counter=counter)
         two_phase += counter[0]
     assert sum(started) <= 0.75 * two_phase, (sum(started), two_phase)

@@ -29,6 +29,7 @@ from cimwalk.polytope import (EdgeCertificate, _midpoint_prefilter,
                               star_over_cliques,
                               verify_simplex_faces, verify_stab_equivalence,
                               verify_turn_connectivity)
+from lp_reference import two_phase_simplex_max
 
 
 def test_enumerate_mecs_counts_and_order():
@@ -57,11 +58,33 @@ def test_enumerate_mecs_with_skeleton():
     assert len(enumerate_mecs_with_skeleton(cycle_graph(4))) == 6
 
 
+def _independent_columns(columns, order, size):
+    """The first size columns of order, each kept only when it is linearly
+    independent of those kept before it, by exact elimination."""
+    kept, reduced = [], []
+    for j in order:
+        vec = list(columns[j])
+        for pivot, row in reduced:
+            if vec[pivot]:
+                f = vec[pivot] / row[pivot]
+                vec = [a - f * b for a, b in zip(vec, row)]
+        pivot = next((k for k, x in enumerate(vec) if x), None)
+        if pivot is not None:
+            kept.append(j)
+            reduced.append((pivot, vec))
+            if len(kept) == size:
+                break
+    assert len(kept) == size, "the rows are linearly dependent"
+    return kept
+
+
 def _midpoint_mass(vs, u, v):
     """Max convex-combination mass outside {u, v} at their midpoint.
 
     The pair spans a polytope edge exactly when this maximum is zero; solved
-    in exact arithmetic so the comparison with zero is meaningful.
+    in exact arithmetic so the comparison with zero is meaningful.  The start
+    basis holds columns u and v, then the lowest-index columns that keep it
+    nonsingular; it is feasible because x_u = x_v = 1/2 solves the rows.
     """
     n = len(vs.matrix)
     d = len(vs.coords)
@@ -73,7 +96,10 @@ def _midpoint_mass(vs, u, v):
     rows.append([Fraction(1)] * n)
     rhs.append(Fraction(1))
     c = [Fraction(0 if i in (u, v) else 1) for i in range(n)]
-    res = simplex_max(c, rows, ["="] * len(rows), rhs, exact=True)
+    columns = [[row[i] for row in rows] for i in range(n)]
+    order = [u, v] + [i for i in range(n) if i not in (u, v)]
+    start = _independent_columns(columns, order, len(rows))
+    res = simplex_max(c, rows, rhs, start, exact=True)
     assert res.status == OPTIMAL
     return res.objective
 
@@ -117,10 +143,17 @@ def test_certificate_check_rejects_zero_weights():
     assert not flat.check(vs)
 
 
+def _skipped(matrix):
+    """The pairs that the prefilter's mask marks, as a set of (u, v)."""
+    hit = _midpoint_prefilter(matrix)
+    i, j = np.triu_indices(len(matrix), 1)
+    return set(zip(i[hit].tolist(), j[hit].tolist()))
+
+
 def test_midpoint_prefilter_is_sound():
     vs = enumerate_mecs(3)
     _, rmat = _restricted(vs)
-    skipped = _midpoint_prefilter(rmat)
+    skipped = _skipped(rmat)
     assert skipped
     for u, v in skipped:
         assert _midpoint_mass(vs, u, v) > 0
@@ -431,24 +464,20 @@ def _margin_batches(vs, step=1):
 def test_started_margin_equals_the_two_phase_margin(face, p, step):
     vs = enumerate_mecs(p) if face == "full" else enumerate_mecs_with_skeleton(cycle_graph(p))
     rmat, pairs, c, a, b = _margin_batches(vs, step)
-    senses = ["="] * len(b)
     d = rmat.shape[1]
-    two = simplex_max_many(c, a, senses, [b] * len(a))
-    started = simplex_max_many(c, a, senses, [b] * len(a),
-                               start=polytope._margin_start(rmat, pairs))
-    for x, y in zip(two, started):
-        t_two = polytope._margin_solution(x, d)[1]
-        assert abs(polytope._margin_solution(y, d)[1] - t_two) <= 1e-12
+    started = simplex_max_many(c, a, [b] * len(a), polytope._margin_start(rmat, pairs))
+    for mat, res in zip(a, started):
+        t_two = polytope._margin_solution(two_phase_simplex_max(c, mat, ["="] * len(b), b), d)[1]
+        assert abs(polytope._margin_solution(res, d)[1] - t_two) <= 1e-12
 
 
-def test_started_exact_margin_equals_the_two_phase_exact_margin_p3():
+def test_started_exact_margin_equals_the_two_phase_margin_p3():
     rmat, pairs, c, a, b = _margin_batches(enumerate_mecs(3))
-    senses = ["="] * len(b)
     for mat, start in zip(a, polytope._margin_start(rmat, pairs)):
-        two = simplex_max(c, mat, senses, b, exact=True)
-        started = simplex_max(c, mat, senses, b, exact=True, start=start)
+        two = two_phase_simplex_max(c, mat, ["="] * len(b), b)
+        started = simplex_max(c, mat, b, start, exact=True)
         assert started.status == two.status == OPTIMAL
-        assert started.objective == two.objective
+        assert abs(float(started.objective) - two.objective) <= 1e-12
 
 
 def test_margin_start_is_a_feasible_basis():
@@ -586,7 +615,7 @@ def _per_pair_survey(vs):
     passes the prefilter: the certification before pair orbits."""
     _, rmat = _restricted(vs)
     n = len(rmat)
-    skip = _midpoint_prefilter(rmat)
+    skip = _skipped(rmat)
     todo = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in skip]
     decided = polytope._decide_pairs(rmat, todo)
     return {(u, v): mode for u, v, is_edge, _, mode, _, _ in decided if is_edge}
@@ -709,7 +738,7 @@ def _eager_certificates(vs):
     symmetry has its weights lifted while the survey is built."""
     varying, rmat = _restricted(vs)
     n = len(rmat)
-    skip = _midpoint_prefilter(rmat)
+    skip = _skipped(rmat)
     todo = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in skip]
     syms = polytope._symmetries(vs)
     reps, derived = polytope._orbit_tree(todo, [g.rows for g in syms], polytope._pair_image)
@@ -774,7 +803,7 @@ def _midpoint_prefilter_by_dict(matrix):
                                      *[(k, p) for k in ("path", "cycle") for p in range(4, 9)]])
 def test_midpoint_prefilter_matches_the_dict_of_pair_sums(kind, p):
     _, rmat = _restricted(_face(kind, p))
-    assert _midpoint_prefilter(rmat) == _midpoint_prefilter_by_dict(rmat)
+    assert _skipped(rmat) == _midpoint_prefilter_by_dict(rmat)
 
 
 def test_census_of_a_single_class_face():
@@ -796,7 +825,7 @@ def test_midpoint_prefilter_keys_rows_wider_than_one_chunk():
     m[4] = m[5] = m[6] = m[0]
     m[4, 99], m[5, 98], m[6, 99], m[6, 98] = 1 - m[0, 99], 1 - m[0, 98], 1 - m[0, 99], 1 - m[0, 98]
     assert len({tuple(r) for r in m.tolist()}) == len(m)
-    skip = _midpoint_prefilter(m)
+    skip = _skipped(m)
     assert skip == _midpoint_prefilter_by_dict(m)
     assert (0, 6) in skip and (4, 5) in skip
 
