@@ -28,14 +28,14 @@ from .graphs import (Dag, GraphError, Mec, UndirectedGraph, VStructure,
                      consistent_extension, essential_graph, format_graph_text,
                      mec_of, parse_graph_text, shd)
 from .ci_tests import CiTestError
-from .imset import MAX_FULL_P, ImsetError
+from .imset import ImsetError
 from .moves import MoveError
 from .polytope import edge_census, enumerate_mecs, enumerate_mecs_with_skeleton
 from .scoring import (LocalScoreCache, ScoringError, require_full_rank,
                       score_mec, stats_from_csv)
-from .search import (ALTERNATING, BEST_IMPROVEMENT, FIRST_IMPROVEMENT,
-                     RECURRENT_PHASED, SearchConfig, SearchError, greedy_cim,
-                     recurrent_phased_greedy_cim, skeletal_greedy_cim)
+from .search import (BEST_IMPROVEMENT, FIRST_IMPROVEMENT, SearchConfig,
+                     SearchError, greedy_cim, recurrent_phased_greedy_cim,
+                     skeletal_greedy_cim)
 from .simulate import (SimulationError, assign_weights, make_rng, random_dag,
                        sample)
 
@@ -198,12 +198,8 @@ def _load_stats(path: str):
 def _cmd_discover(args) -> int:
     t0 = time.time()
     stats = _load_stats(args.data)
-    _require(stats.p <= MAX_FULL_P, f"{args.data} has {stats.p} columns; discover "
-             f"checks moves against full imsets, limited to p <= {MAX_FULL_P}")
-    phase_mode = RECURRENT_PHASED if args.algo == "recurrent-cim" else ALTERNATING
     try:
         config = SearchConfig(strategy=_STRATEGIES[args.strategy],
-                              phase_mode=phase_mode,
                               subset_cap=args.subset_cap,
                               tree_moves_enabled=args.tree_moves,
                               alpha=args.alpha)

@@ -15,8 +15,6 @@ from typing import Iterable
 
 from .graphs import Dag, Mec, UndirectedGraph, VStructure
 
-MAX_FULL_P = 16
-
 SubsetKey = tuple
 
 
@@ -96,17 +94,21 @@ def restricted_imset(dag: Dag) -> CharImset:
     return CharImset(dag.p, frozenset(ones), restricted=True)
 
 
+def family(base: Iterable, extra: tuple, least: int = 0) -> frozenset:
+    """{T + extra : T within base, |T| >= least} as sorted key tuples.
+
+    base and extra must be disjoint node sets; the keys are not re-validated.
+    """
+    base = sorted(base)
+    return frozenset(tuple(sorted(sub + extra))
+                     for r in range(least, len(base) + 1)
+                     for sub in itertools.combinations(base, r))
+
+
 def full_imset(dag: Dag) -> CharImset:
     """All entries; walks parent-set subsets, so cost is sum of 2^|pa(i)|."""
-    if dag.p > MAX_FULL_P:
-        raise ImsetError(f"full imset limited to p <= {MAX_FULL_P}")
-    ones = set()
-    for i in range(dag.p):
-        pa = sorted(dag.parents[i])
-        for r in range(1, len(pa) + 1):
-            for sub in itertools.combinations(pa, r):
-                ones.add(subset_key(sub + (i,)))
-    return CharImset(dag.p, frozenset(ones), restricted=False)
+    ones = frozenset().union(*(family(pa, (i,), 1) for i, pa in enumerate(dag.parents)))
+    return CharImset(dag.p, ones, restricted=False)
 
 
 def _triangles(edges: Iterable) -> set:

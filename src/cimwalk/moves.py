@@ -10,13 +10,13 @@ when walking from the source class to the target.  Move kinds:
   edge_pair             skeletons differ in exactly one edge
   shift / split         v-structures traded along a path (trees and cycles)
 
-Enumerators emit only verified moves: the claimed delta is checked against
-full imsets recomputed from representative DAGs of both endpoints.
+Enumerators emit only verified moves: the claimed delta is checked on the
+only entries that can differ, the parent-set families of the nodes whose
+parents differ between representative DAGs of the two endpoints.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Iterator, Optional
@@ -30,8 +30,8 @@ from .graphs import (
 )
 from .imset import (  # recover_mec stays importable here for perfbench's tracer
     ImsetError,
+    family,
     full_imset,
-    imset_delta,
     imset_entry,
     mec_restricted_imset,
     recover_mec,
@@ -114,18 +114,10 @@ def turn_edge_delta(dag: Dag, i: int, j: int) -> Move:
     dag.reverse_arc(i, j)  # raises CycleError when the reversal is cyclic
     pa_i = frozenset(dag.parents[i])
     pa_j = frozenset(dag.parents[j]) - {i}
-
-    def fam(base):
-        out = set()
-        for r in range(len(base) + 1):
-            for sub in itertools.combinations(sorted(base), r):
-                out.add(subset_key(sub + (i, j)))
-        return out
-
-    a_plus = fam(pa_i)
-    a_minus = fam(pa_j)
-    added = frozenset(a_plus - a_minus)
-    removed = frozenset(a_minus - a_plus)
+    a_plus = family(pa_i, (i, j))
+    a_minus = family(pa_j, (i, j))
+    added = a_plus - a_minus
+    removed = a_minus - a_plus
 
     if pa_i == pa_j:
         return Move(MARKOV_EQUIVALENT, (i, j), frozenset(), frozenset())
@@ -150,12 +142,9 @@ def add_edge_delta(dag: Dag, tail: int, head: int) -> Move:
     if dag.adjacent(tail, head):
         raise GraphError(f"nodes {tail},{head} already adjacent")
     dag.add_arc(tail, head)  # raises CycleError when the addition is cyclic
-    pa = sorted(dag.parents[head])
-    added = set()
-    for r in range(len(pa) + 1):
-        for sub in itertools.combinations(pa, r):
-            added.add(subset_key(sub + (tail, head)))
-    return Move(EDGE_PAIR, (head, tail, tuple(pa)), frozenset(added), frozenset())
+    pa = dag.parents[head]
+    return Move(EDGE_PAIR, (head, tail, tuple(sorted(pa))), family(pa, (tail, head)),
+                frozenset())
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +200,22 @@ def apply_move(mec: Mec, move: Move) -> Mec:
 
 
 def verify_pair(source: Mec, target: Mec, move: Move) -> bool:
-    """Check the move's delta against full imsets recomputed from scratch."""
-    added, removed = imset_delta(_class_imset(source), _class_imset(target))
-    return added == move.added and removed == move.removed
+    """Check the move's delta against the representatives g and h of the
+    two classes, on the nodes whose parent sets differ.
+
+    A set S has at most one node i with S - {i} within pa(i), since two
+    such nodes would be each other's parents.  So an imset is the disjoint
+    union of its nodes' families {S + {i} : S within pa(i)}, the families
+    of nodes with equal parents in g and h cancel, and the delta is the
+    difference of the other nodes' families.
+    """
+    g, h = representative(source), representative(target)
+    f_g, f_h = set(), set()
+    for i, (pa_g, pa_h) in enumerate(zip(g.parents, h.parents)):
+        if pa_g != pa_h:
+            f_g |= family(pa_g, (i,), 1)
+            f_h |= family(pa_h, (i,), 1)
+    return f_h - f_g == move.added and f_g - f_h == move.removed
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +256,7 @@ def _admissible(mec: Mec, i: int, cap: Optional[int]) -> tuple:
 
 def _family(s_star: tuple, i: int, j: int, excluded_nbrs: frozenset) -> frozenset:
     """{T + {i,j} : nonempty T within s_star, T not within excluded_nbrs}."""
-    out = set()
-    for r in range(1, len(s_star) + 1):
-        for sub in itertools.combinations(s_star, r):
-            if not (set(sub) <= excluded_nbrs):
-                out.add(subset_key(sub + (i, j)))
-    return frozenset(out)
+    return family(s_star, (i, j), 1) - family(excluded_nbrs.intersection(s_star), (i, j), 1)
 
 
 def _raw_turn_candidates(mec: Mec, cap: Optional[int]) -> Iterator[Move]:
@@ -327,13 +324,13 @@ def _raw_edge_candidates(mec: Mec, cap: Optional[int]) -> Iterator[Move]:
                 continue
             adjacent = j in ne[i]
             for s_star in [_EMPTY] + [t for t in _admissible(mec, i, cap) if j not in t]:
-                fam = {subset_key((i, j))} | _family(s_star, i, j, frozenset())
+                fam = family(s_star, (i, j))
                 if adjacent:
                     if all(c(k) for k in fam):
-                        yield Move(EDGE_PAIR, (i, j, s_star), frozenset(), frozenset(fam))
+                        yield Move(EDGE_PAIR, (i, j, s_star), frozenset(), fam)
                 else:
                     if not any(c(k) for k in fam):
-                        yield Move(EDGE_PAIR, (i, j, s_star), frozenset(fam), frozenset())
+                        yield Move(EDGE_PAIR, (i, j, s_star), fam, frozenset())
 
 
 def _tree_paths(mec: Mec) -> Iterator[tuple]:

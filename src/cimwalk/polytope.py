@@ -34,7 +34,7 @@ from .graphs import (
     consistent_extension,
     mec_of,
 )
-from .imset import full_imset, subset_key
+from .imset import full_imset, subset_key  # full_imset stays importable for perfbench's tracer
 from .lp import OPTIMAL, LpError, simplex_max, simplex_max_many
 from .moves import (
     EDGE_PAIR,
@@ -47,7 +47,7 @@ from .moves import (
     enumerate_edge_moves,
     enumerate_tree_moves,
     enumerate_turn_moves,
-    representative,
+    _class_imset,
 )
 
 EDGE_TOL = 1e-7
@@ -90,7 +90,7 @@ def _all_coords(p: int) -> tuple:
 
 
 def imset_vector(mec: Mec, coords: tuple) -> tuple:
-    ones = full_imset(representative(mec)).ones
+    ones = _class_imset(mec).ones
     return tuple(1 if key in ones else 0 for key in coords)
 
 

@@ -33,8 +33,6 @@ from .ci_tests import pc_skeleton
 __all__ = [
     "FIRST_IMPROVEMENT",
     "BEST_IMPROVEMENT",
-    "ALTERNATING",
-    "RECURRENT_PHASED",
     "SearchError",
     "SearchConfig",
     "TraceStep",
@@ -48,8 +46,6 @@ __all__ = [
 
 FIRST_IMPROVEMENT = "first_improvement"
 BEST_IMPROVEMENT = "best_improvement"
-ALTERNATING = "alternating"
-RECURRENT_PHASED = "recurrent_phased"
 
 _SCREEN_MAX = 8  # largest screened |S|: r(S) costs 2^(|S|-1) local scores
 
@@ -61,7 +57,6 @@ class SearchError(Exception):
 @dataclass(frozen=True)
 class SearchConfig:
     strategy: str = FIRST_IMPROVEMENT
-    phase_mode: str = ALTERNATING
     subset_cap: Optional[int] = None
     tree_moves_enabled: bool = False
     alpha: float = 1e-4
@@ -69,8 +64,6 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if self.strategy not in (FIRST_IMPROVEMENT, BEST_IMPROVEMENT):
             raise SearchError(f"unknown strategy {self.strategy!r}")
-        if self.phase_mode not in (ALTERNATING, RECURRENT_PHASED):
-            raise SearchError(f"unknown phase mode {self.phase_mode!r}")
         if self.subset_cap is not None and self.subset_cap < 1:
             raise SearchError("subset_cap must be positive when given")
         if not 0.0 < self.alpha < 1.0:
@@ -152,10 +145,11 @@ def _run_phase(mec: Mec, score: float, phase: str, strategy: str,
 
     Candidates come through the verified enumeration: deduplicated by
     delta, materialised, and kept only when the claimed delta matches the
-    full imsets of both classes.  Before it is materialised, a candidate is
-    skipped when its estimate plus a rounding margin cannot beat the best
-    delta so far (or 0); a valid move's delta is within the margin of its
-    estimate.
+    entries of both classes on the parent-set families of the nodes whose
+    parents differ between their representatives.  Before it is
+    materialised, a candidate is skipped when its estimate plus a rounding
+    margin cannot beat the best delta so far (or 0); a valid move's delta
+    is within the margin of its estimate.
     """
 
     def promising(move: Move) -> bool:  # reads best and margin as they change
@@ -197,19 +191,24 @@ def edge_phase(mec: Mec, stats: SufficientStats, config: SearchConfig):
     return _single_phase(mec, stats, config, "edge")
 
 
-def greedy_cim(stats: SufficientStats, config: SearchConfig):
-    """Alternate edge and turn phases from the empty class to a joint fixpoint."""
+def _cycle_phases(stats: SufficientStats, config: SearchConfig, phases: tuple,
+                  strategy: str):
+    """Run the phases in turn from the empty class until a full cycle of
+    them leaves the class unchanged."""
     run = _Run(stats)
     current = mec_of(Dag.from_arcs(stats.p, []))
     score = score_mec(current, stats, run.cache)
     while True:
         previous = current
-        current, score = _run_phase(current, score, "edge",
-                                    config.strategy, config, run)
-        current, score = _run_phase(current, score, "turn",
-                                    config.strategy, config, run)
+        for phase in phases:
+            current, score = _run_phase(current, score, phase, strategy, config, run)
         if current == previous:
             return current, SearchTrace(tuple(run.steps))
+
+
+def greedy_cim(stats: SufficientStats, config: SearchConfig):
+    """Alternate edge and turn phases from the empty class to a joint fixpoint."""
+    return _cycle_phases(stats, config, ("edge", "turn"), config.strategy)
 
 
 def skeletal_greedy_cim(stats: SufficientStats, config: SearchConfig):
@@ -221,13 +220,4 @@ def skeletal_greedy_cim(stats: SufficientStats, config: SearchConfig):
 
 def recurrent_phased_greedy_cim(stats: SufficientStats, config: SearchConfig):
     """Forward, backward and turn phases cycled with best-improvement scans."""
-    run = _Run(stats)
-    current = mec_of(Dag.from_arcs(stats.p, []))
-    score = score_mec(current, stats, run.cache)
-    while True:
-        previous = current
-        for phase in ("forward", "backward", "turn"):
-            current, score = _run_phase(current, score, phase,
-                                        BEST_IMPROVEMENT, config, run)
-        if current == previous:
-            return current, SearchTrace(tuple(run.steps))
+    return _cycle_phases(stats, config, ("forward", "backward", "turn"), BEST_IMPROVEMENT)

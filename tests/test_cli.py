@@ -6,8 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from cimwalk.cli import main
-from cimwalk.scoring import load_csv
+from cimwalk.cli import _mec_from_graph_json, main
+from cimwalk.scoring import LocalScoreCache, load_csv, score_mec, stats_from_csv
 from cimwalk.simulate import assign_weights, make_rng, random_dag, sample
 
 
@@ -360,16 +360,27 @@ def test_degenerate_data_is_rejected_before_any_search(tmp_path, capsys, algo):
         assert not out.exists()
 
 
+def _assert_discovers_a_realizable_class(data, algo, p):
+    out = data.parent / f"{algo}.json"
+    assert _run("discover", "--algo", algo, "--data", str(data),
+                "--out", str(out)) == 0
+    result = json.loads(out.read_text())
+    assert result["p"] == p and result["trace"]
+    mec = _mec_from_graph_json(result["essential_graph"])  # realizable or raises
+    stats = stats_from_csv(str(data))
+    assert result["score"] == score_mec(mec, stats, LocalScoreCache(stats))
+
+
 @pytest.mark.parametrize("algo", ["greedy-cim", "skeletal-greedy-cim",
                                   "recurrent-cim"])
-def test_discover_rejects_more_columns_than_the_full_imset_limit(tmp_path, capsys, algo):
+def test_discover_runs_past_sixteen_columns(tmp_path, algo):
     data, _ = _simulate(tmp_path, p=18, d=2.0, n=200, seed=3)
-    out = tmp_path / "r.json"
-    assert _run("discover", "--algo", algo, "--data", str(data),
-                "--out", str(out)) == 2
-    err = capsys.readouterr().err
-    assert "18 columns" in err and "p <= 16" in err
-    assert not out.exists()
+    _assert_discovers_a_realizable_class(data, algo, 18)
+
+
+def test_skeletal_discover_runs_at_fifty_columns(tmp_path):
+    data, _ = _simulate(tmp_path, p=50, d=2.0, n=2000, seed=3)
+    _assert_discovers_a_realizable_class(data, "skeletal-greedy-cim", 50)
 
 
 def test_analyze_polytope_manifest_records_stage_seconds(tmp_path):

@@ -6,7 +6,7 @@ import re
 import pytest
 
 from cimwalk.graphs import Dag, all_dags, consistent_extension, mec_of
-from cimwalk.imset import (CharImset, ImsetError, full_imset, imset_delta,
+from cimwalk.imset import (CharImset, ImsetError, family, full_imset, imset_delta,
                            imset_entry, mec_restricted_imset, recover_mec,
                            restricted_imset, subset_key)
 from cimwalk.polytope import enumerate_mecs
@@ -52,9 +52,20 @@ def test_imsets_are_class_invariants():
             assert full_imset(dag) == full_imset(consistent_extension(mec))
 
 
+def test_family_lists_every_subset_joined_with_extra():
+    assert family((3, 1), (2,)) == {(2,), (1, 2), (2, 3), (1, 2, 3)}
+    assert family((3, 1), (0, 2), 1) == {(0, 1, 2), (0, 2, 3), (0, 1, 2, 3)}
+    assert family((), (4, 0)) == {(0, 4)} and family((), (4,), 1) == frozenset()
+
+
+def test_full_imset_has_no_size_limit():
+    dag = Dag.from_arcs(20, [(k, 19) for k in range(3)])
+    assert full_imset(dag).ones == family((0, 1, 2), (19,), 1)
+
+
 def test_two_three_sets_determine_the_class():
     # restricted imsets agree exactly when full imsets agree
-    dags = all_dags(3)
+    dags = list(all_dags(3))
     for a in dags:
         for b in dags:
             restricted_equal = restricted_imset(a) == restricted_imset(b)
@@ -93,11 +104,6 @@ def test_json_round_trip():
     im = full_imset(dag)
     again = CharImset.from_json(im.to_json())
     assert again == im
-
-
-def test_full_imset_size_guard():
-    with pytest.raises(ImsetError):
-        full_imset(Dag.from_arcs(17, []))
 
 
 def _oracle_restricted_imset(mec):

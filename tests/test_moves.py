@@ -225,6 +225,40 @@ def test_verify_pair_detects_wrong_delta():
     assert not verify_pair(source, target, move.inverse())
 
 
+def _full_verify_pair(source, target, move):
+    """The reference check: the delta between full imsets rebuilt from the
+    representatives of both classes."""
+    added, removed = imset_delta(full_imset(representative(source)),
+                                 full_imset(representative(target)))
+    return added == move.added and removed == move.removed
+
+
+def _verify_against_full_imsets(mec, cap=None):
+    """Check verify_pair against the reference on every raw candidate of
+    mec that apply_move accepts; returns (checked, rejected)."""
+    checked = rejected = 0
+    for move in _raw_candidates(mec, cap):
+        target = _outcome(apply_move, mec, move)
+        if target is None:
+            continue
+        full = _full_verify_pair(mec, target, move)
+        assert verify_pair(mec, target, move) == full, (mec, move)
+        checked += 1
+        rejected += not full
+    return checked, rejected
+
+
+def test_verify_pair_agrees_with_full_imsets_on_all_small_classes():
+    counts = [_verify_against_full_imsets(mec) for p in (2, 3, 4) for mec in all_mecs(p)]
+    assert tuple(map(sum, zip(*counts))) == (3448, 312)
+
+
+@settings(max_examples=30)
+@given(_random_classes())
+def test_verify_pair_agrees_with_full_imsets_on_random_classes(mec):
+    _verify_against_full_imsets(mec, cap=2)
+
+
 def test_path3_turn_moves():
     no_collider = mec_of(Dag.from_arcs(3, [(0, 1), (1, 2)]))
     collider = mec_of(Dag.from_arcs(3, [(0, 1), (2, 1)]))

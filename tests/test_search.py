@@ -14,9 +14,8 @@ from cimwalk.moves import (V_STRUCTURE_ADDITION, MoveError, apply_move,
 from cimwalk.polytope import enumerate_mecs
 from cimwalk.scoring import (LocalScoreCache, SufficientStats, score_delta,
                              score_mec)
-from cimwalk.search import (BEST_IMPROVEMENT, FIRST_IMPROVEMENT,
-                            RECURRENT_PHASED, SearchConfig, SearchError,
-                            TraceStep, edge_phase, greedy_cim,
+from cimwalk.search import (BEST_IMPROVEMENT, FIRST_IMPROVEMENT, SearchConfig,
+                            SearchError, TraceStep, edge_phase, greedy_cim,
                             recurrent_phased_greedy_cim, skeletal_greedy_cim,
                             turn_phase)
 from cimwalk.simulate import assign_weights, make_rng, random_dag, sample
@@ -92,8 +91,7 @@ def test_skeletal_recovers_collider():
 
 
 def test_recurrent_recovers_chain_class():
-    out, trace = recurrent_phased_greedy_cim(
-        _stats(CHAIN_COV), SearchConfig(phase_mode=RECURRENT_PHASED))
+    out, trace = recurrent_phased_greedy_cim(_stats(CHAIN_COV), SearchConfig())
     assert out == CHAIN_MEC
     for step in trace:
         assert step.phase in ("forward", "backward", "turn")
@@ -120,8 +118,6 @@ def test_subset_cap_limits_still_converge():
 def test_config_validation():
     with pytest.raises(SearchError):
         SearchConfig(strategy="steepest")
-    with pytest.raises(SearchError):
-        SearchConfig(phase_mode="mystery")
     with pytest.raises(SearchError):
         SearchConfig(subset_cap=0)
     with pytest.raises(SearchError):
