@@ -40,6 +40,7 @@ class LpResult:
     x: Sequence
     objective: object
     duals: Sequence = ()
+    basis: Sequence = ()
 
 
 def _pivot(tableau, basis, r, col):
@@ -205,9 +206,9 @@ def simplex_max(c, a, b, start, exact: bool = False) -> LpResult:
     limit is hit.  With exact=True all data is lifted to Fractions and the
     solve is exact; otherwise float64.
 
-    An optimal result also carries the row duals: duals[i] is the rate at
-    which the optimum grows with b[i].  It is read from the final objective
-    row under the identity column of row i.
+    An optimal result also carries its basis, which restarts it as start,
+    and the row duals: duals[i] is the rate at which the optimum grows
+    with b[i], read from the final objective row under identity column i.
     """
     res = simplex_max_many(c, [a], [b], [start], exact=exact)[0]
     if isinstance(res, LpError):
@@ -233,7 +234,7 @@ def simplex_max_many(c, a_stack, b_stack, start, exact: bool = False) -> list:
         cost = lift(np.array(c, dtype=object).reshape(n))
     else:
         zero, one = 0.0, 1.0
-        a = np.array(a_stack, dtype=np.float64).reshape(count, m, n)
+        a = np.asarray(a_stack, dtype=np.float64).reshape(count, m, n)
         rhs = np.array(b_stack, dtype=np.float64).reshape(count, m)
         cost = np.array(c, dtype=np.float64).reshape(n)
     start = np.array(start, dtype=np.int64).reshape(count, m)
@@ -253,15 +254,14 @@ def simplex_max_many(c, a_stack, b_stack, start, exact: bool = False) -> list:
     run = _run_exact_stack if exact else _run_float
     # the identity columns never enter
     outcomes = run(tabs, bases, m, m, np.arange(n + m) < n)
-    for k, tableau, bas, status in zip(ok, tabs, bases, outcomes):
+    x = np.full((len(ok), n), zero, dtype=a.dtype)
+    x[np.arange(len(ok))[:, None], bases] = tabs[:, :m, -1]
+    duals = (-tabs[:, m, n:n + m]).tolist()
+    for q, (k, status) in enumerate(zip(ok, outcomes)):
         if status is None:
             out[k] = LpError("pivot limit exceeded")
         elif status == UNBOUNDED:
             out[k] = LpResult(UNBOUNDED, [], None)
         else:
-            x = [zero] * n
-            for i, col in enumerate(bas.tolist()):
-                x[col] = tableau[i, -1]
-            duals = [-y for y in tableau[m, n:n + m]]
-            out[k] = LpResult(OPTIMAL, x, -tableau[m, -1], duals)
+            out[k] = LpResult(OPTIMAL, x[q].tolist(), -tabs[q, m, -1], duals[q], bases[q].tolist())
     return out

@@ -354,7 +354,7 @@ def _restricted(vs: VertexSet) -> tuple:
     return varying, rmat
 
 
-def _margin_lps(rmat, pairs):
+def _margin_lps(rmat, pairs, cols=None):
     """(c, a, b) of the equality-form LPs that give the exposure margins of pairs.
 
     The margin LP of (u, v)  max t  s.t.  w.(u - v) = 0,  w.(u - x) >= t for
@@ -366,20 +366,23 @@ def _margin_lps(rmat, pairs):
     coordinate equations s+ - s- - r = 0 and the convexity row, and the
     tableau has d + 1 rows whatever the vertex count.  Columns run s-, y,
     z+, z-, s+; of the orders tried for the two-phase solve, this one took
-    the fewest Bland pivots on the p = 4 polytope.  c and b are shared by
-    all pairs; a holds one matrix per pair, and _margin_start gives a
-    feasible basis to start each from.
+    the fewest Bland pivots on the p = 4 polytope.  cols lists the y
+    vertices per pair, by default all but u and v in index order; with
+    fewer, the LP is a relaxation whose optimum t bounds t* from above.  c
+    and b are shared; a holds one matrix per pair, and _margin_start gives
+    a feasible basis to start each from.
     """
     n, d = rmat.shape
-    k = n - 2
     u, v = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     rest = np.arange(n)
-    others = np.nonzero((rest != u[:, None]) & (rest != v[:, None]))[1].reshape(-1, k)
+    if cols is None:
+        cols = np.nonzero((rest != u[:, None]) & (rest != v[:, None]))[1].reshape(-1, n - 2)
+    k = cols.shape[1]
     eye = np.eye(d, dtype=np.int64)
-    a = np.zeros((len(u), d + 1, d + k + 2 + d), dtype=np.int64)
+    a = np.zeros((len(u), d + 1, d + k + 2 + d))
     a[:, :d, :d] = -eye
     # gathered from rmat.T, so the subtraction's inner loop runs along k
-    np.subtract(rmat.T[:, others].transpose(1, 0, 2), rmat[u][:, :, None],
+    np.subtract(rmat.T[:, cols].transpose(1, 0, 2), rmat[u][:, :, None],
                 out=a[:, :d, d:d + k])
     a[:, d, d:d + k] = 1
     a[:, :d, d + k] = rmat[v] - rmat[u]
@@ -393,29 +396,37 @@ def _margin_lps(rmat, pairs):
     return c, a, b
 
 
-def _margin_start(rmat, pairs):
-    """A feasible starting basis for each margin LP of _margin_lps, one
-    column per row.
+def _distances(rmat, pairs):
+    """Per pair, |u - x|_1 + |v - x|_1 <= 2d for every vertex x, and 2d + 1
+    for u and v, in the smallest dtype holding 2d + 1, where a stable sort
+    is a radix sort; rows are 0/1, so |u - x|_1 = |u| + |x| - 2 u.x."""
+    at, top = np.array(pairs, dtype=np.int64).reshape(-1, 2), 2 * rmat.shape[1] + 1
+    sums = rmat[at[:, 0]] + rmat[at[:, 1]]
+    dist = sums.sum(axis=1)[:, None] + 2 * rmat.sum(axis=1) - 2 * sums @ rmat.T
+    np.put_along_axis(dist, at, top, axis=1)
+    return dist.astype(np.min_scalar_type(top))
+
+
+def _margin_start(rmat, pairs, cols=None):
+    """A feasible starting basis for each margin LP of _margin_lps(rmat,
+    pairs, cols), one column per row.
 
     y = e_x0 for the other vertex x0 nearest to u and v in summed l1
-    distance (the first on ties), z = 0, and in coordinate row i the
-    residual u_i - x0_i carried by s+_i where it is >= 0 and by s-_i where
-    it is negative.  The basis matrix is a signed identity plus the y_x0
-    column, so it is never singular.  Rows are 0/1, so the l1 distance of
-    u and x is |u| + |x| - 2 u.x.
+    distance (the first on ties), which cols must hold, z = 0, and in
+    coordinate row i the residual u_i - x0_i carried by s+_i where it is
+    >= 0 and by s-_i where it is negative.  The basis matrix is a signed
+    identity plus the y_x0 column, so it is never singular.
     """
     n, d = rmat.shape
     u, v = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    lpi = np.arange(len(u))
-    ones = rmat.sum(axis=1)
-    dist = (ones[u] + ones[v])[:, None] + 2 * ones - 2 * (rmat[u] + rmat[v]) @ rmat.T
-    dist[lpi, u] = dist[lpi, v] = np.iinfo(dist.dtype).max
-    x0 = dist.argmin(axis=1)
+    k = n - 2 if cols is None else cols.shape[1]
+    x0 = _distances(rmat, pairs).argmin(axis=1)
     coord = np.arange(d)
     start = np.empty((len(u), d + 1), dtype=np.int64)
-    start[:, :d] = np.where(rmat[u] >= rmat[x0], d + n + coord, coord)
-    # y_x0 is column d + (position of x0 among the vertices other than u, v)
-    start[:, d] = d + x0 - (x0 > u) - (x0 > v)
+    start[:, :d] = np.where(rmat[u] >= rmat[x0], d + k + 2 + coord, coord)
+    # y_x0 is column d + (position of x0 in cols)
+    pos = x0 - (x0 > u) - (x0 > v) if cols is None else (cols == x0[:, None]).argmax(axis=1)
+    start[:, d] = d + pos
     return start
 
 
@@ -437,51 +448,84 @@ def _solve_margin(rmat, u: int, v: int, exact: bool):
     return _margin_solution(res, rmat.shape[1])
 
 
-def _normalized_margin(rmat, u: int, v: int, w):
-    """(w / max|w|, its smallest gap to another vertex, its u-v imbalance)."""
-    scale = np.abs(w).max() if w.size else 0
-    if not scale:
-        return None, None, None
-    wn = w / scale
-    scores = rmat @ wn
-    margin = (scores[u] - np.delete(scores, (u, v))).min()
-    return wn, margin, abs(scores[u] - scores[v])
+def _normalized_margins(rmat, u, v, w):
+    """Per row of w: w / max|w| (zero stays zero), its gaps w.u - w.x to every
+    vertex x (inf at u and v) and |w.u - w.v|.  Each row is scored by its
+    own product, so its bits do not depend on the other rows."""
+    scale = np.abs(w).max(axis=1)
+    wn = w / np.where(scale == 0, 1, scale)[:, None]
+    scores = (wn[:, None, :] @ rmat.T)[:, 0]
+    lpi = np.arange(len(w))
+    gaps = scores[lpi, u][:, None] - scores
+    imbalance = np.abs(gaps[lpi, v])
+    gaps[lpi, u] = gaps[lpi, v] = np.inf
+    return wn, gaps, imbalance
 
 
 def _decide_exact(rmat, u: int, v: int):
     w, t = _solve_margin(rmat, u, v, exact=True)
     if t <= 0:
         return False, 0.0, "exact", None, 0.0
-    wn, margin, _ = _normalized_margin(rmat, u, v, w)
-    return True, float(margin), "exact", tuple(float(x) for x in wn), float(t)
+    wn, gaps, _ = _normalized_margins(rmat, [u], [v], w[None])
+    return True, float(gaps.min()), "exact", tuple(float(x) for x in wn[0]), float(t)
 
 
-def _decide_pair(rmat, u: int, v: int, res):
-    """(is_edge, margin, mode, weights, objective) for one vertex pair, from
-    the float solve res of its margin LP."""
-    try:
-        w, t = _margin_solution(res, rmat.shape[1])
-    except LpError:
-        return _decide_exact(rmat, u, v)
-    wn, margin, eq_gap = _normalized_margin(rmat, u, v, w)
-    if wn is None:
-        return False, 0.0, "float", None, float(t)
-    if eq_gap > 1e-9 or _EXACT_LO < margin < _EXACT_HI:
-        return _decide_exact(rmat, u, v)
-    if margin > EDGE_TOL:
-        return True, float(margin), "float", tuple(wn.tolist()), float(t)
-    return False, float(margin), "float", None, float(t)
+# y columns of a margin LP's first round, and of each later round; chosen on
+# the p = 4 census LPs, see CHANGES.md.
+_START_COLUMNS = 40
+_ROUND_COLUMNS = 24
 
 
 def _decide_pairs(rmat, pairs) -> list:
-    """(u, v, is_edge, margin, mode, weights, objective) for each pair; the
-    float margin LPs of all pairs are solved as one lockstep batch."""
+    """(u, v, is_edge, margin, mode, weights, objective) for each pair.
+
+    The float margin LPs are solved in lockstep by column generation.  Each
+    starts with y columns for the _START_COLUMNS vertices nearest its pair
+    and is done once t <= 0, which proves a non-edge as t >= t*, or once
+    its w leaves no other vertex 1e-9 below the least gap of its column
+    vertices, as w is then optimal for the full LP.  The rest get columns
+    for the _ROUND_COLUMNS vertices of least gap and restart from their
+    final bases, which stay feasible.  A failed solve, a w not level on
+    (u, v) or a final margin in the exact window goes to _decide_exact.
+    """
     if len(rmat) == 2:
         zeros = tuple(0.0 for _ in rmat[0])
         return [(u, v, True, math.inf, "trivial", zeros, math.inf) for u, v in pairs]
-    c, a, b = _margin_lps(rmat, pairs)
-    solved = simplex_max_many(c, a, [b] * len(a), _margin_start(rmat, pairs))
-    return [(u, v, *_decide_pair(rmat, u, v, res)) for (u, v), res in zip(pairs, solved)]
+    n, d = rmat.shape
+    at = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    u, v = at.T
+    w, t, live = np.zeros((len(at), d)), np.zeros(len(at)), np.arange(len(at))
+    cols = np.argsort(_distances(rmat, at), axis=1, kind="stable")[:, :min(n - 2, _START_COLUMNS)]
+    start = _margin_start(rmat, at, cols)
+    while live.size:
+        c, a, b = _margin_lps(rmat, at[live], cols)
+        for slot, (q, res) in enumerate(zip(live, simplex_max_many(c, a, [b] * len(live), start))):
+            try:
+                w[q], t[q] = _margin_solution(res, d)
+                start[slot] = res.basis
+            except LpError:
+                t[q] = np.nan  # decided exactly
+        gaps = _normalized_margins(rmat, u[live], v[live], w[live])[1]
+        level = np.take_along_axis(gaps, cols, axis=1).min(axis=1)
+        gaps[np.arange(len(live))[:, None], cols] = np.inf
+        more = (t[live] > 0) & (gaps.min(axis=1) < level - 1e-9)
+        k, add = cols.shape[1], min(_ROUND_COLUMNS, n - 2 - cols.shape[1])
+        new = np.argsort(gaps[more], axis=1, kind="stable")[:, :add]
+        cols = np.concatenate([cols[more], new], axis=1)
+        # the new y columns shift z+, z- and s+ along
+        start = np.where(start[more] >= d + k, start[more] + add, start[more])
+        live = live[more]
+    wn, gaps, imbalance = _normalized_margins(rmat, u, v, w)
+    margins = gaps.min(axis=1).tolist()
+    out = []
+    for q, (pu, pv) in enumerate(pairs):
+        if np.isnan(t[q]) or imbalance[q] > 1e-9 or _EXACT_LO < margins[q] < _EXACT_HI:
+            out.append((pu, pv, *_decide_exact(rmat, pu, pv)))
+        else:
+            edge = margins[q] > EDGE_TOL
+            weights = tuple(wn[q].tolist()) if edge else None
+            out.append((pu, pv, edge, margins[q], "float", weights, float(t[q])))
+    return out
 
 
 def certify_edge(u: int, v: int, vs: VertexSet, exact: bool = False) -> Optional[EdgeCertificate]:
@@ -496,13 +540,9 @@ def certify_edge(u: int, v: int, vs: VertexSet, exact: bool = False) -> Optional
     if not (0 <= u < n and 0 <= v < n):
         raise ValueError("vertex index out of range")
     varying, rmat = _restricted(vs)
-    if exact and len(rmat) > 2:
-        is_edge, margin, mode, weights, objective = _decide_exact(rmat, u, v)
-    else:
-        is_edge, margin, mode, weights, objective = _decide_pairs(rmat, [(u, v)])[0][2:]
-    if not is_edge:
-        return None
-    return _certificate(vs, varying, u, v, margin, mode, weights, objective)
+    exact = exact and len(rmat) > 2
+    is_edge, *rest = _decide_exact(rmat, u, v) if exact else _decide_pairs(rmat, [(u, v)])[0][2:]
+    return _certificate(vs, varying, u, v, *rest) if is_edge else None
 
 
 def _certificate(vs, varying, u, v, margin, mode, weights, objective) -> EdgeCertificate:
@@ -547,21 +587,21 @@ def _midpoint_prefilter(matrix) -> np.ndarray:
     return collides[:len(i)]
 
 
-# Bytes of the tableau stack of one lockstep batch of margin LPs (about 180
-# LPs at p = 4): enough LPs to spread each step's fixed numpy overhead, few
-# enough that the stack stays small.  On a 2-CPU host, 1 to 8 MiB gave the
-# same census time within noise.
+# Bytes of the first-round tableau stack of one lockstep batch of margin LPs
+# (523 LPs at p = 4): enough LPs to spread each step's fixed numpy overhead,
+# few enough that the stack stays small.  On a 2-CPU host, 1 to 8 MiB gave
+# the same census time within noise, before column generation.
 _BATCH_BYTES = 4 << 20
 
 
 def _batch_size(rmat) -> int:
     """Margin LPs per lockstep batch, from the byte size of one tableau.
 
-    A margin LP has d + 1 rows and an objective row, and 3d + n + 2 columns
-    with the identity block and the rhs.
+    A first-round margin LP has d + 1 rows and an objective row, and
+    3d + k + 4 columns with its k y columns, the identity block and the rhs.
     """
     n, d = rmat.shape
-    tableau_bytes = 8 * (d + 2) * (3 * d + n + 2)
+    tableau_bytes = 8 * (d + 2) * (3 * d + min(n - 2, _START_COLUMNS) + 4)
     return max(1, _BATCH_BYTES // tableau_bytes)
 
 

@@ -132,7 +132,7 @@ def load_csv(path) -> np.ndarray:
     non-finite cells raise ScoringError naming the 1-based line.
     """
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ScoringError(f"cannot read {path}: {exc}")

@@ -412,3 +412,51 @@ def test_started_margin_lps_take_at_most_three_quarters_of_the_two_phase_pivots(
         two_phase_simplex_max(c, mat, ["="] * len(b), b, counter=counter)
         two_phase += counter[0]
     assert sum(started) <= 0.75 * two_phase, (sum(started), two_phase)
+
+
+# ---------------------------------------------------------------------------
+# Restarts from a returned basis
+
+
+def _assert_restart_takes_no_pivot(monkeypatch, c, lps, exact):
+    """Each optimal LP of lps, restarted from the basis it returned, is
+    optimal again before any pivot: with a pivot limit of 1 a solve that
+    pivoted would end at the limit."""
+    first = simplex_max_many(c, *zip(*lps), exact=exact)
+    monkeypatch.setattr(lp, "_MAX_PIVOTS", 1)
+    solved = [(res, a, b) for res, (a, b, _) in zip(first, lps)
+              if isinstance(res, LpResult) and res.status == OPTIMAL]
+    if not solved:
+        return 0
+    again = simplex_max_many(c, [a for _, a, _ in solved], [b for _, _, b in solved],
+                             [res.basis for res, _, _ in solved], exact=exact)
+    for (res, _, _), res2 in zip(solved, again):
+        assert isinstance(res2, LpResult) and res2.status == OPTIMAL
+        assert res2.basis == res.basis
+        if exact:
+            assert (res2.objective, res2.duals) == (res.objective, res.duals)
+        else:
+            assert res2.objective == pytest.approx(res.objective, rel=1e-12, abs=1e-12)
+            assert res2.duals == pytest.approx(res.duals, rel=1e-12, abs=1e-12)
+    return len(solved)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_restart_from_the_returned_basis_takes_no_pivot(monkeypatch, exact):
+    assert _assert_restart_takes_no_pivot(monkeypatch, _MIXED_C, _MIXED, exact) == 4
+
+
+@given(_based_lps(count=3))
+def test_restart_from_the_returned_basis_takes_no_pivot_on_random_lps(lp_data):
+    c, lps = _float_lps(lp_data)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_restart_takes_no_pivot(monkeypatch, c, lps, exact=False)
+
+
+def test_margin_lp_restart_takes_no_pivot_p3(monkeypatch):
+    _, rmat = polytope._restricted(polytope.enumerate_mecs(3))
+    n = len(rmat)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    c, a, b = polytope._margin_lps(rmat, pairs)
+    lps = list(zip(a, [b] * len(a), polytope._margin_start(rmat, pairs)))
+    assert _assert_restart_takes_no_pivot(monkeypatch, c, lps, exact=False) == len(pairs)

@@ -16,7 +16,7 @@ from cimwalk import polytope
 from cimwalk import search as search_mod
 from cimwalk.graphs import Dag, GraphError, UndirectedGraph, mec_of
 from cimwalk.imset import full_imset
-from cimwalk.lp import OPTIMAL, simplex_max, simplex_max_many
+from cimwalk.lp import OPTIMAL, LpResult, simplex_max, simplex_max_many
 from cimwalk.moves import (enumerate_edge_moves, enumerate_tree_moves,
                            enumerate_turn_moves, representative)
 from cimwalk.polytope import (EdgeCertificate, _midpoint_prefilter,
@@ -635,7 +635,7 @@ def test_orbit_certification_matches_a_margin_lp_per_pair(kind, p):
     assert all(cert.check(vs) for cert in survey.certificates.values())
 
 
-@pytest.mark.parametrize("kind, p, batches", [("full", 4, 2), ("cycle", 6, 1)])
+@pytest.mark.parametrize("kind, p, batches", [("full", 4, 1), ("cycle", 6, 1)])
 def test_certificates_do_not_depend_on_the_lp_batching(monkeypatch, kind, p, batches):
     vs = _face(kind, p)
     _, rmat = _restricted(vs)
@@ -868,3 +868,105 @@ def test_canonical_skeleton_of_a_ten_node_path_is_fast():
     canon = polytope._canonical_skeleton.__wrapped__(path_graph(10))
     assert time.perf_counter() - start < 1
     assert len(canon) == 9 and canon[:2] == ((0, 1), (0, 2))
+
+
+# ---------------------------------------------------------------------------
+# Column-generated margin LPs against the full margin LP
+
+
+def _full_lp_decisions(rmat, pairs):
+    """(is_edge, t*) per pair from the margin LP over every vertex, all
+    pairs in one lockstep batch, with the float decision rule and the exact
+    re-solve window: the certification before column generation."""
+    c, a, b = polytope._margin_lps(rmat, pairs)
+    solved = simplex_max_many(c, a, [b] * len(a), polytope._margin_start(rmat, pairs))
+    out = []
+    for (u, v), res in zip(pairs, solved):
+        w, t = polytope._margin_solution(res, rmat.shape[1])
+        _, gaps, imbalance = polytope._normalized_margins(rmat, [u], [v], w[None])
+        margin = gaps.min()
+        if imbalance[0] > 1e-9 or polytope._EXACT_LO < margin < polytope._EXACT_HI:
+            is_edge, _, _, _, t = polytope._decide_exact(rmat, u, v)
+            out.append((is_edge, t))
+        else:
+            out.append((margin > polytope.EDGE_TOL, t))
+    return out
+
+
+def _assert_column_generation_matches_the_full_lp(rmat, pairs):
+    got = polytope._decide_pairs(rmat, pairs)
+    want = _full_lp_decisions(rmat, pairs)
+    for (u, v, is_edge, margin, mode, weights, t), (want_edge, want_t) in zip(got, want):
+        assert is_edge == want_edge, (u, v)
+        assert abs(t - want_t) <= 1e-9, (u, v)
+        if is_edge:
+            # the weights expose the pair over every vertex, with the margin
+            scores = rmat @ np.array(weights)
+            assert abs(scores[u] - scores[v]) <= 1e-9
+            assert abs(min(scores[u] - s for x, s in enumerate(scores) if x not in (u, v))
+                       - margin) <= 1e-9
+    return [g[2] for g in got]
+
+
+def test_column_generation_matches_the_full_lp_on_every_p3_pair():
+    _, rmat = _restricted(enumerate_mecs(3))
+    n = len(rmat)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    assert sum(_assert_column_generation_matches_the_full_lp(rmat, pairs)) == 33
+
+
+def test_column_generation_matches_the_full_lp_on_random_p4_pairs():
+    # drawn from all pairs, so the prefilter is bypassed: at p = 4 every
+    # pair that passes it is an edge, and these include non-edges
+    _, rmat = _restricted(enumerate_mecs(4))
+    n = len(rmat)
+    i, j = np.triu_indices(n, 1)
+    picked = np.sort(np.random.default_rng(4).choice(len(i), 240, replace=False))
+    pairs = list(zip(i[picked].tolist(), j[picked].tolist()))
+    decisions = _assert_column_generation_matches_the_full_lp(rmat, pairs)
+    assert 0 < sum(decisions) < len(pairs)
+
+
+@pytest.mark.parametrize("kind, p", [(k, p) for k in ("path", "cycle") for p in range(4, 9)])
+def test_column_generation_matches_the_full_lp_on_path_and_cycle_faces(kind, p):
+    vs = _face(kind, p)
+    _, rmat = _restricted(vs)
+    n = len(rmat)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    _assert_column_generation_matches_the_full_lp(rmat, pairs)
+    assert all(cert.check(vs) for cert in certify_all_edges(vs).certificates.values())
+
+
+def test_column_generation_adds_columns_in_rounds_and_restarts_warm_at_p4(monkeypatch):
+    # the census LPs of p = 4 start with _START_COLUMNS y columns; those
+    # that need more come back in later rounds, each started from the basis
+    # it ended the round before with: the same columns, in the same rows
+    rounds = []
+    solve = polytope.simplex_max_many
+
+    def recording(c, a, b, start, exact=False):
+        out = solve(c, a, b, start, exact)
+        rounds.append((a, np.array(start), out))
+        return out
+
+    monkeypatch.setattr(polytope, "simplex_max_many", recording)
+    survey = certify_all_edges(enumerate_mecs(4))
+    d = _restricted(enumerate_mecs(4))[1].shape[1]
+    assert [a.shape[2] for a, _, _ in rounds] == [
+        2 * d + 2 + polytope._START_COLUMNS + r * polytope._ROUND_COLUMNS
+        for r in range(len(rounds))]
+    assert len(rounds[0][0]) == survey.stats["lp_solved"] == 237
+    assert len(rounds) > 1
+    assert all(isinstance(res, LpResult) for _, _, out in rounds for res in out)
+    for (before, _, solved), (after, starts, _) in zip(rounds, rounds[1:]):
+        k = before.shape[2] - 2 * d - 2
+        q = 0
+        for a, start in zip(after, starts):
+            # the LPs keep their order, and a restarted LP keeps its earlier
+            # columns, with the new y columns inserted before z+
+            while not ((before[q][:, :d + k] == a[:, :d + k]).all()
+                       and (before[q][:, d + k:] == a[:, -(d + 2):]).all()):
+                q += 1
+            assert (a[:, start] == before[q][:, solved[q].basis]).all()
+            q += 1
+        assert len(after) < len(before)

@@ -195,6 +195,17 @@ def test_csv_values_equal_float_bit_for_bit(tmp_path):
     assert math.copysign(1.0, data[0, 0]) == -1.0
 
 
+@pytest.mark.parametrize("header", ["", "a,b\n"])
+def test_byte_order_mark_is_not_taken_for_a_header(tmp_path, header):
+    # a UTF-8 byte order mark before the first cell must not make a data
+    # row unparseable, and so mistaken for a header and dropped
+    rows = [[float(i), i / 4] for i in range(40)]
+    text = header + "".join(f"{a!r},{b!r}\n" for a, b in rows)
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert load_csv(path).tolist() == rows
+
+
 def test_quoted_numeric_first_line_is_data(tmp_path):
     path = tmp_path / "quoted.csv"
     path.write_text('"1.0","2.0"\n3.0,4.0\n')
