@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .graphs import (Dag, GraphError, Mec, UndirectedGraph, VStructure,
                      consistent_extension, essential_graph, format_graph_text,
-                     mec_of, parse_graph_text, shd)
+                     is_acyclic, mec_of, parse_graph_text, shd)
 from .ci_tests import CiTestError
 from .imset import ImsetError
 from .moves import MoveError
@@ -61,10 +61,16 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}")
+
+
 def _write_json(path: str, obj) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    with open(path, "w") as handle:
-        handle.write(text)
+    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _write_manifest(primary_out: str, command: str, config: dict, seed,
@@ -136,6 +142,7 @@ def _mec_from_graph_json(obj: dict) -> Mec:
     p = _graph_fields(obj, ("p", "arcs", "edges"), "essential graph JSON")
     arcs = _node_pairs(obj["arcs"], p, "essential graph 'arcs'")
     edges = _node_pairs(obj["edges"], p, "essential graph 'edges'")
+    _require(is_acyclic(p, arcs), "essential graph 'arcs' contain a directed cycle")
     try:
         skel = UndirectedGraph.from_edges(
             p, [tuple(sorted(a)) for a in arcs] + [tuple(sorted(e)) for e in edges])
@@ -163,6 +170,7 @@ def _cmd_simulate(args) -> int:
     _require(args.n >= 1, "--n must be at least 1")
     _require(0 <= args.d <= max(args.p - 1, 0),
              f"--d must lie in [0, {max(args.p - 1, 0)}]")
+    _require(args.seed >= 0, "--seed must be non-negative")
     rng = make_rng(args.seed)
     dag = random_dag(args.p, args.d, rng)
     model = assign_weights(dag, rng)
@@ -171,8 +179,7 @@ def _cmd_simulate(args) -> int:
     rows = [",".join(map(repr, row)) for row in data.tolist()]
     _require(len(rows) == args.n and data.shape[1] == args.p,
              "internal: simulated data has wrong shape")
-    with open(args.out, "w") as handle:
-        handle.write("\n".join(rows) + "\n")
+    _write_text(args.out, "\n".join(rows) + "\n")
 
     truth = {
         "p": args.p,

@@ -6,14 +6,14 @@ of A whose basic solution B^-1 b is nonnegative.  Each LP's tableau is
 basis, and after the pivots they hold B^-1, from which the row duals are
 read.
 
-One tableau layout serves two arithmetic modes: float64 numpy arrays for
-speed, and Fraction object arrays with exact comparisons for re-solves of
-numerically ambiguous instances.  Float LPs are solved as a stack of
-tableaux pivoted in lockstep, so many LPs of one shape cost one numpy call
-per step; a single float LP is a stack of one.  Entering columns follow
-Bland's smallest-index rule, which rules out cycling in the exact mode and
-is harmless in the float mode.  An optimal result carries the row duals as
-well as the primal point.
+One tableau layout and one pivot loop serve two arithmetic modes: float64
+numpy arrays for speed, and Fraction object arrays with exact comparisons
+for re-solves of numerically ambiguous instances.  LPs of one shape are
+solved as a stack of tableaux pivoted in lockstep, so many LPs cost one
+numpy call per step; a single LP is a stack of one.  Entering columns
+follow Bland's smallest-index rule, which rules out cycling in the exact
+mode and is harmless in the float mode.  An optimal result carries the row
+duals as well as the primal point.
 """
 
 from __future__ import annotations
@@ -51,19 +51,21 @@ def _pivot(tableau, basis, r, col):
     basis[r] = col
 
 
-def _run_float(stack, basis, m, obj_row, allowed_mask):
-    """Bland's-rule pivots on every tableau of a float stack (count, rows, width).
+def _run(stack, basis, m, obj_row, allowed_mask, exact):
+    """Bland's-rule pivots on every tableau of a stack (count, rows, width).
 
     At each step every LP still running picks its entering column (the first
     allowed positive reduced cost) and its leaving row (the smallest ratio,
     ties to the smallest basis index), and all of them pivot at once with
-    _pivot's elementwise arithmetic, so each tableau ends bit for bit where
-    a solve on its own would.  The pivots run on a copy; a finished tableau
-    is written back into stack and basis and leaves the running set.
-    Returns one outcome per LP: OPTIMAL, UNBOUNDED, or None where the pivot
-    limit was hit.
+    _pivot's elementwise arithmetic, so each tableau ends where a solve on
+    its own would, bit for bit in float.  Exact stacks of Fractions compare
+    with no tolerance, and every value written into them is a Fraction.
+    The pivots run on a copy; a finished tableau is written back into stack
+    and basis and leaves the running set.  Returns one outcome per LP:
+    OPTIMAL, UNBOUNDED, or None where the pivot limit was hit.
     """
-    tol = 1e-9
+    zero = Fraction(0) if exact else 0.0
+    tol = zero if exact else 1e-9
     outcome = [None] * len(stack)
     # the running LPs are tab[:count]; live maps a slot to its LP in stack
     tab, bas = stack.copy(), basis.copy()
@@ -93,50 +95,19 @@ def _run_float(stack, basis, m, obj_row, allowed_mask):
                 arr[holes] = arr[movers]
             t, b = tab[:count], bas[:count]
             enter, col, pos = enter[:count], col[:count], pos[:count]
-        ratios = np.divide(t[:, :m, -1], col, out=np.full(col.shape, np.inf), where=pos)
+        ratios = np.divide(t[:, :m, -1], col, where=pos,
+                           out=np.full(col.shape, np.inf, dtype=t.dtype))
         best = ratios.min(axis=1, keepdims=True)
-        near = pos & (ratios <= best + 1e-12 + 1e-9 * np.abs(best))
+        near = pos & (ratios <= (best if exact else best + 1e-12 + 1e-9 * np.abs(best)))
         leave = np.where(near, b, t.shape[2]).argmin(axis=1)
         idx = np.arange(count)
         row = t[idx, leave] / t[idx, leave, enter][:, None]
         t[idx, leave] = row
         factors = t[idx, :, enter]
-        factors[idx, leave] = 0.0
+        factors[idx, leave] = zero
         t -= factors[:, :, None] * row[:, None, :]
         b[idx, leave] = enter
     return outcome
-
-
-def _run_exact(tableau, basis, m, obj_row, allowed_mask, width):
-    zero = Fraction(0)
-    for _ in range(_MAX_PIVOTS):
-        enter = -1
-        for j in range(width - 1):
-            if allowed_mask[j] and tableau[obj_row, j] > zero:
-                enter = j
-                break
-        if enter < 0:
-            return True
-        leave = -1
-        best = None
-        for i in range(m):
-            aij = tableau[i, enter]
-            if aij > zero:
-                ratio = tableau[i, -1] / aij
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
-        if leave < 0:
-            return False
-        _pivot(tableau, basis, leave, enter)
-    raise LpError("pivot limit exceeded")
-
-
-def _run_exact_stack(stack, basis, m, obj_row, allowed_mask):
-    """_run_exact on each tableau of a stack, with _run_float's outcomes."""
-    width = stack.shape[2]
-    return [OPTIMAL if _run_exact(tab, bas, m, obj_row, allowed_mask, width) else UNBOUNDED
-            for tab, bas in zip(stack, basis)]
 
 
 def _enter_basis(stack, basis, start, exact):
@@ -220,10 +191,9 @@ def simplex_max_many(c, a_stack, b_stack, start, exact: bool = False) -> list:
     """simplex_max(c, a, b, s, exact) for every (a, b, s) of the stacks.
 
     a_stack holds one (m, n) matrix per LP, b_stack one length-m rhs and
-    start one basis of m columns; c is shared.  Float LPs are pivoted in
-    lockstep, each exactly as it would be pivoted alone.  Exact LPs are
-    solved one after another, and their pivot limit raises.  Returns one
-    entry per LP: its LpResult, or the LpError that simplex_max raises for it.
+    start one basis of m columns; c is shared.  The LPs are pivoted in
+    lockstep, each exactly as it would be pivoted alone.  Returns one entry
+    per LP: its LpResult, or the LpError that simplex_max raises for it.
     """
     n, (count, m) = len(c), np.shape(b_stack)
     if exact:
@@ -251,9 +221,8 @@ def simplex_max_many(c, a_stack, b_stack, start, exact: bool = False) -> list:
     if not ok:
         return out
     tabs, bases = stack[ok], basis[ok]
-    run = _run_exact_stack if exact else _run_float
     # the identity columns never enter
-    outcomes = run(tabs, bases, m, m, np.arange(n + m) < n)
+    outcomes = _run(tabs, bases, m, m, np.arange(n + m) < n, exact)
     x = np.full((len(ok), n), zero, dtype=a.dtype)
     x[np.arange(len(ok))[:, None], bases] = tabs[:, :m, -1]
     duals = (-tabs[:, m, n:n + m]).tolist()

@@ -80,9 +80,9 @@ class Move:
         }
 
 
-@lru_cache(maxsize=4_096)
 def representative(mec: Mec) -> Dag:
-    # One consistent extension per class; a Dag is immutable, so it is shared.
+    # One consistent extension per class, cached by consistent_extension; a
+    # Dag is immutable, so it is shared.
     dag = consistent_extension(mec)
     if dag is None:
         raise MoveError("class is not realizable by any DAG")

@@ -1,10 +1,13 @@
-"""The serial float simplex that the LP tests use as a reference.
+"""The serial simplex loops that the LP tests use as references.
 
-One tableau at a time, with the same Bland's rule and tolerances as
-cimwalk.lp's lockstep kernel, and a full two-phase solve (senses, negated
-rows, phase 1 and the drive-out of leftover artificials) for LPs that come
-without a start basis.
+One tableau at a time, with the same Bland's rule as cimwalk.lp's lockstep
+kernel: a float loop with its tolerances, an exact loop over Fractions with
+none, and a full two-phase float solve (senses, negated rows, phase 1 and
+the drive-out of leftover artificials) for LPs that come without a start
+basis.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -40,6 +43,34 @@ def serial_run(tableau, basis, m, obj_row, allowed_mask, width, counter, max_piv
         best = ratios.min()
         near = pos[ratios <= best + 1e-12 + 1e-9 * abs(best)]
         leave = int(min(near, key=lambda i: basis[i]))
+        _pivot(tableau, basis, leave, enter)
+        counter[0] += 1
+    raise LpError("pivot limit exceeded")
+
+
+def serial_exact_run(tableau, basis, m, obj_row, allowed_mask, width, counter, max_pivots):
+    """Bland's-rule pivots on one Fraction tableau with exact comparisons;
+    True at an optimum, False when unbounded.  counter[0] counts the pivots."""
+    zero = Fraction(0)
+    for _ in range(max_pivots):
+        enter = -1
+        for j in range(width - 1):
+            if allowed_mask[j] and tableau[obj_row, j] > zero:
+                enter = j
+                break
+        if enter < 0:
+            return True
+        leave = -1
+        best = None
+        for i in range(m):
+            aij = tableau[i, enter]
+            if aij > zero:
+                ratio = tableau[i, -1] / aij
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            return False
         _pivot(tableau, basis, leave, enter)
         counter[0] += 1
     raise LpError("pivot limit exceeded")

@@ -75,6 +75,48 @@ def test_simulate_validation_errors(tmp_path):
     assert _run("no-such-command") == 2
 
 
+def test_simulate_rejects_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert _run("simulate", "--p", "3", "--d", "1", "--n", "5", "--seed", "-1",
+                "--out", str(out), "--truth", str(tmp_path / "x.json")) == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err and "runtime error" not in err
+    assert not out.exists()
+
+
+def _unwritable_argv(tmp_path, command):
+    """argv for command with one output path that cannot be opened: a file in
+    a missing directory, or for simulate's truth a directory."""
+    data, truth = _simulate(tmp_path, p=3, d=1.0, n=50, seed=6)
+    missing = str(tmp_path / "missing" / "out.json")
+    graph = tmp_path / "graph.txt"
+    graph.write_text("p 3\n0 -> 1\n")
+    result = tmp_path / "result.json"
+    result.write_text(json.dumps({"essential_graph": _graph(3, arcs=[[0, 1]])}))
+    return {
+        "simulate-out": ["simulate", "--p", "3", "--d", "1", "--n", "5",
+                         "--out", missing, "--truth", str(tmp_path / "t.json")],
+        "simulate-truth": ["simulate", "--p", "3", "--d", "1", "--n", "5",
+                           "--out", str(tmp_path / "d.csv"), "--truth", str(tmp_path)],
+        "discover": ["discover", "--algo", "greedy-cim", "--data", str(data),
+                     "--out", missing],
+        "score": ["score", "--data", str(data), "--graph", str(graph), "--out", missing],
+        "analyze-polytope": ["analyze-polytope", "--p", "3", "--out", missing],
+        "compare": ["compare", "--result", str(result), "--truth", str(truth),
+                    "--out", missing],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["simulate-out", "simulate-truth", "discover",
+                                     "score", "analyze-polytope", "compare"])
+def test_unwritable_output_is_a_validation_error(tmp_path, capsys, command):
+    argv = _unwritable_argv(tmp_path, command)
+    capsys.readouterr()
+    assert _run(*argv) == 2
+    err = capsys.readouterr().err
+    assert "cannot write" in err and "runtime error" not in err
+
+
 def test_discover_compare_roundtrip(tmp_path):
     data, truth = _simulate(tmp_path, p=5, d=1.5, n=800, seed=7)
     result = tmp_path / "result.json"
@@ -250,9 +292,10 @@ def _graph(p, arcs=(), edges=()):
     _graph(True),
     _graph("3"),
     [0, 1],
+    _graph(3, arcs=[[0, 1], [1, 2], [2, 0]]),
 ], ids=["triple", "string-node", "out-of-range", "bool-node", "float-node",
         "single-node", "negative-node", "edges-not-a-list", "bool-p", "string-p",
-        "not-an-object"])
+        "not-an-object", "cyclic-arcs"])
 def test_compare_rejects_malformed_result_graph(tmp_path, capsys, graph):
     _, truth = _simulate(tmp_path, p=3, d=1.0, n=50, seed=6)
     result = tmp_path / "result.json"

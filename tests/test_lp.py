@@ -1,6 +1,6 @@
 """Phase-2 simplex from a given basis: known optima, duals, exact mode,
 degenerate and unbounded cases, and the lockstep kernel against the serial
-reference."""
+references in both arithmetics."""
 
 from fractions import Fraction
 
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from cimwalk import lp, polytope
 from cimwalk.lp import OPTIMAL, UNBOUNDED, LpError, LpResult, simplex_max, simplex_max_many
-from lp_reference import serial_run, two_phase_simplex_max
+from lp_reference import serial_exact_run, serial_run, two_phase_simplex_max
 
 
 def _le(c, rows):
@@ -72,9 +72,18 @@ def test_exact_mode_returns_fractions():
     c, a, start = _le([1, 1], [[2, 1], [1, 2]])
     res = simplex_max(c, a, [1, 1], start, exact=True)
     assert res.status == OPTIMAL
-    assert isinstance(res.objective, Fraction)
     assert res.objective == Fraction(2, 3)
     assert list(res.x[:2]) == [Fraction(1, 3), Fraction(1, 3)]
+    assert all(type(v) is Fraction for v in [res.objective, *res.x, *res.duals])
+
+
+def test_exact_mode_has_no_tolerance():
+    # max e x, x + s1 = 1 + d, x + s2 = 1 from (s1, s2), with e and d far
+    # below the float tolerances: x enters although its reduced cost is
+    # tiny, and the strictly smaller ratio 1 < 1 + d picks s2 to leave
+    e, d = Fraction(1, 10**12), Fraction(1, 10**13)
+    res = simplex_max([e, 0, 0], [[1, 1, 0], [1, 0, 1]], [1 + d, 1], [1, 2], exact=True)
+    assert (res.status, res.objective, res.x) == (OPTIMAL, e, [1, d, 0])
 
 
 def test_float_and_exact_agree_on_random_instances():
@@ -143,7 +152,7 @@ def test_duals_absent_unless_optimal():
 
 
 # ---------------------------------------------------------------------------
-# The lockstep float kernel against the serial reference
+# The lockstep kernel against the serial references
 
 
 def _bits(values):
@@ -165,29 +174,46 @@ def _assert_same(got, want):
         assert _bits([got.objective]) == _bits([want.objective])
 
 
-def _started_reference(c, a, b, starts, max_pivots=50_000):
+def _assert_exact_same(got, want):
+    """Equality of two exact outcomes, with every number a Fraction: a float
+    that crept into a tableau would compare equal where it is exact."""
+    if isinstance(want, LpError):
+        assert isinstance(got, LpError) and str(got) == str(want)
+        return
+    assert isinstance(got, LpResult)
+    assert (got.status, list(got.x), list(got.duals), got.objective) == \
+        (want.status, list(want.x), list(want.duals), want.objective)
+    numbers = [*got.x, *got.duals] + ([] if got.objective is None else [got.objective])
+    assert all(type(v) is Fraction for v in numbers)
+
+
+def _started_reference(c, a, b, starts, max_pivots=50_000, exact=False):
     """Each '=' LP of a batch, pivoted one at a time by the serial reference
     from the tableau [A | I | b] that lp._enter_basis moves to its start
-    basis.  Returns the outcomes and the pivot count of each."""
+    basis; with exact=True in Fractions by the serial exact loop.  Returns
+    the outcomes and the pivot count of each."""
     count, m, n = len(b), len(b[0]), len(c)
-    stack = np.zeros((count, m + 1, n + m + 1))
-    stack[:, :m, :n] = np.array(a, dtype=np.float64).reshape(count, m, n)
+    stack = np.zeros((count, m + 1, n + m + 1), dtype=object if exact else np.float64)
+    stack[:, :m, :n] = np.array(a, dtype=stack.dtype).reshape(count, m, n)
     stack[:, np.arange(m), n + np.arange(m)] = 1.0
     stack[:, :m, -1] = b
     stack[:, m, :n] = c
+    if exact:
+        stack = np.frompyfunc(Fraction, 1, 1)(stack)
     basis = np.array(starts, dtype=np.int64).reshape(count, m)
-    errors = lp._enter_basis(stack, basis, basis.copy(), False)
+    errors = lp._enter_basis(stack, basis, basis.copy(), exact)
     allowed = np.arange(n + m) < n
+    run = serial_exact_run if exact else serial_run
     outcomes, pivots = [], []
     for tableau, bas, error in zip(stack, basis.tolist(), errors):
         counter = [0]
         try:
             if error is not None:
                 raise error
-            if not serial_run(tableau, bas, m, m, allowed, n + m + 1, counter, max_pivots):
+            if not run(tableau, bas, m, m, allowed, n + m + 1, counter, max_pivots):
                 outcomes.append(LpResult(UNBOUNDED, [], None))
             else:
-                x = [0.0] * n
+                x = [Fraction(0) if exact else 0.0] * n
                 for i, col in enumerate(bas):
                     x[col] = tableau[i, -1]
                 duals = [-tableau[m, n + i] for i in range(m)]
@@ -285,8 +311,8 @@ _MIXED = [(_le([1, -1, 1], rows)[1], b, _SLACKS) for rows, b in [
 _MIXED.append((_MIXED[0][0], _MIXED[0][1], [3, 3, 4]))
 
 
-def _solve_mixed():
-    return simplex_max_many(_MIXED_C, *zip(*_MIXED))
+def _solve_mixed(exact=False):
+    return simplex_max_many(_MIXED_C, *zip(*_MIXED), exact=exact)
 
 
 def test_batch_with_mixed_outcomes_and_finishing_steps():
@@ -303,12 +329,48 @@ def test_batch_with_mixed_outcomes_and_finishing_steps():
 
 def test_pivot_limit_fails_only_the_lps_that_reach_it(monkeypatch):
     monkeypatch.setattr(lp, "_MAX_PIVOTS", 2)
-    got = _solve_mixed()
-    for res, (a, b, start) in zip(got, _MIXED):
-        _assert_same(res, _started_reference(_MIXED_C, [a], [b], [start], max_pivots=2)[0][0])
-    assert isinstance(got[0], LpResult) and isinstance(got[3], LpError)
-    with pytest.raises(LpError, match="pivot limit"):
-        simplex_max(_MIXED_C, *_MIXED[3])
+    for exact, same in [(False, _assert_same), (True, _assert_exact_same)]:
+        got = _solve_mixed(exact)
+        for res, (a, b, start) in zip(got, _MIXED):
+            want = _started_reference(_MIXED_C, [a], [b], [start], max_pivots=2, exact=exact)
+            same(res, want[0][0])
+        assert isinstance(got[0], LpResult) and isinstance(got[3], LpError)
+        with pytest.raises(LpError, match="pivot limit"):
+            simplex_max(_MIXED_C, *_MIXED[3], exact=exact)
+
+
+def _assert_exact_matches_the_serial_reference(monkeypatch, c, lps):
+    """The lockstep exact solve of lps against the serial exact loop under
+    every pivot limit up to one past the largest pivot count.  An LP that
+    needs k pivots hits every limit up to k and ends at k + 1, so it must
+    fail at exactly those limits and otherwise end as the reference does.
+    Returns the pivot counts."""
+    a, b, starts = zip(*lps)
+    want, pivots = _started_reference(c, a, b, starts, exact=True)
+    for limit in range(1, max(pivots) + 2):
+        monkeypatch.setattr(lp, "_MAX_PIVOTS", limit)
+        got = simplex_max_many(c, a, b, starts, exact=True)
+        for res, ref, k in zip(got, want, pivots):
+            if k >= limit and not isinstance(ref, LpError):
+                ref = LpError("pivot limit exceeded")
+            _assert_exact_same(res, ref)
+    return pivots
+
+
+def test_exact_batch_matches_the_serial_exact_reference(monkeypatch):
+    pivots = _assert_exact_matches_the_serial_reference(monkeypatch, _MIXED_C, _MIXED)
+    assert pivots == [1, 3, 5, 6, 0, 3, 0]
+    assert [getattr(r, "status", None) for r in _solve_mixed(exact=True)] == \
+        [OPTIMAL] * 4 + [UNBOUNDED] * 2 + [None]
+
+
+def test_exact_margin_lps_match_the_serial_exact_reference_p3(monkeypatch):
+    _, rmat = polytope._restricted(polytope.enumerate_mecs(3))
+    n = len(rmat)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    c, a, b = polytope._margin_lps(rmat, pairs)
+    lps = list(zip(a, [b] * len(a), polytope._margin_start(rmat, pairs)))
+    assert max(_assert_exact_matches_the_serial_reference(monkeypatch, c, lps)) > 1
 
 
 def _assert_margin_lps_match(vs, step=1):
