@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import platform
 import sys
 import time
@@ -67,6 +68,20 @@ def _write_text(path: str, text: str) -> None:
             handle.write(text)
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc}")
+
+
+def _check_writable(path: str) -> None:
+    """Raise the ValidationError that writing path would raise, creating nothing."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        problem = "is a directory"
+    elif not os.path.isdir(folder):
+        problem = "no such directory"
+    elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        problem = "permission denied"
+    else:
+        return
+    raise ValidationError(f"cannot write {path}: {problem}")
 
 
 def _write_json(path: str, obj) -> None:
@@ -171,6 +186,11 @@ def _cmd_simulate(args) -> int:
     _require(0 <= args.d <= max(args.p - 1, 0),
              f"--d must lie in [0, {max(args.p - 1, 0)}]")
     _require(args.seed >= 0, "--seed must be non-negative")
+    outputs = (args.out, args.truth, args.out + ".manifest.json")
+    _require(len({os.path.abspath(path) for path in outputs}) == len(outputs),
+             "--out, --truth and the manifest must be different files")
+    for path in outputs:  # so that a failed run leaves no partial dataset
+        _check_writable(path)
     rng = make_rng(args.seed)
     dag = random_dag(args.p, args.d, rng)
     model = assign_weights(dag, rng)

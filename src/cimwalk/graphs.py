@@ -503,31 +503,113 @@ def undirected_from_text(text: str) -> UndirectedGraph:
     return UndirectedGraph.from_edges(p, edges)
 
 
-def acyclic_orientations(g: UndirectedGraph) -> Iterator[Dag]:
-    """Every acyclic orientation of g, in a fixed order."""
+def _bits(mask: int) -> Iterator[int]:
+    """The nodes of a bitmask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _adjacency(p: int, edges: Iterable) -> list:
+    """Neighbour bitmask of each node."""
+    adj = [0] * p
+    for a, b in edges:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return adj
+
+
+def orientation_masks(g: UndirectedGraph) -> Iterator[tuple]:
+    """Parent bitmasks of every acyclic orientation of g, in a fixed order.
+
+    The edges are taken sorted and their orientation bits run as
+    itertools.product((0, 1), ...) runs them, bit 0 orienting (a, b) as
+    a -> b.  An orientation is acyclic when peeling its sinks (the nodes
+    that are no remaining node's parent) empties it.
+    """
+    p = g.p
     edges = sorted(g.edges)
-    for bits in itertools.product((0, 1), repeat=len(edges)):
-        try:
-            yield Dag.from_arcs(g.p, [(a, b) if bit == 0 else (b, a)
-                                      for (a, b), bit in zip(edges, bits)])
-        except CycleError:
-            continue
+    m = len(edges)
+    for code in range(1 << m):
+        parents = [0] * p
+        for k, (a, b) in enumerate(edges):
+            if code >> (m - 1 - k) & 1:
+                parents[a] |= 1 << b
+            else:
+                parents[b] |= 1 << a
+        left = (1 << p) - 1
+        while left:
+            has_child = 0
+            for x, pa in enumerate(parents):
+                if left >> x & 1:
+                    has_child |= pa
+            if not left & ~has_child:
+                break
+            left &= has_child
+        if not left:
+            yield tuple(parents)
+
+
+def _vstructure_key(parents: tuple, adj: list) -> int:
+    """The v-structures of an orientation as one int: bit (j*p + a)*p + b
+    for each a -> j <- b with a < b and a, b non-adjacent."""
+    p = len(parents)
+    key = 0
+    for j, rest in enumerate(parents):
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            a = low.bit_length() - 1
+            lone = rest & ~adj[a]
+            if lone:
+                key |= lone << (j * p + a) * p
+    return key
+
+
+def skeleton_classes(g: UndirectedGraph) -> list:
+    """Each class with skeleton g once, in order of first orientation, as
+    (Mec, parent bitmasks of that first orientation).
+
+    Orientations with the same skeleton are equivalent iff they have the
+    same v-structures, so the classes are keyed by _vstructure_key and a
+    Mec is built only for the first orientation of each.
+    """
+    p = g.p
+    adj = _adjacency(p, g.edges)
+    first = {}
+    for parents in orientation_masks(g):
+        first.setdefault(_vstructure_key(parents, adj), parents)
+    return [(Mec(g, frozenset(VStructure(pos // (p * p), (pos // p % p, pos % p))
+                              for pos in _bits(key))), parents)
+            for key, parents in first.items()]
+
+
+def acyclic_orientations(g: UndirectedGraph) -> Iterator[Dag]:
+    """Every acyclic orientation of g, in the order of orientation_masks."""
+    for parents in orientation_masks(g):
+        yield Dag(g.p, tuple(frozenset(_bits(mask)) for mask in parents))
+
+
+def _skeletons(p: int) -> Iterator[UndirectedGraph]:
+    """Every undirected graph on p nodes, in a fixed order."""
+    pairs = list(itertools.combinations(range(p), 2))
+    for keep in itertools.product((False, True), repeat=len(pairs)):
+        yield UndirectedGraph.from_edges(p, itertools.compress(pairs, keep))
 
 
 def all_dags(p: int) -> Iterator[Dag]:
     """Yield every DAG on p nodes, as the acyclic orientations of each of the
     2^C(p,2) skeletons (use only for small p)."""
-    pairs = list(itertools.combinations(range(p), 2))
-    for keep in itertools.product((False, True), repeat=len(pairs)):
-        skeleton = UndirectedGraph.from_edges(p, itertools.compress(pairs, keep))
-        yield from acyclic_orientations(skeleton)
+    for g in _skeletons(p):
+        yield from acyclic_orientations(g)
+
+
+def all_classes(p: int) -> list:
+    """skeleton_classes of every skeleton on p nodes, in the order of all_dags."""
+    return [c for g in _skeletons(p) for c in skeleton_classes(g)]
 
 
 def all_mecs(p: int) -> list:
-    """All Markov equivalence classes on p nodes, deduplicated from all_dags."""
-    seen = {}
-    for dag in all_dags(p):
-        m = mec_of(dag)
-        if m not in seen:
-            seen[m] = True
-    return list(seen.keys())
+    """All Markov equivalence classes on p nodes, in order of first DAG."""
+    return [mec for mec, _ in all_classes(p)]

@@ -11,7 +11,7 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .graphs import Dag, Mec, UndirectedGraph, VStructure
 
@@ -80,6 +80,18 @@ def imset_entry(dag: Dag, nodes: Iterable) -> int:
     for i in key:
         if s - {i} <= dag.parents[i]:
             return 1
+    return 0
+
+
+def mask_entry(parents: Sequence, s: int) -> int:
+    """imset_entry on bitmasks: s holds the nodes of S and parents[i] those of
+    pa(i).  S must have at least two nodes in range; that is not checked."""
+    rest = s
+    while rest:
+        low = rest & -rest
+        if not s & ~low & ~parents[low.bit_length() - 1]:
+            return 1
+        rest ^= low
     return 0
 
 

@@ -21,20 +21,25 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
+# consistent_extension and full_imset are not called here; they stay
+# importable for perfbench's tracer, which wraps them in this module.
 from .graphs import (
     GraphError,
     Mec,
     UndirectedGraph,
+    _adjacency,
+    _bits,
     acyclic_orientations,
-    all_mecs,
+    all_classes,
     consistent_extension,
     mec_of,
+    skeleton_classes,
 )
-from .imset import full_imset, subset_key  # full_imset stays importable for perfbench's tracer
+from .imset import full_imset, mask_entry, subset_key
 from .lp import OPTIMAL, LpError, simplex_max, simplex_max_many
 from .moves import (
     EDGE_PAIR,
@@ -47,7 +52,6 @@ from .moves import (
     enumerate_edge_moves,
     enumerate_tree_moves,
     enumerate_turn_moves,
-    _class_imset,
 )
 
 EDGE_TOL = 1e-7
@@ -89,14 +93,12 @@ def _all_coords(p: int) -> tuple:
     return tuple(out)
 
 
-def imset_vector(mec: Mec, coords: tuple) -> tuple:
-    ones = _class_imset(mec).ones
-    return tuple(1 if key in ones else 0 for key in coords)
-
-
-def _build_vertex_set(p: int, mecs: Iterable) -> VertexSet:
+def _build_vertex_set(p: int, classes: Iterable) -> VertexSet:
+    """The vertex set of (Mec, parent bitmasks of a member DAG) pairs; each
+    row is read from the masks with the imset entry rule."""
     coords = _all_coords(p)
-    rows = [(imset_vector(mec, coords), mec) for mec in mecs]
+    masks = [sum(1 << x for x in key) for key in coords]
+    rows = [(tuple([mask_entry(parents, s) for s in masks]), mec) for mec, parents in classes]
     rows.sort(key=lambda rv: rv[0])
     matrix = tuple(r for r, _ in rows)
     if len(set(matrix)) != len(matrix):
@@ -120,15 +122,16 @@ def enumerate_mecs(p: int) -> VertexSet:
     """All MECs on p nodes as a vertex set; supported for 2 <= p <= 5."""
     if not 2 <= p <= 5:
         raise GraphError("full enumeration supported for 2 <= p <= 5 only")
-    return _build_vertex_set(p, all_mecs(p))
+    return _build_vertex_set(p, all_classes(p))
 
 
 @lru_cache(maxsize=4096)
 def _mecs_with_skeleton(g: UndirectedGraph) -> tuple:
-    """All MECs whose skeleton is exactly g, in order of first orientation."""
+    """skeleton_classes(g): each MEC whose skeleton is exactly g, in order of
+    first orientation, with that orientation's parent bitmasks."""
     if len(g.edges) > 24:
         raise GraphError("too many edges to orient exhaustively")
-    return tuple(dict.fromkeys(mec_of(dag) for dag in acyclic_orientations(g)))
+    return tuple(skeleton_classes(g))
 
 
 def enumerate_mecs_with_skeleton(g: UndirectedGraph) -> VertexSet:
@@ -160,22 +163,6 @@ class Symmetry(NamedTuple):
 # checked against the rows.  Past it the generators found so far are kept;
 # orbits then only get finer, which costs LPs and never changes a decision.
 _SYMMETRY_BUDGET = 200_000
-
-
-def _adjacency(p: int, edges: Iterable) -> list:
-    """Neighbour bitmask of each node."""
-    adj = [0] * p
-    for a, b in edges:
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
-    return adj
-
-
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _refined_colours(adj: list) -> list:
@@ -1217,7 +1204,7 @@ def verify_simplex_faces(p: int) -> dict:
 
 def verify_turn_connectivity(g: UndirectedGraph) -> bool:
     """Whether turn moves alone connect every MEC on the fixed skeleton g."""
-    mecs = _mecs_with_skeleton(g)
+    mecs = [mec for mec, _ in _mecs_with_skeleton(g)]
     index = {mec: k for k, mec in enumerate(mecs)}
     parent = list(range(len(mecs)))
 

@@ -117,6 +117,24 @@ def test_unwritable_output_is_a_validation_error(tmp_path, capsys, command):
     assert "cannot write" in err and "runtime error" not in err
 
 
+@pytest.mark.parametrize("bad", ["truth-dir", "out-dir", "truth-missing-dir", "same-file"])
+def test_a_failed_simulate_leaves_no_file_behind(tmp_path, capsys, bad):
+    out, truth = tmp_path / "d.csv", tmp_path / "t.json"
+    (tmp_path / "sub").mkdir()
+    if bad == "truth-dir":
+        truth = tmp_path / "sub"
+    elif bad == "out-dir":
+        out = tmp_path / "sub"
+    elif bad == "truth-missing-dir":
+        truth = tmp_path / "missing" / "t.json"
+    else:
+        truth = out
+    assert _run("simulate", "--p", "3", "--d", "1", "--n", "5",
+                "--out", str(out), "--truth", str(truth)) == 2
+    assert "runtime error" not in capsys.readouterr().err
+    assert sorted(path.name for path in tmp_path.rglob("*")) == ["sub"]
+
+
 def test_discover_compare_roundtrip(tmp_path):
     data, truth = _simulate(tmp_path, p=5, d=1.5, n=800, seed=7)
     result = tmp_path / "result.json"

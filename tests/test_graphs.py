@@ -5,13 +5,17 @@ import random
 
 import pytest
 
+from cimwalk import cli
 from cimwalk.graphs import (CycleError, Dag, GraphError, Mec, UndirectedGraph,
-                            VStructure, all_dags, all_mecs, consistent_extension,
-                            cpdag_of_dag, dag_from_text, essential_graph,
-                            format_graph_text, is_acyclic, markov_equivalent,
-                            mec_of, parse_graph_text, shd, skeleton,
+                            VStructure, acyclic_orientations, all_dags, all_mecs,
+                            consistent_extension, cpdag_of_dag, dag_from_text,
+                            essential_graph, format_graph_text, is_acyclic,
+                            markov_equivalent, mec_of, orientation_masks,
+                            parse_graph_text, shd, skeleton, skeleton_classes,
                             topological_order, topological_order_or_none,
                             undirected_from_text, v_structures)
+from enumeration_reference import (dags_by_arcs, mecs_by_dag, orientations_by_arcs,
+                                   parent_masks)
 
 
 def test_dag_rejects_cycles():
@@ -184,8 +188,30 @@ def test_graph_text_round_trip():
 
 
 def test_exhaustive_counts():
-    assert [sum(1 for _ in all_dags(p)) for p in (1, 2, 3, 4)] == [1, 3, 25, 543]
-    assert [len(all_mecs(p)) for p in (1, 2, 3, 4)] == [1, 2, 11, 185]
+    assert [sum(1 for _ in all_dags(p)) for p in (1, 2, 3, 4, 5)] == [1, 3, 25, 543, 29281]
+    assert [len(all_mecs(p)) for p in (1, 2, 3, 4, 5)] == [1, 2, 11, 185, 8782]
+    assert cli._P5_CLASSES == 8782  # the count the --p 5 rejection quotes
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_enumeration_matches_the_dag_by_dag_reference(p):
+    dags = dags_by_arcs(p)
+    assert list(all_dags(p)) == dags
+    assert all_mecs(p) == mecs_by_dag(dags)
+
+
+@pytest.mark.parametrize("edges", [
+    [], [(0, 1)], [(0, 1), (1, 2), (0, 2)], [(0, 1), (1, 2), (2, 3), (0, 3)],
+    list(itertools.combinations(range(4), 2)), [(0, 2), (1, 3), (2, 4), (3, 4), (0, 4)]])
+def test_acyclic_orientations_match_the_reference(edges):
+    g = UndirectedGraph.from_edges(5, edges)
+    dags = list(acyclic_orientations(g))
+    assert dags == orientations_by_arcs(g)
+    assert [parent_masks(dag) for dag in dags] == list(orientation_masks(g))
+    assert [mec for mec, _ in skeleton_classes(g)] == mecs_by_dag(dags)
+    for mec, masks in skeleton_classes(g):
+        assert mec_of(Dag(5, tuple(frozenset(k for k in range(5) if m >> k & 1)
+                                   for m in masks))) == mec
 
 
 def test_undirected_graph_shape_predicates():

@@ -7,8 +7,8 @@ import pytest
 
 from cimwalk.graphs import Dag, all_dags, consistent_extension, mec_of
 from cimwalk.imset import (CharImset, ImsetError, family, full_imset, imset_delta,
-                           imset_entry, mec_restricted_imset, recover_mec,
-                           restricted_imset, subset_key)
+                           imset_entry, mask_entry, mec_restricted_imset,
+                           recover_mec, restricted_imset, subset_key)
 from cimwalk.polytope import enumerate_mecs
 from cimwalk.simulate import make_rng, random_dag
 
@@ -50,6 +50,16 @@ def test_imsets_are_class_invariants():
         for dag in all_dags(p):
             mec = mec_of(dag)
             assert full_imset(dag) == full_imset(consistent_extension(mec))
+
+
+def test_mask_entry_is_imset_entry_on_bitmasks():
+    for p in (2, 3, 4):
+        for dag in all_dags(p):
+            parents = tuple(sum(1 << k for k in pa) for pa in dag.parents)
+            for size in range(2, p + 1):
+                for key in itertools.combinations(range(p), size):
+                    mask = sum(1 << v for v in key)
+                    assert mask_entry(parents, mask) == imset_entry(dag, key)
 
 
 def test_family_lists_every_subset_joined_with_extra():

@@ -24,11 +24,14 @@ from cimwalk.polytope import (EdgeCertificate, _midpoint_prefilter,
                               certify_edge, complete_minus_edge, cycle_graph,
                               edge_census,
                               enumerate_mecs, enumerate_mecs_with_skeleton,
-                              exact_rank, face_objective, imset_vector,
+                              exact_rank, face_objective,
                               maximizers, path_graph, poset_b_matrix,
                               star_over_cliques,
                               verify_simplex_faces, verify_stab_equivalence,
                               verify_turn_connectivity)
+from enumeration_reference import (dags_by_arcs, imset_vector, mecs_by_dag,
+                                   orientations_by_arcs, parent_masks,
+                                   vertex_set_by_dag)
 from lp_reference import two_phase_simplex_max
 
 
@@ -56,6 +59,21 @@ def test_enumerate_mecs_with_skeleton():
     triangle = UndirectedGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
     assert len(enumerate_mecs_with_skeleton(triangle)) == 1
     assert len(enumerate_mecs_with_skeleton(cycle_graph(4))) == 6
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_enumerate_mecs_matches_the_dag_by_dag_reference(p):
+    assert enumerate_mecs(p) == vertex_set_by_dag(p, mecs_by_dag(dags_by_arcs(p)))
+
+
+@pytest.mark.parametrize("face, p", [("path", 3), ("path", 4), ("path", 5),
+                                     ("cycle", 3), ("cycle", 4), ("cycle", 5),
+                                     ("asym", 6), ("star", 9)])
+def test_faces_match_the_dag_by_dag_reference(face, p):
+    g = {"path": path_graph, "cycle": cycle_graph, "asym": lambda p: _ASYMMETRIC,
+         "star": lambda p: star_over_cliques(p, (1,) * (p - 1))}[face](p)
+    assert enumerate_mecs_with_skeleton(g) == vertex_set_by_dag(
+        p, mecs_by_dag(orientations_by_arcs(g)))
 
 
 def _independent_columns(columns, order, size):
@@ -400,7 +418,7 @@ def _rotation_orbit():
     are the rotations, though the union of its skeletons is K4."""
     dags = [Dag.from_arcs(4, [(a, b), (c, b), (c, 3)])
             for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1))]
-    return polytope._build_vertex_set(4, [mec_of(dag) for dag in dags])
+    return polytope._build_vertex_set(4, [(mec_of(dag), parent_masks(dag)) for dag in dags])
 
 
 def _face(kind, p):
