@@ -395,17 +395,22 @@ def _raw_tree_candidates(mec: Mec) -> Iterator[Move]:
         yield Move(kind, (path,), odd, even)
 
 
-def _verified(mec: Mec, raw: Iterator[Move], keep=None) -> Iterator[tuple]:
-    """(move, target) for each distinct delta of raw that passes keep, if
-    given, then apply_move and verify_pair."""
+def _distinct_deltas(raw: Iterator[Move], keep=None) -> Iterator[Move]:
+    """The first move of each distinct delta of raw, if it passes keep."""
     seen = set()
     for move in raw:
         key = (move.added, move.removed)
         if key in seen:
             continue
         seen.add(key)
-        if keep is not None and not keep(move):
-            continue
+        if keep is None or keep(move):
+            yield move
+
+
+def _verified(mec: Mec, raw: Iterator[Move], keep=None) -> Iterator[tuple]:
+    """(move, target) for each move of _distinct_deltas(raw, keep) that
+    passes apply_move and verify_pair."""
+    for move in _distinct_deltas(raw, keep):
         try:
             target = apply_move(mec, move)
         except MoveError:

@@ -4,8 +4,9 @@ Vertices are characteristic imsets of MECs, held as dense 0/1 vectors indexed
 by the subsets of {0..p-1} with at least two elements.  A pair of vertices
 spans an edge exactly when some cost vector exposes the pair: w.u = w.v while
 every other vertex scores strictly lower.  The exposure problem is solved as
-a small LP, and certified edges are then classified by matching their imset
-deltas against the move enumerators.
+a small LP, and certified edges are then classified by the move sweeps: a
+move's target is its source row plus the move's imset delta, looked up among
+the rows.
 
 Two cheap midpoint filters run before any LP: if u + v collides with the sum
 of a different vertex pair, or equals twice a third vertex, then the segment
@@ -29,14 +30,11 @@ import numpy as np
 # importable for perfbench's tracer, which wraps them in this module.
 from .graphs import (
     GraphError,
-    Mec,
     UndirectedGraph,
     _adjacency,
     _bits,
-    acyclic_orientations,
     all_classes,
     consistent_extension,
-    mec_of,
     skeleton_classes,
 )
 from .imset import full_imset, mask_entry, subset_key
@@ -49,8 +47,10 @@ from .moves import (
     V_STRUCTURE_ADDITION,
     BUDDING,
     FLIP,
-    enumerate_edge_moves,
-    enumerate_tree_moves,
+    _distinct_deltas,
+    _raw_edge_candidates,
+    _raw_tree_candidates,
+    _raw_turn_candidates,
     enumerate_turn_moves,
 )
 
@@ -107,15 +107,35 @@ def _build_vertex_set(p: int, classes: Iterable) -> VertexSet:
 
 
 @lru_cache(maxsize=64)
-def _mec_index(vs: VertexSet) -> dict:
-    """Row of each class; rows have pairwise distinct imsets, so this finds a
-    class's row without building its imset."""
-    return {mec: i for i, mec in enumerate(vs.mecs)}
-
-
-@lru_cache(maxsize=64)
 def _coord_pos(vs: VertexSet) -> dict:
     return {key: k for k, key in enumerate(vs.coords)}
+
+
+def _move_targets(vs: VertexSet):
+    """targets(i, raw, keep=None): (j, kind) for each move of
+    _distinct_deltas(raw, keep) whose target, row i with the move's added
+    coordinates set to 1 and removed ones to 0, is a row j != i of vs.
+
+    A characteristic imset determines its class, and the sweeps add only
+    0 entries and remove only 1 entries, so that is row j exactly when the
+    move verifies from class i to class j; no target class is built.
+    """
+    # each row as an int, bit k holding coordinate k
+    bit = {key: 1 << k for k, key in enumerate(vs.coords)}
+    rows = [sum(b << k for k, b in enumerate(row)) for row in vs.matrix]
+    index = {row: j for j, row in enumerate(rows)}
+
+    def targets(i: int, raw, keep=None) -> list:
+        out = []
+        for move in _distinct_deltas(raw, keep):
+            added = sum(bit[key] for key in move.added)
+            removed = sum(bit[key] for key in move.removed)
+            j = index.get((rows[i] | added) & ~removed)
+            if j is not None and j != i:
+                out.append((j, move.kind))
+        return out
+
+    return targets
 
 
 def enumerate_mecs(p: int) -> VertexSet:
@@ -472,8 +492,11 @@ def _decide_pairs(rmat, pairs) -> list:
     its w leaves no other vertex 1e-9 below the least gap of its column
     vertices, as w is then optimal for the full LP.  The rest get columns
     for the _ROUND_COLUMNS vertices of least gap and restart from their
-    final bases, which stay feasible.  A failed solve, a w not level on
-    (u, v) or a final margin in the exact window goes to _decide_exact.
+    final bases, which stay feasible.  A pair whose LP ended at
+    t <= _EXACT_LO is a float non-edge whatever its w, as w = 0 is
+    feasible and so 0 <= t* <= t; of the others, a failed solve, a w not
+    level on (u, v) or a final margin in the exact window goes to
+    _decide_exact.
     """
     if len(rmat) == 2:
         zeros = tuple(0.0 for _ in rmat[0])
@@ -506,7 +529,9 @@ def _decide_pairs(rmat, pairs) -> list:
     margins = gaps.min(axis=1).tolist()
     out = []
     for q, (pu, pv) in enumerate(pairs):
-        if np.isnan(t[q]) or imbalance[q] > 1e-9 or _EXACT_LO < margins[q] < _EXACT_HI:
+        if t[q] <= _EXACT_LO:
+            out.append((pu, pv, False, margins[q], "float", None, float(t[q])))
+        elif np.isnan(t[q]) or imbalance[q] > 1e-9 or _EXACT_LO < margins[q] < _EXACT_HI:
             out.append((pu, pv, *_decide_exact(rmat, pu, pv)))
         else:
             edge = margins[q] > EDGE_TOL
@@ -678,12 +703,6 @@ def certify_all_edges(vs: VertexSet) -> EdgeSurvey:
 # Edge classification and census
 
 
-@lru_cache(maxsize=100_000)
-def _member_dags(mec: Mec) -> tuple:
-    """Every DAG in the class, via acyclic orientations of the skeleton."""
-    return tuple(dag for dag in acyclic_orientations(mec.skeleton) if mec_of(dag) == mec)
-
-
 def _pair_move_kinds(vs: VertexSet) -> dict:
     """Map vertex pair -> set of move kinds whose delta joins the pair.
 
@@ -693,20 +712,18 @@ def _pair_move_kinds(vs: VertexSet) -> dict:
     edge move adds or removes one skeleton edge, so edge moves are skipped
     for a class when no class of vs has such a skeleton.
     """
-    index = _mec_index(vs)
     skeletons = {mec.skeleton.edges for mec in vs.mecs}
     perms = [g.rows for g in _symmetries(vs)]
     reps, derived = _orbit_tree(range(len(vs)), perms, lambda i, perm: perm[i])
+    targets = _move_targets(vs)
     found = {}
     for i in reps:
         mec = vs.mecs[i]
-        moves = enumerate_turn_moves(mec)
+        found[i] = targets(i, _raw_turn_candidates(mec, None))
         if any(len(mec.skeleton.edges ^ s) == 1 for s in skeletons):
-            moves += enumerate_edge_moves(mec)
+            found[i] += targets(i, _raw_edge_candidates(mec, None))
         if mec.skeleton.is_tree() or mec.skeleton.is_single_cycle():
-            moves += enumerate_tree_moves(mec)
-        targets = ((index.get(target), move.kind) for move, target in moves)
-        found[i] = [(j, kind) for j, kind in targets if j is not None and j != i]
+            found[i] += targets(i, _raw_tree_candidates(mec))
     for i, source, k in derived:
         found[i] = [(perms[k][j], kind) for j, kind in found[source]]
     kinds = {}
@@ -995,18 +1012,12 @@ def verify_stab_equivalence(kind: str, p: int) -> dict:
                 chvatal.add((i, j))
 
     classified = set()
-    index = _mec_index(vs)
+    targets = _move_targets(vs)
     for i, mec in enumerate(vs.mecs):
-        moves = [
-            (m, t)
-            for m, t in enumerate_turn_moves(mec)
-            if m.kind == V_STRUCTURE_ADDITION
-        ]
-        moves.extend(enumerate_tree_moves(mec))
-        for move, target in moves:
-            j = index.get(target)
-            if j is not None and j != i:
-                classified.add((min(i, j), max(i, j)))
+        found = targets(i, _raw_turn_candidates(mec, None),
+                        lambda m: m.kind == V_STRUCTURE_ADDITION)
+        found += targets(i, _raw_tree_candidates(mec))
+        classified.update((min(i, j), max(i, j)) for j, _ in found)
 
     return {
         "kind": kind,
@@ -1106,6 +1117,16 @@ def complete_minus_edge(p: int) -> UndirectedGraph:
     return UndirectedGraph.from_edges(p, edges)
 
 
+def _affine_rank(vs: VertexSet) -> int:
+    diffs = [[a - b for a, b in zip(row, vs.matrix[0])] for row in vs.matrix[1:]]
+    return exact_rank(diffs) if diffs else 0
+
+
+def _basis_check(poset: str, elements: list, leq) -> dict:
+    rank = exact_rank(poset_b_matrix(elements, leq))
+    return {"poset": poset, "size": len(elements), "rank": rank, "full_rank": rank == len(elements)}
+
+
 def verify_simplex_faces(p: int) -> dict:
     """Check the two simplex families at a given p: counts and affine rank.
 
@@ -1121,14 +1142,9 @@ def verify_simplex_faces(p: int) -> dict:
     overall = True
 
     for partition in _partitions(p - 1):
-        g = star_over_cliques(p, partition)
-        vs = enumerate_mecs_with_skeleton(g)
+        vs = enumerate_mecs_with_skeleton(star_over_cliques(p, partition))
         d = 2 ** (p - 1) - 1 - sum(2 ** s - 1 for s in partition)
-        base = vs.matrix[0]
-        diffs = [
-            [a - b for a, b in zip(row, base)] for row in vs.matrix[1:]
-        ]
-        rank = exact_rank(diffs) if diffs else 0
+        rank = _affine_rank(vs)
         ok = len(vs) == d + 1 and rank == d
         overall = overall and ok
         report["star_over_cliques"].append(
@@ -1148,22 +1164,13 @@ def verify_simplex_faces(p: int) -> dict:
             for v in mec.vstructs:
                 union.update(v.tails)
             tails.append(frozenset(union))
-        bmat = poset_b_matrix(tails, lambda r, q: r == frozenset() or r <= q)
-        report["basis_checks"].append(
-            {
-                "poset": f"center-tails p={p} partition={list(partition)}",
-                "size": len(tails),
-                "rank": exact_rank(bmat),
-                "full_rank": exact_rank(bmat) == len(tails),
-            }
-        )
+        report["basis_checks"].append(_basis_check(
+            f"center-tails p={p} partition={list(partition)}", tails,
+            lambda r, q: r == frozenset() or r <= q))
 
-    g = complete_minus_edge(p)
-    vs = enumerate_mecs_with_skeleton(g)
+    vs = enumerate_mecs_with_skeleton(complete_minus_edge(p))
     d = 2 ** (p - 2) - 1
-    base = vs.matrix[0]
-    diffs = [[a - b for a, b in zip(row, base)] for row in vs.matrix[1:]]
-    rank = exact_rank(diffs) if diffs else 0
+    rank = _affine_rank(vs)
     ok = len(vs) == d + 1 and rank == d
     overall = overall and ok
     report["complete_minus_edge"] = {
@@ -1173,28 +1180,10 @@ def verify_simplex_faces(p: int) -> dict:
         "ok": ok,
     }
 
-    chain = list(range(6))
-    bmat = poset_b_matrix(chain, lambda r, q: r <= q)
-    report["basis_checks"].append(
-        {
-            "poset": "chain-6",
-            "size": 6,
-            "rank": exact_rank(bmat),
-            "full_rank": exact_rank(bmat) == 6,
-        }
-    )
     subsets = [frozenset(s) for size in range(4) for s in itertools.combinations(range(3), size)]
-    bmat = poset_b_matrix(subsets, lambda r, q: r <= q)
-    report["basis_checks"].append(
-        {
-            "poset": "subset-lattice-3",
-            "size": len(subsets),
-            "rank": exact_rank(bmat),
-            "full_rank": exact_rank(bmat) == len(subsets),
-        }
-    )
-    overall = overall and all(b["full_rank"] for b in report["basis_checks"])
-    report["ok"] = overall
+    report["basis_checks"].append(_basis_check("chain-6", list(range(6)), lambda r, q: r <= q))
+    report["basis_checks"].append(_basis_check("subset-lattice-3", subsets, lambda r, q: r <= q))
+    report["ok"] = overall and all(b["full_rank"] for b in report["basis_checks"])
     return report
 
 

@@ -15,12 +15,12 @@ import numpy as np
 import pytest
 
 from cimwalk.ci_tests import pc_skeleton
-from cimwalk.graphs import (CycleError, Dag, UndirectedGraph, all_dags,
-                            all_mecs, consistent_extension, mec_of, shd)
+from cimwalk.graphs import (CycleError, Dag, UndirectedGraph, acyclic_orientations,
+                            all_dags, all_mecs, consistent_extension, mec_of, shd)
 from cimwalk.imset import full_imset, imset_delta, subset_key
 from cimwalk.moves import (BUDDING, add_edge_delta, enumerate_turn_moves,
                            turn_edge_delta)
-from cimwalk.polytope import (_member_dags, edge_census, enumerate_mecs,
+from cimwalk.polytope import (edge_census, enumerate_mecs,
                               verify_simplex_faces, verify_stab_equivalence,
                               verify_turn_connectivity)
 from cimwalk.scoring import SufficientStats, score_dag, score_mec
@@ -201,6 +201,11 @@ def test_07_score_equivalence_and_affine_linearity():
     for k in range(len(rows)):
         predicted = float(design[k] @ coeffs)
         assert abs(predicted - values[k]) <= 1e-6 * abs(values[k]), k
+
+
+def _member_dags(mec):
+    """Every DAG in the class, via acyclic orientations of the skeleton."""
+    return [dag for dag in acyclic_orientations(mec.skeleton) if mec_of(dag) == mec]
 
 
 def test_08_budding_is_not_a_single_arc_reversal():

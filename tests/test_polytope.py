@@ -428,7 +428,11 @@ def _face(kind, p):
         return enumerate_mecs_with_skeleton(_ASYMMETRIC)
     if kind == "rotations":
         return _rotation_orbit()
-    return enumerate_mecs_with_skeleton({"path": path_graph, "cycle": cycle_graph}[kind](p))
+    return enumerate_mecs_with_skeleton(
+        {"path": path_graph, "cycle": cycle_graph,
+         "star": lambda p: star_over_cliques(p, (1,) * (p - 1)),
+         "complete": lambda p: UndirectedGraph.from_edges(
+             p, itertools.combinations(range(p), 2))}[kind](p))
 
 
 def _pair_move_kinds_by_vector(vs):
@@ -450,7 +454,8 @@ def _pair_move_kinds_by_vector(vs):
 @pytest.mark.parametrize("face, p", [("full", 2), ("full", 3), ("full", 4),
                                      ("cycle", 4), ("cycle", 5), ("cycle", 6),
                                      ("path", 4), ("path", 5), ("path", 6),
-                                     ("path", 7), ("asym", 6)])
+                                     ("path", 7), ("asym", 6), ("star", 5), ("star", 6),
+                                     ("complete", 4), ("complete", 5)])
 def test_pair_move_kinds_match_the_imset_vector_lookup(face, p):
     vs = _face(face, p)
     assert polytope._pair_move_kinds(vs) == _pair_move_kinds_by_vector(vs)
@@ -540,20 +545,25 @@ def test_every_p4_certificate_checks_without_exact_resolves(runs):
         assert all(cert.check(vs) for cert in survey.certificates.values())
 
 
-def test_pair_move_kinds_build_each_class_imset_at_most_once(monkeypatch):
-    # moves are verified on the families they change, so no full imset is built
+def test_pair_move_kinds_build_no_imset_and_apply_or_verify_no_move(monkeypatch):
+    # a move's target is looked up among the rows, so no full imset is
+    # built and no move is applied to a class or verified
     vs = enumerate_mecs(4)
-    built = Counter()
+    calls = Counter()
 
-    def counting(dag):
-        built[dag] += 1
-        return full_imset(dag)
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
 
     moves_mod._class_imset.cache_clear()
     for module in (moves_mod, polytope):
-        monkeypatch.setattr(module, "full_imset", counting)
+        monkeypatch.setattr(module, "full_imset", counting("full_imset", full_imset))
+    for name in ("apply_move", "verify_pair"):
+        monkeypatch.setattr(moves_mod, name, counting(name, getattr(moves_mod, name)))
     assert polytope._pair_move_kinds(vs)
-    assert not built
+    assert not calls
     assert search_mod._class_imset is moves_mod._class_imset
 
 
@@ -911,8 +921,8 @@ def _full_lp_decisions(rmat, pairs):
     return out
 
 
-def _assert_column_generation_matches_the_full_lp(rmat, pairs):
-    got = polytope._decide_pairs(rmat, pairs)
+def _assert_column_generation_matches_the_full_lp(rmat, pairs, got=None):
+    got = polytope._decide_pairs(rmat, pairs) if got is None else got
     want = _full_lp_decisions(rmat, pairs)
     for (u, v, is_edge, margin, mode, weights, t), (want_edge, want_t) in zip(got, want):
         assert is_edge == want_edge, (u, v)
@@ -933,15 +943,28 @@ def test_column_generation_matches_the_full_lp_on_every_p3_pair():
     assert sum(_assert_column_generation_matches_the_full_lp(rmat, pairs)) == 33
 
 
-def test_column_generation_matches_the_full_lp_on_random_p4_pairs():
+def test_column_generation_matches_the_full_lp_on_random_p4_pairs(monkeypatch):
     # drawn from all pairs, so the prefilter is bypassed: at p = 4 every
-    # pair that passes it is an edge, and these include non-edges
+    # pair that passes it is an edge, and these include non-edges; none
+    # needs an exact re-solve, including the two whose LPs end at t ~ 0
+    # with a w that is not level on the pair
     _, rmat = _restricted(enumerate_mecs(4))
     n = len(rmat)
     i, j = np.triu_indices(n, 1)
     picked = np.sort(np.random.default_rng(4).choice(len(i), 240, replace=False))
     pairs = list(zip(i[picked].tolist(), j[picked].tolist()))
-    decisions = _assert_column_generation_matches_the_full_lp(rmat, pairs)
+    exact = Counter()
+    decide_exact = polytope._decide_exact
+
+    def counting(*args):
+        exact[args[1:]] += 1
+        return decide_exact(*args)
+
+    monkeypatch.setattr(polytope, "_decide_exact", counting)
+    got = polytope._decide_pairs(rmat, pairs)
+    monkeypatch.undo()
+    assert not exact
+    decisions = _assert_column_generation_matches_the_full_lp(rmat, pairs, got)
     assert 0 < sum(decisions) < len(pairs)
 
 
