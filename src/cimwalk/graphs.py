@@ -9,7 +9,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Optional
 
 
@@ -146,6 +146,11 @@ class Dag:
     def parent_set(self, i: int) -> frozenset:
         return self.parents[i]
 
+    @cached_property
+    def parent_masks(self) -> tuple:
+        """The parent set of each node as a bitmask, bit k for parent k."""
+        return tuple(sum(1 << k for k in pa) for pa in self.parents)
+
     def has_arc(self, a: int, b: int) -> bool:
         return a in self.parents[b]
 
@@ -216,8 +221,10 @@ class VStructure:
         if self.tails[0] >= self.tails[1]:
             raise GraphError("tails must be a sorted pair")
 
-    def nodes(self) -> tuple:
-        return tuple(sorted((self.collider,) + self.tails))
+    @cached_property
+    def mask(self) -> int:
+        """The three nodes as a bitmask, bit x for node x."""
+        return 1 << self.collider | 1 << self.tails[0] | 1 << self.tails[1]
 
 
 @dataclass(frozen=True)

@@ -3,37 +3,49 @@
 The entry at S is 1 exactly when some node i in S has all of S \\ {i} among
 its parents.  Two DAGs are Markov equivalent iff their imsets coincide, and
 the entries on subsets of size two and three already determine the rest.
+
+A subset key is an int with bit x set for node x.  Keys are checked where
+they come in from outside (subset_key) and decoded to sorted node tuples
+(nodes_of) only for output and messages.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .graphs import Dag, Mec, UndirectedGraph, VStructure
-
-SubsetKey = tuple
-
-
-def subset_key(nodes: Iterable) -> SubsetKey:
-    key = tuple(sorted(nodes))
-    if len(set(key)) != len(key):
-        raise ValueError(f"subset has repeated nodes: {nodes}")
-    if len(key) < 2:
-        raise ValueError("imset entries are indexed by subsets of size >= 2")
-    return key
+from .graphs import Dag, Mec, UndirectedGraph, VStructure, _bits
 
 
 class ImsetError(ValueError):
     pass
 
 
+def key_of(nodes: Iterable) -> int:
+    """The key of a node set; the nodes are not checked."""
+    return sum(1 << v for v in set(nodes))
+
+
+def nodes_of(key: int) -> tuple:
+    """The nodes of a key, in increasing order."""
+    return tuple(_bits(key))
+
+
+def subset_key(nodes: Iterable, p: int) -> int:
+    """The key of a node subset given from outside, which must be at least
+    two distinct nodes, each an int in [0, p)."""
+    nodes = list(nodes)
+    if (not all(isinstance(v, int) and 0 <= v < p for v in nodes)
+            or len(nodes) < 2 or len(set(nodes)) != len(nodes)):
+        raise ImsetError(f"subset {nodes} is not two or more distinct nodes in [0, {p})")
+    return key_of(nodes)
+
+
 @dataclass(frozen=True)
 class CharImset:
-    """Sparse characteristic imset: the set of subsets with entry 1.
+    """Sparse characteristic imset: the set of subset keys with entry 1.
 
     restricted=True means only entries on subsets of size 2 and 3 are stored;
     restricted=False means all subset sizes from 2 to p are covered.
@@ -45,14 +57,15 @@ class CharImset:
 
     def __post_init__(self):
         for key in self.ones:
-            if len(key) < 2 or any(not (0 <= v < self.p) for v in key):
-                raise ImsetError(f"bad subset key {key}")
-            if self.restricted and len(key) > 3:
-                raise ImsetError(f"restricted imset has key {key} of size > 3")
+            # a negative key shifts to -1, so it fails the range test too
+            if key >> self.p or key.bit_count() < 2:
+                raise ImsetError(f"bad subset key {key!r}")
+            if self.restricted and key.bit_count() > 3:
+                raise ImsetError(f"restricted imset has key {nodes_of(key)} of size > 3")
 
     def entry(self, nodes: Iterable) -> int:
-        key = subset_key(nodes)
-        if self.restricted and len(key) > 3:
+        key = subset_key(nodes, self.p)
+        if self.restricted and key.bit_count() > 3:
             raise ImsetError("restricted imset has no entries beyond size 3")
         return 1 if key in self.ones else 0
 
@@ -60,76 +73,60 @@ class CharImset:
         return {
             "p": self.p,
             "restricted": self.restricted,
-            "ones": sorted(list(k) for k in self.ones),
+            "ones": sorted(list(nodes_of(k)) for k in self.ones),
         }
 
     @staticmethod
     def from_json(obj: dict) -> "CharImset":
+        p = int(obj["p"])
         return CharImset(
-            int(obj["p"]),
-            frozenset(subset_key(k) for k in obj["ones"]),
+            p,
+            frozenset(subset_key(k, p) for k in obj["ones"]),
             bool(obj.get("restricted", True)),
         )
 
 
-def imset_entry(dag: Dag, nodes: Iterable) -> int:
-    key = subset_key(nodes)
-    if key[0] < 0 or key[-1] >= dag.p:
-        raise ImsetError(f"subset {key} out of range for p={dag.p}")
-    s = set(key)
-    for i in key:
-        if s - {i} <= dag.parents[i]:
-            return 1
-    return 0
-
-
 def mask_entry(parents: Sequence, s: int) -> int:
-    """imset_entry on bitmasks: s holds the nodes of S and parents[i] those of
-    pa(i).  S must have at least two nodes in range; that is not checked."""
+    """The entry at key s of the DAG whose parent bitmasks are parents.
+    s must hold at least two nodes in range; that is not checked."""
     rest = s
     while rest:
         low = rest & -rest
-        if not s & ~low & ~parents[low.bit_length() - 1]:
+        if not s & ~(low | parents[low.bit_length() - 1]):
             return 1
         rest ^= low
     return 0
 
 
-def restricted_imset(dag: Dag) -> CharImset:
-    ones = set()
-    for i in range(dag.p):
-        pa = sorted(dag.parents[i])
-        for k in pa:
-            ones.add(subset_key((i, k)))
-        for a, b in itertools.combinations(pa, 2):
-            ones.add(subset_key((i, a, b)))
-    return CharImset(dag.p, frozenset(ones), restricted=True)
+def family(base: int, extra: int, nonempty: bool = False) -> frozenset:
+    """{T | extra : T a submask of base, nonempty if asked}.
 
-
-def family(base: Iterable, extra: tuple, least: int = 0) -> frozenset:
-    """{T + extra : T within base, |T| >= least} as sorted key tuples.
-
-    base and extra must be disjoint node sets; the keys are not re-validated.
+    base and extra must be disjoint; the keys are not checked.
     """
-    base = sorted(base)
-    return frozenset(tuple(sorted(sub + extra))
-                     for r in range(least, len(base) + 1)
-                     for sub in itertools.combinations(base, r))
+    out = [base | extra]
+    sub = base
+    while sub:  # the submasks of base, down to 0
+        sub = (sub - 1) & base
+        out.append(sub | extra)
+    if nonempty:
+        out.pop()
+    return frozenset(out)
 
 
 def full_imset(dag: Dag) -> CharImset:
     """All entries; walks parent-set subsets, so cost is sum of 2^|pa(i)|."""
-    ones = frozenset().union(*(family(pa, (i,), 1) for i, pa in enumerate(dag.parents)))
+    ones = frozenset().union(*(family(pa, 1 << i, True)
+                               for i, pa in enumerate(dag.parent_masks)))
     return CharImset(dag.p, ones, restricted=False)
 
 
 def _triangles(edges: Iterable) -> set:
-    """Sorted triples (a, b, c) whose three pairs are all among the sorted
-    pairs in edges: for each edge (a, b), the common higher neighbours c."""
-    higher = defaultdict(set)
+    """Keys of the triples whose three pairs are all among the sorted pairs
+    in edges: for each edge (a, b), the common higher neighbours c."""
+    higher = defaultdict(int)
     for a, b in edges:
-        higher[a].add(b)
-    return {(a, b, c) for a, b in edges for c in higher[a] & higher[b]}
+        higher[a] |= 1 << b
+    return {1 << a | 1 << b | 1 << c for a, b in edges for c in _bits(higher[a] & higher[b])}
 
 
 @lru_cache(maxsize=1_000_000)
@@ -139,25 +136,24 @@ def mec_restricted_imset(mec: Mec) -> CharImset:
     Size-2 entries are the skeleton edges.  A size-3 entry is 1 iff the
     triple is a complete triangle of the skeleton or a recorded v-structure.
     """
-    ones = set(mec.skeleton.edges) | _triangles(mec.skeleton.edges)
-    ones.update(vs.nodes() for vs in mec.vstructs)
+    ones = {key_of(e) for e in mec.skeleton.edges} | _triangles(mec.skeleton.edges)
+    ones.update(vs.mask for vs in mec.vstructs)
     return CharImset(mec.p, frozenset(ones), restricted=True)
 
 
-def triple_vstructure(key: SubsetKey, edges, entry: bool):
-    """The v-structure a size-3 subset's entry implies given the skeleton
-    edges: an entry over exactly two edges; None for any other consistent
-    triple.  Raises ImsetError for an entry over fewer than two edges or a
-    complete triangle whose entry is zero."""
-    a, b, c = key
-    missing = [pair for pair in ((a, b), (a, c), (b, c)) if pair not in edges]
+def triple_vstructure(key: int, edges, entry: bool):
+    """The v-structure a size-3 key's entry implies given the keys of the
+    skeleton edges: an entry over exactly two edges; None for any other
+    consistent triple.  Raises ImsetError for an entry over fewer than two
+    edges or a complete triangle whose entry is zero."""
+    missing = [key ^ 1 << v for v in _bits(key) if key ^ 1 << v not in edges]
     if entry and len(missing) > 1:
-        raise ImsetError(f"size-3 entry {key} with fewer than two edges")
+        raise ImsetError(f"size-3 entry {nodes_of(key)} with fewer than two edges")
     if not entry and not missing:
-        raise ImsetError(f"complete triangle {key} with zero entry")
+        raise ImsetError(f"complete triangle {nodes_of(key)} with zero entry")
     if not entry or not missing:
         return None
-    return VStructure(next(v for v in key if v not in missing[0]), missing[0])
+    return VStructure((key ^ missing[0]).bit_length() - 1, nodes_of(missing[0]))
 
 
 def recover_mec(imset: CharImset) -> Mec:
@@ -165,14 +161,15 @@ def recover_mec(imset: CharImset) -> Mec:
 
     Raises ImsetError when the entries are structurally impossible for any
     DAG: a size-3 one whose triple has fewer than two skeleton edges, or a
-    complete skeleton triangle whose size-3 entry is zero.
+    complete skeleton triangle whose size-3 entry is zero; of the latter,
+    the lexicographically first is named.
     """
-    edges = {k for k in imset.ones if len(k) == 2}
-    skel = UndirectedGraph(imset.p, frozenset(edges))
-    vstructs = {triple_vstructure(k, edges, True) for k in imset.ones if len(k) == 3}
-    unmarked = _triangles(edges) - imset.ones
+    edges = {k for k in imset.ones if k.bit_count() == 2}
+    skel = UndirectedGraph(imset.p, frozenset(map(nodes_of, edges)))
+    vstructs = {triple_vstructure(k, edges, True) for k in imset.ones if k.bit_count() == 3}
+    unmarked = _triangles(skel.edges) - imset.ones
     if unmarked:
-        triple_vstructure(min(unmarked), edges, False)  # raises
+        triple_vstructure(min(unmarked, key=nodes_of), edges, False)  # raises
     return Mec(skel, frozenset(vstructs - {None}))
 
 

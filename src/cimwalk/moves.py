@@ -21,23 +21,11 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Iterator, Optional
 
-from .graphs import (
-    Dag,
-    GraphError,
-    Mec,
-    UndirectedGraph,
-    consistent_extension,
-)
-from .imset import (  # recover_mec stays importable here for perfbench's tracer
-    ImsetError,
-    family,
-    full_imset,
-    imset_entry,
-    mec_restricted_imset,
-    recover_mec,
-    subset_key,
-    triple_vstructure,
-)
+from .graphs import (Dag, GraphError, Mec, UndirectedGraph, _adjacency, _bits,
+                     consistent_extension)
+# recover_mec stays importable here for perfbench's tracer
+from .imset import (ImsetError, family, full_imset, key_of, mask_entry,
+                    mec_restricted_imset, nodes_of, recover_mec, triple_vstructure)
 
 MARKOV_EQUIVALENT = "markov_equivalent"
 V_STRUCTURE_ADDITION = "v_structure_addition"
@@ -56,7 +44,8 @@ class MoveError(ValueError):
 
 @dataclass(frozen=True)
 class Move:
-    """A signed imset delta relative to a source class, with a kind label."""
+    """A signed imset delta (sets of subset keys) relative to a source
+    class, with a kind label and node-tuple parameters."""
 
     kind: str
     params: tuple
@@ -75,8 +64,8 @@ class Move:
         return {
             "kind": self.kind,
             "params": enc(self.params),
-            "added": sorted(list(k) for k in self.added),
-            "removed": sorted(list(k) for k in self.removed),
+            "added": sorted(list(nodes_of(k)) for k in self.added),
+            "removed": sorted(list(nodes_of(k)) for k in self.removed),
         }
 
 
@@ -112,25 +101,23 @@ def turn_edge_delta(dag: Dag, i: int, j: int) -> Move:
     if not dag.has_arc(i, j):
         raise GraphError(f"no arc {(i, j)}")
     dag.reverse_arc(i, j)  # raises CycleError when the reversal is cyclic
-    pa_i = frozenset(dag.parents[i])
-    pa_j = frozenset(dag.parents[j]) - {i}
-    a_plus = family(pa_i, (i, j))
-    a_minus = family(pa_j, (i, j))
+    ij = 1 << i | 1 << j
+    pa_i = dag.parent_masks[i]
+    pa_j = dag.parent_masks[j] & ~(1 << i)
+    a_plus = family(pa_i, ij)
+    a_minus = family(pa_j, ij)
     added = a_plus - a_minus
     removed = a_minus - a_plus
 
     if pa_i == pa_j:
         return Move(MARKOV_EQUIVALENT, (i, j), frozenset(), frozenset())
-    if pa_i - pa_j and pa_j - pa_i:
-        return Move(FLIP, (i, j, tuple(sorted(pa_i)), tuple(sorted(pa_j))), added, removed)
-    if pa_j < pa_i:
-        if len(pa_i) >= 2:
-            return Move(BUDDING, (i, j, tuple(sorted(pa_i))), added, removed)
-        return Move(V_STRUCTURE_ADDITION, (subset_key((i, j) + tuple(pa_i)),), added, removed)
-    # pa_i < pa_j: the reversed graph is the sparse side of the pair
-    if len(pa_j) >= 2:
-        return Move(BUDDING, (j, i, tuple(sorted(pa_j))), added, removed)
-    return Move(V_STRUCTURE_ADDITION, (subset_key((i, j) + tuple(pa_j)),), added, removed)
+    if pa_i & ~pa_j and pa_j & ~pa_i:
+        return Move(FLIP, (i, j, nodes_of(pa_i), nodes_of(pa_j)), added, removed)
+    # nested parent sets; when pa_i < pa_j the reversed graph is the sparse side
+    a, b, pa = (i, j, pa_i) if not pa_j & ~pa_i else (j, i, pa_j)
+    if pa.bit_count() >= 2:
+        return Move(BUDDING, (a, b, nodes_of(pa)), added, removed)
+    return Move(V_STRUCTURE_ADDITION, (nodes_of(ij | pa),), added, removed)
 
 
 def add_edge_delta(dag: Dag, tail: int, head: int) -> Move:
@@ -142,8 +129,8 @@ def add_edge_delta(dag: Dag, tail: int, head: int) -> Move:
     if dag.adjacent(tail, head):
         raise GraphError(f"nodes {tail},{head} already adjacent")
     dag.add_arc(tail, head)  # raises CycleError when the addition is cyclic
-    pa = dag.parents[head]
-    return Move(EDGE_PAIR, (head, tail, tuple(sorted(pa))), family(pa, (tail, head)),
+    pa = dag.parent_masks[head]
+    return Move(EDGE_PAIR, (head, tail, nodes_of(pa)), family(pa, 1 << tail | 1 << head),
                 frozenset())
 
 
@@ -161,34 +148,33 @@ def apply_move(mec: Mec, move: Move) -> Mec:
     the current entries, the updated entries are impossible for any DAG, or
     the resulting class is not realizable.
     """
-    p = mec.p
     base = mec_restricted_imset(mec).ones
-    added = {k for k in move.added if len(k) <= 3}
-    removed = {k for k in move.removed if len(k) <= 3}
+    added = {k for k in move.added if k.bit_count() <= 3}
+    removed = {k for k in move.removed if k.bit_count() <= 3}
     for key in added:
         if key in base:
-            raise MoveError(f"added entry {key} already present")
-        if len(key) < 2 or key[0] < 0 or key[-1] >= p or key != tuple(sorted(set(key))):
-            raise MoveError(f"bad subset key {key}")
+            raise MoveError(f"added entry {nodes_of(key)} already present")
     for key in removed:
         if key not in base and key not in added:
-            raise MoveError(f"removed entry {key} not present")
+            raise MoveError(f"removed entry {nodes_of(key)} not present")
     ones = base.union(added).difference(removed)
     changed = added | removed
-    pairs = [k for k in changed if len(k) == 2]
-    touched = {k for k in changed if len(k) == 3}
+    pairs = [k for k in changed if k.bit_count() == 2]
+    touched = {k for k in changed if k.bit_count() == 3}
     skel = new_skel = mec.skeleton
     if pairs:
-        new_skel = UndirectedGraph(
-            p, skel.edges.union(k for k in added if len(k) == 2).difference(removed))
-    for a, b in pairs:
+        new_skel = UndirectedGraph(mec.p, skel.edges.difference(map(nodes_of, pairs)).union(
+            nodes_of(k) for k in pairs if k in ones))
+    for pair in pairs:
+        a, b = nodes_of(pair)
         near = (skel.neighbors(a) | skel.neighbors(b)
                 | new_skel.neighbors(a) | new_skel.neighbors(b))
-        touched.update(tuple(sorted((a, b, c))) for c in near - {a, b})
-    vstructs = {vs for vs in mec.vstructs if vs.nodes() not in touched}
+        touched.update(pair | 1 << c for c in near - {a, b})
+    vstructs = {vs for vs in mec.vstructs if vs.mask not in touched}
     try:
         for key in touched:
-            vs = triple_vstructure(key, new_skel.edges, key in ones)
+            # the size-2 keys of ones are the edges of new_skel
+            vs = triple_vstructure(key, ones, key in ones)
             if vs is not None:
                 vstructs.add(vs)
     except ImsetError as exc:
@@ -211,30 +197,28 @@ def verify_pair(source: Mec, target: Mec, move: Move) -> bool:
     """
     g, h = representative(source), representative(target)
     f_g, f_h = set(), set()
-    for i, (pa_g, pa_h) in enumerate(zip(g.parents, h.parents)):
+    for i, (pa_g, pa_h) in enumerate(zip(g.parent_masks, h.parent_masks)):
         if pa_g != pa_h:
-            f_g |= family(pa_g, (i,), 1)
-            f_h |= family(pa_h, (i,), 1)
+            f_g |= family(pa_g, 1 << i, True)
+            f_h |= family(pa_h, 1 << i, True)
     return f_h - f_g == move.added and f_g - f_h == move.removed
 
 
 # ---------------------------------------------------------------------------
 # Candidate generation
 
-_EMPTY = ()
-
-
 @lru_cache(maxsize=200_000)
 def _admissible(mec: Mec, i: int, cap: Optional[int]) -> tuple:
-    """Subsets T of ne(i) whose every nonempty subset S has entry(S+{i}) == 1.
+    """Keys of the subsets T of ne(i) whose every nonempty subset S has
+    entry(S+{i}) == 1.
 
     The family is downward closed, so it is grown level by level; returned in
-    (size, lex) order.  `cap` bounds the subset size.
+    (size, lex) order of the node tuples.  `cap` bounds the subset size.
     """
-    rep = representative(mec)
+    pa = representative(mec).parent_masks
     nbrs = sorted(mec.skeleton.neighbors(i))
-    out = [(k,) for k in nbrs]
-    valid = {(k,) for k in nbrs}
+    out = [1 << k for k in nbrs]
+    valid = set(out)
     level = out[:]
     size = 1
     while level and (cap is None or size < cap):
@@ -242,11 +226,11 @@ def _admissible(mec: Mec, i: int, cap: Optional[int]) -> tuple:
         nxt = []
         for t in level:
             for k in nbrs:
-                if k <= t[-1]:
+                if t >> k:  # k is not above every node of t
                     continue
-                cand = t + (k,)
-                if all(tuple(x for x in cand if x != y) in valid for y in cand):
-                    if imset_entry(rep, cand + (i,)) == 1:
+                cand = t | 1 << k
+                if all(cand ^ 1 << y in valid for y in _bits(cand)):
+                    if mask_entry(pa, cand | 1 << i) == 1:
                         valid.add(cand)
                         nxt.append(cand)
         out.extend(nxt)
@@ -254,9 +238,9 @@ def _admissible(mec: Mec, i: int, cap: Optional[int]) -> tuple:
     return tuple(out)
 
 
-def _family(s_star: tuple, i: int, j: int, excluded_nbrs: frozenset) -> frozenset:
-    """{T + {i,j} : nonempty T within s_star, T not within excluded_nbrs}."""
-    return family(s_star, (i, j), 1) - family(excluded_nbrs.intersection(s_star), (i, j), 1)
+def _family(s_star: int, ij: int, excluded_nbrs: int) -> frozenset:
+    """{T | ij : nonempty T within s_star, T not within excluded_nbrs}."""
+    return family(s_star, ij, True) - family(s_star & excluded_nbrs, ij, True)
 
 
 def _raw_turn_candidates(mec: Mec, cap: Optional[int]) -> Iterator[Move]:
@@ -269,42 +253,39 @@ def _raw_turn_candidates(mec: Mec, cap: Optional[int]) -> Iterator[Move]:
     sides yields the kind.  Preconditions on entries of the form S + {i} are
     enforced through the admissible families.
     """
-    c = partial(imset_entry, representative(mec))
-    p = mec.p
-    ne = [mec.skeleton.neighbors(i) for i in range(p)]
+    c = partial(mask_entry, representative(mec).parent_masks)
+    ne = _adjacency(mec.p, mec.skeleton.edges)
 
-    for i in range(p):
-        for j in sorted(ne[i]):
-            s_i_list = [_EMPTY] + [t for t in _admissible(mec, i, cap) if j not in t]
+    for i in range(mec.p):
+        for j in _bits(ne[i]):
+            ij = 1 << i | 1 << j
+            s_i_list = [0] + [t for t in _admissible(mec, i, cap) if not t >> j & 1]
             # the lost side does not depend on S_i: build and check it once
             s_j_list = []
-            for s_j in [_EMPTY] + [t for t in _admissible(mec, j, cap) if i not in t]:
-                if s_j and set(s_j) <= ne[i]:
+            for s_j in [0] + [t for t in _admissible(mec, j, cap) if not t >> i & 1]:
+                if s_j and not s_j & ~ne[i]:
                     continue
-                minus = _family(s_j, j, i, ne[i]) if s_j else frozenset()
-                if all(c(k) for k in minus):
+                minus = _family(s_j, ij, ne[i]) if s_j else frozenset()
+                if all(map(c, minus)):
                     s_j_list.append((s_j, minus))
             for s_i in s_i_list:
-                if s_i and set(s_i) <= ne[j]:
+                if s_i and not s_i & ~ne[j]:
                     continue
-                plus = _family(s_i, i, j, ne[j]) if s_i else frozenset()
-                if any(c(k) for k in plus):
+                plus = _family(s_i, ij, ne[j]) if s_i else frozenset()
+                if any(map(c, plus)):
                     continue
                 for s_j, minus in s_j_list:
                     if not s_i and not s_j:
                         continue
                     if s_i and s_j:
-                        yield Move(FLIP, (i, j, s_i, s_j), plus, minus)
-                    elif s_i:
-                        if len(s_i) == 1:
-                            yield Move(V_STRUCTURE_ADDITION, (next(iter(plus)),), plus, minus)
-                        else:
-                            yield Move(BUDDING, (i, j, s_i), plus, minus)
+                        yield Move(FLIP, (i, j, nodes_of(s_i), nodes_of(s_j)), plus, minus)
+                        continue
+                    # one side is empty; the budding runs from the other
+                    a, b, s = (i, j, s_i) if s_i else (j, i, s_j)
+                    if s.bit_count() == 1:
+                        yield Move(V_STRUCTURE_ADDITION, (nodes_of(s | ij),), plus, minus)
                     else:
-                        if len(s_j) == 1:
-                            yield Move(V_STRUCTURE_ADDITION, (next(iter(minus)),), plus, minus)
-                        else:
-                            yield Move(BUDDING, (j, i, s_j), plus, minus)
+                        yield Move(BUDDING, (a, b, nodes_of(s)), plus, minus)
 
 
 def _raw_edge_candidates(mec: Mec, cap: Optional[int]) -> Iterator[Move]:
@@ -314,23 +295,24 @@ def _raw_edge_candidates(mec: Mec, cap: Optional[int]) -> Iterator[Move]:
     gained, so all its entries must be 0.  Adjacent (i, j): the same family
     is lost, so all entries must be 1.
     """
-    c = partial(imset_entry, representative(mec))
+    c = partial(mask_entry, representative(mec).parent_masks)
     p = mec.p
-    ne = [mec.skeleton.neighbors(i) for i in range(p)]
+    ne = _adjacency(p, mec.skeleton.edges)
 
     for i in range(p):
         for j in range(p):
             if i == j:
                 continue
-            adjacent = j in ne[i]
-            for s_star in [_EMPTY] + [t for t in _admissible(mec, i, cap) if j not in t]:
-                fam = family(s_star, (i, j))
+            adjacent = ne[i] >> j & 1
+            ij = 1 << i | 1 << j
+            for s_star in [0] + [t for t in _admissible(mec, i, cap) if not t >> j & 1]:
+                fam = family(s_star, ij)
                 if adjacent:
-                    if all(c(k) for k in fam):
-                        yield Move(EDGE_PAIR, (i, j, s_star), frozenset(), fam)
+                    if all(map(c, fam)):
+                        yield Move(EDGE_PAIR, (i, j, nodes_of(s_star)), frozenset(), fam)
                 else:
-                    if not any(c(k) for k in fam):
-                        yield Move(EDGE_PAIR, (i, j, s_star), fam, frozenset())
+                    if not any(map(c, fam)):
+                        yield Move(EDGE_PAIR, (i, j, nodes_of(s_star)), fam, frozenset())
 
 
 def _tree_paths(mec: Mec) -> Iterator[tuple]:
@@ -379,17 +361,17 @@ def _tree_paths(mec: Mec) -> Iterator[tuple]:
 
 
 def _raw_tree_candidates(mec: Mec) -> Iterator[Move]:
-    c = partial(imset_entry, representative(mec))
+    c = partial(mask_entry, representative(mec).parent_masks)
     for path in _tree_paths(mec):
         n = len(path)
-        triples = [subset_key((path[j - 1], path[j], path[j + 1])) for j in range(1, n - 1)]
+        triples = [key_of(path[j - 1:j + 2]) for j in range(1, n - 1)]
         if len(set(triples)) != len(triples):
             continue
         odd = frozenset(triples[0::2])
         even = frozenset(triples[1::2])
         if n % 2 == 1 and len(triples) < 3:
             continue  # a one-triple split is just a v-structure addition
-        if any(c(k) for k in odd) or any(not c(k) for k in even):
+        if any(map(c, odd)) or not all(map(c, even)):
             continue
         kind = SHIFT if n % 2 == 0 else SPLIT
         yield Move(kind, (path,), odd, even)

@@ -37,7 +37,7 @@ from .graphs import (
     consistent_extension,
     skeleton_classes,
 )
-from .imset import full_imset, mask_entry, subset_key
+from .imset import full_imset, key_of, mask_entry, nodes_of
 from .lp import OPTIMAL, LpError, simplex_max, simplex_max_many
 from .moves import (
     EDGE_PAIR,
@@ -73,8 +73,10 @@ UNCLASSIFIED = "unclassified"
 class VertexSet:
     """MECs on a common node set with their full imset vectors, in row order.
 
-    Rows are sorted by vector, so the order is reproducible for a given set
-    of classes.  All vectors are pairwise distinct.
+    coords holds the subset key of each column.  Rows are sorted by vector,
+    so the order is reproducible for a given set of classes.  All vectors
+    are pairwise distinct.  The lru caches below are keyed by whole vertex
+    sets, so the hash is computed once per instance.
     """
 
     p: int
@@ -85,20 +87,25 @@ class VertexSet:
     def __len__(self) -> int:
         return len(self.mecs)
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.p, self.mecs, self.coords, self.matrix))
+
 
 def _all_coords(p: int) -> tuple:
-    out = []
-    for size in range(2, p + 1):
-        out.extend(itertools.combinations(range(p), size))
-    return tuple(out)
+    """The keys of the subsets of size >= 2, in (size, lex) order."""
+    return tuple(key_of(key) for size in range(2, p + 1)
+                 for key in itertools.combinations(range(p), size))
 
 
 def _build_vertex_set(p: int, classes: Iterable) -> VertexSet:
     """The vertex set of (Mec, parent bitmasks of a member DAG) pairs; each
     row is read from the masks with the imset entry rule."""
     coords = _all_coords(p)
-    masks = [sum(1 << x for x in key) for key in coords]
-    rows = [(tuple([mask_entry(parents, s) for s in masks]), mec) for mec, parents in classes]
+    rows = [(tuple([mask_entry(parents, s) for s in coords]), mec) for mec, parents in classes]
     rows.sort(key=lambda rv: rv[0])
     matrix = tuple(r for r, _ in rows)
     if len(set(matrix)) != len(matrix):
@@ -121,15 +128,15 @@ def _move_targets(vs: VertexSet):
     move verifies from class i to class j; no target class is built.
     """
     # each row as an int, bit k holding coordinate k
-    bit = {key: 1 << k for k, key in enumerate(vs.coords)}
+    pos = _coord_pos(vs)
     rows = [sum(b << k for k, b in enumerate(row)) for row in vs.matrix]
     index = {row: j for j, row in enumerate(rows)}
 
     def targets(i: int, raw, keep=None) -> list:
         out = []
         for move in _distinct_deltas(raw, keep):
-            added = sum(bit[key] for key in move.added)
-            removed = sum(bit[key] for key in move.removed)
+            added = sum(1 << pos[key] for key in move.added)
+            removed = sum(1 << pos[key] for key in move.removed)
             j = index.get((rows[i] | added) & ~removed)
             if j is not None and j != i:
                 out.append((j, move.kind))
@@ -244,7 +251,7 @@ def _symmetries(vs: VertexSet) -> tuple:
     def verified(img):
         nonlocal budget
         budget -= len(vs.coords) + len(rows)
-        cp = tuple(pos[tuple(sorted(img[x] for x in key))] for key in vs.coords)
+        cp = tuple(pos[key_of(img[x] for x in _bits(key))] for key in vs.coords)
         image = np.empty_like(rows)
         image[:, cp] = rows
         vp = tuple(row_of.get(row.tobytes()) for row in image)
@@ -884,7 +891,7 @@ def face_objective(h: UndirectedGraph, h_prime: UndirectedGraph) -> dict:
     """Pair weights whose maximizers are the MECs with skeleton between h and h_prime.
 
     Weight 1 on edges of h, 0 on edges only in h_prime, -1 on all other node
-    pairs; entries for larger sets are zero and omitted.
+    pairs, keyed by subset key; entries for larger sets are zero and omitted.
     """
     if h.p != h_prime.p:
         raise GraphError("graphs must share a node set")
@@ -892,10 +899,10 @@ def face_objective(h: UndirectedGraph, h_prime: UndirectedGraph) -> dict:
         raise GraphError("first graph must be a subgraph of the second")
     out = {}
     for pair in itertools.combinations(range(h.p), 2):
-        key = subset_key(pair)
-        if key in h.edges:
+        key = key_of(pair)
+        if pair in h.edges:
             out[key] = 1
-        elif key in h_prime.edges:
+        elif pair in h_prime.edges:
             out[key] = 0
         else:
             out[key] = -1
@@ -954,38 +961,29 @@ def verify_stab_equivalence(kind: str, p: int) -> dict:
     counterpart, since every acyclic orientation of a cycle has a sink, and
     dropping that vertex exposes extra polytope edges.
     """
+    # ground position idx is the collider at node idx + shift
     if kind == "path":
         if not 2 <= p <= 9:
             raise GraphError("paths supported for 2 <= p <= 9")
-        g = path_graph(p)
-        ground = p - 2
+        g, ground, shift = path_graph(p), p - 2, 1
 
         def adjacent(a, b):
             return abs(a - b) == 1
 
-        def triple_of(idx):
-            return subset_key((idx, idx + 1, idx + 2))
-
-        def ground_of(center):
-            return center - 1
-
     elif kind == "cycle":
         if not 4 <= p <= 9:
             raise GraphError("cycles supported for 4 <= p <= 9")
-        g = cycle_graph(p)
-        ground = p
+        g, ground, shift = cycle_graph(p), p, 0
 
         def adjacent(a, b):
             return (a - b) % p in (1, p - 1)
 
-        def triple_of(idx):
-            return subset_key(((idx - 1) % p, idx, (idx + 1) % p))
-
-        def ground_of(center):
-            return center
-
     else:
         raise GraphError("kind must be 'path' or 'cycle'")
+
+    def triple_of(idx):
+        c = idx + shift
+        return key_of(((c - 1) % p, c, (c + 1) % p))
 
     vs = enumerate_mecs_with_skeleton(g)
     stables = _stable_sets(ground, adjacent)
@@ -994,10 +992,10 @@ def verify_stab_equivalence(kind: str, p: int) -> dict:
     vertex_sets = []
     coordinate_ok = True
     for i, mec in enumerate(vs.mecs):
-        triples = frozenset(subset_key(v.nodes()) for v in mec.vstructs)
-        vertex_sets.append(frozenset(ground_of(v.collider) for v in mec.vstructs))
+        triples = frozenset(v.mask for v in mec.vstructs)
+        vertex_sets.append(frozenset(v.collider - shift for v in mec.vstructs))
         ones = {key for key, bit in zip(vs.coords, vs.matrix[i]) if bit}
-        if ones != set(g.edges) | set(triples):
+        if ones != set(map(key_of, g.edges)) | triples:
             coordinate_ok = False
     actual = {frozenset(triple_of(i) for i in s) for s in vertex_sets}
 
@@ -1026,7 +1024,7 @@ def verify_stab_equivalence(kind: str, p: int) -> dict:
         "stable_sets": len(stables),
         "count_match": len(vs) == len(stables),
         "bijection_match": actual == expected,
-        "missing_stable_sets": sorted(sorted(s) for s in (expected - actual)),
+        "missing_stable_sets": sorted(sorted(map(nodes_of, s)) for s in (expected - actual)),
         "coordinate_match": coordinate_ok,
         "lp_edges": len(lp_edges),
         "chvatal_edges": len(chvatal),

@@ -19,6 +19,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .graphs import Dag, GraphError, Mec, consistent_extension
+from .imset import nodes_of
 from .moves import Move, apply_move
 
 __all__ = [
@@ -259,12 +260,13 @@ class LocalScoreCache:
         self._table[key] = value
         return value
 
-    def mobius(self, key: tuple) -> float:
+    def mobius(self, key: int) -> float:
         """Coefficient r(S) of imset entry S = key in the (affine) class score:
-        the sum over T within S - {i} of (-1)^(|S|-1-|T|) local(i, T), i = max(S)."""
+        the sum over T within S - {i} of (-1)^(|S|-1-|T|) local(i, T), i = max(S),
+        taken in (size, lex) order of T."""
         value = self._mobius.get(key)
         if value is None:
-            i, rest = key[-1], key[:-1]
+            *rest, i = nodes_of(key)
             value = self._mobius[key] = sum(
                 (-1) ** (len(rest) - r) * self.local(i, sub)
                 for r in range(len(rest) + 1)

@@ -131,7 +131,7 @@ def _extension_delta(source: Mec, target: Mec, run: _Run) -> float:
 
 def _estimate(move: Move, cache: LocalScoreCache) -> Optional[float]:
     """Sum of Möbius coefficients over the move's delta; None past _SCREEN_MAX."""
-    if max(map(len, move.added | move.removed), default=0) > _SCREEN_MAX:
+    if max(map(int.bit_count, move.added | move.removed), default=0) > _SCREEN_MAX:
         return None
     try:
         return sum(map(cache.mobius, move.added)) - sum(map(cache.mobius, move.removed))

@@ -10,6 +10,7 @@ enumerator in cimwalk.graphs.
 import itertools
 
 from cimwalk.graphs import CycleError, Dag, GraphError, UndirectedGraph, mec_of
+from cimwalk.imset import key_of
 from cimwalk.moves import _class_imset
 from cimwalk.polytope import VertexSet
 
@@ -47,7 +48,7 @@ def imset_vector(mec, coords: tuple) -> tuple:
 
 def vertex_set_by_dag(p: int, mecs) -> VertexSet:
     """The vertex set of the classes, rows from full imsets, sorted by vector."""
-    coords = tuple(c for size in range(2, p + 1)
+    coords = tuple(key_of(c) for size in range(2, p + 1)
                    for c in itertools.combinations(range(p), size))
     rows = sorted(((imset_vector(mec, coords), mec) for mec in mecs), key=lambda rv: rv[0])
     matrix = tuple(r for r, _ in rows)

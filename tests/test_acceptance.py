@@ -181,7 +181,7 @@ def test_07_score_equivalence_and_affine_linearity():
     # predict the held-out six
     rng = np.random.default_rng(424)
     stats = SufficientStats.from_data(rng.standard_normal((500, 3)))
-    coords = [subset_key(s) for s in ((0, 1), (0, 2), (1, 2), (0, 1, 2))]
+    coords = [subset_key(s, 3) for s in ((0, 1), (0, 2), (1, 2), (0, 1, 2))]
     rows = []
     values = []
     for mec in all_mecs(3):
@@ -278,7 +278,7 @@ def test_10_oracle_equivalence_up_to_p4():
             assert mec_of(extension) == mec
 
             ones = full_imset(dag).ones
-            restricted = frozenset(k for k in ones if len(k) <= 3)
+            restricted = frozenset(k for k in ones if k.bit_count() <= 3)
             assert restricted_to_full.setdefault(restricted, ones) == ones
             assert full_to_restricted.setdefault(ones, restricted) == restricted
 

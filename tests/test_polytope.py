@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from cimwalk import moves as moves_mod
 from cimwalk import polytope
 from cimwalk import search as search_mod
-from cimwalk.graphs import Dag, GraphError, UndirectedGraph, mec_of
-from cimwalk.imset import full_imset
+from cimwalk.graphs import Dag, GraphError, Mec, UndirectedGraph, mec_of
+from cimwalk.imset import full_imset, nodes_of
 from cimwalk.lp import OPTIMAL, LpResult, simplex_max, simplex_max_many
 from cimwalk.moves import (enumerate_edge_moves, enumerate_tree_moves,
                            enumerate_turn_moves, representative)
@@ -602,10 +602,10 @@ def test_symmetries_generate_the_relabelling_group(kind, p, order):
                                      ("cycle", 6), ("path", 7), ("rotations", 4)])
 def test_every_symmetry_maps_the_rows_onto_the_rows(kind, p):
     vs = _face(kind, p)
-    pos = {key: k for k, key in enumerate(vs.coords)}
+    pos = {nodes_of(key): k for k, key in enumerate(vs.coords)}
     for g in polytope._symmetries(vs):
         assert sorted(g.nodes) == list(range(p))
-        assert g.coords == tuple(pos[tuple(sorted(g.nodes[x] for x in key))]
+        assert g.coords == tuple(pos[tuple(sorted(g.nodes[x] for x in nodes_of(key)))]
                                  for key in vs.coords)
         assert sorted(g.rows) == list(range(len(vs)))
         for i, row in enumerate(vs.matrix):
@@ -613,6 +613,22 @@ def test_every_symmetry_maps_the_rows_onto_the_rows(kind, p):
             for k, bit in enumerate(row):
                 image[g.coords[k]] = bit
             assert tuple(image) == vs.matrix[g.rows[i]]
+
+
+def test_a_vertex_set_is_hashed_once(monkeypatch):
+    vs = enumerate_mecs(4)
+    again = enumerate_mecs(4)
+    assert vs is not again and vs == again and hash(vs) == hash(again)
+    for cached in (polytope._restricted, polytope._coord_pos, polytope._symmetries):
+        cached(vs)
+    hashed = []
+    original = Mec.__hash__
+    monkeypatch.setattr(Mec, "__hash__", lambda mec: hashed.append(mec) or original(mec))
+    for cached in (polytope._restricted, polytope._coord_pos, polytope._symmetries):
+        cached(vs)
+    assert hashed == []
+    hash(vs.mecs[0])
+    assert hashed == [vs.mecs[0]]
 
 
 def test_symmetry_detection_on_the_star_face_is_fast():
