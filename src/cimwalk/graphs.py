@@ -451,11 +451,12 @@ def parse_graph_text(text: str) -> tuple:
     """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("p "):
-        raise GraphError("first line must be 'p <n>'")
+    head = lines[0].split() if lines else []
     try:
-        p = int(lines[0].split()[1])
-    except (IndexError, ValueError):
+        if len(head) != 2 or head[0] != "p":
+            raise ValueError
+        p = int(head[1])
+    except ValueError:
         raise GraphError("first line must be 'p <n>'") from None
     if p < 0:
         raise GraphError("p must be non-negative")

@@ -14,6 +14,14 @@ numpy call per step; a single LP is a stack of one.  Entering columns
 follow Bland's smallest-index rule, which rules out cycling in the exact
 mode and is harmless in the float mode.  An optimal result carries the row
 duals as well as the primal point.
+
+simplex_max and simplex_max_many build the tableaux and move them to the
+start basis.  pivot_tableaux pivots tableaux that are already canonical, so
+a caller can keep them between solves: a final tableau holds B^-1 in its
+identity block and minus the prices c_B B^-1 in the objective row there,
+so a column a of cost c_a added later enters as that block times a, plus
+c_a in the objective row, with no inverse computed: the warm start of
+column generation.
 """
 
 from __future__ import annotations
@@ -168,6 +176,22 @@ def _enter_basis(stack, basis, start, exact):
     return out
 
 
+def pivot_tableaux(stack, basis, exact: bool = False) -> list:
+    """Pivot canonical tableaux to their optima, in place.
+
+    stack is (count, m + 1, n + m + 1): each LP's B^-1 [A | I | b] at the
+    basis basis[k], with the objective row c - c_B B^-1 A last (zero on
+    the basic columns, -c_B B^-1 b in its rhs cell).  Only the n
+    structural columns enter.  Returns one outcome per LP: OPTIMAL,
+    UNBOUNDED, or None where the pivot limit was hit.
+    """
+    count, rows, width = stack.shape
+    if not count:
+        return []
+    m = rows - 1
+    return _run(stack, basis, m, m, np.arange(width - 1) < width - 1 - m, exact)
+
+
 def simplex_max(c, a, b, start, exact: bool = False) -> LpResult:
     """Maximize c.x subject to a x = b and x >= 0, from the basis start.
 
@@ -221,8 +245,7 @@ def simplex_max_many(c, a_stack, b_stack, start, exact: bool = False) -> list:
     if not ok:
         return out
     tabs, bases = stack[ok], basis[ok]
-    # the identity columns never enter
-    outcomes = _run(tabs, bases, m, m, np.arange(n + m) < n, exact)
+    outcomes = pivot_tableaux(tabs, bases, exact)
     x = np.full((len(ok), n), zero, dtype=a.dtype)
     x[np.arange(len(ok))[:, None], bases] = tabs[:, :m, -1]
     duals = (-tabs[:, m, n:n + m]).tolist()

@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -38,7 +37,7 @@ from .graphs import (
     skeleton_classes,
 )
 from .imset import full_imset, key_of, mask_entry, nodes_of
-from .lp import OPTIMAL, LpError, simplex_max, simplex_max_many
+from .lp import OPTIMAL, LpError, pivot_tableaux, simplex_max
 from .moves import (
     EDGE_PAIR,
     SHIFT,
@@ -313,6 +312,40 @@ def _pair_image(pair, perm):
     return (a, b) if a < b else (b, a)
 
 
+def _pair_orbits(i, j, n: int, perms: list) -> np.ndarray:
+    """The index of the first pair of each pair's orbit, for the pairs
+    (i[q], j[q]) of n vertices, i < j, ordered by u n + v and closed under
+    perms.
+
+    Each pair is the id u n + v, and its image under every generator is
+    looked up among the sorted ids with np.searchsorted.  Then each pair
+    takes the least label of its images, and the labels jump to their own
+    labels, until nothing changes.  A label stays in its orbit and never
+    grows, and at the fixed point it is constant along every generator's
+    cycles, so it is the least index of the orbit.  Memory is O(pairs).
+    """
+    ids = i * n + j
+    # an image past the last id meets the sentinel -1
+    padded = np.append(ids, -1)
+    images = []
+    for perm in perms:
+        perm = np.asarray(perm)
+        a, b = perm[i], perm[j]
+        image = np.minimum(a, b) * n + np.maximum(a, b)
+        at = np.searchsorted(ids, image)
+        if (padded[at] != image).any():
+            raise ValueError("the pairs are not closed under the relabellings")
+        images.append(at)
+    label = np.arange(len(ids))
+    while True:
+        old = label
+        for at in images:
+            label = np.minimum(label, label[at])
+        label = label[label]
+        if (label == old).all():
+            return label
+
+
 # ---------------------------------------------------------------------------
 # LP edge certification
 
@@ -383,8 +416,9 @@ def _margin_lps(rmat, pairs, cols=None):
     the fewest Bland pivots on the p = 4 polytope.  cols lists the y
     vertices per pair, by default all but u and v in index order; with
     fewer, the LP is a relaxation whose optimum t bounds t* from above.  c
-    and b are shared; a holds one matrix per pair, and _margin_start gives
-    a feasible basis to start each from.
+    and b are shared; a holds one matrix per pair.  _margin_start gives a
+    feasible basis for the LPs over every vertex, and _first_tableaux the
+    canonical tableaux over fewer.
     """
     n, d = rmat.shape
     u, v = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
@@ -421,27 +455,83 @@ def _distances(rmat, pairs):
     return dist.astype(np.min_scalar_type(top))
 
 
-def _margin_start(rmat, pairs, cols=None):
+def _margin_start(rmat, pairs):
     """A feasible starting basis for each margin LP of _margin_lps(rmat,
-    pairs, cols), one column per row.
+    pairs), one column per row.
 
     y = e_x0 for the other vertex x0 nearest to u and v in summed l1
-    distance (the first on ties), which cols must hold, z = 0, and in
-    coordinate row i the residual u_i - x0_i carried by s+_i where it is
-    >= 0 and by s-_i where it is negative.  The basis matrix is a signed
-    identity plus the y_x0 column, so it is never singular.
+    distance (the first on ties), z = 0, and in coordinate row i the
+    residual u_i - x0_i carried by s+_i where it is >= 0 and by s-_i where
+    it is negative.  The basis matrix is a signed identity plus the y_x0
+    column, so it is never singular.
     """
     n, d = rmat.shape
     u, v = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    k = n - 2 if cols is None else cols.shape[1]
     x0 = _distances(rmat, pairs).argmin(axis=1)
-    coord = np.arange(d)
     start = np.empty((len(u), d + 1), dtype=np.int64)
-    start[:, :d] = np.where(rmat[u] >= rmat[x0], d + k + 2 + coord, coord)
-    # y_x0 is column d + (position of x0 in cols)
-    pos = x0 - (x0 > u) - (x0 > v) if cols is None else (cols == x0[:, None]).argmax(axis=1)
-    start[:, d] = d + pos
+    start[:, :d] = np.where(rmat[u] >= rmat[x0], d + n + np.arange(d), np.arange(d))
+    # y_x0 is column d + (position of x0 among the other vertices)
+    start[:, d] = d + x0 - (x0 > u) - (x0 > v)
     return start
+
+
+def _first_tableaux(rmat, pairs, cols):
+    """The margin LPs of pairs over the y columns cols, as canonical
+    tableaux B^-1 [A | I | b] at their start bases, and those bases.  All
+    entries are small integers, so they are exact.
+
+    The start is _margin_start's, with x0 = cols[:, 0] as its first y
+    column.  Its basis matrix is B = [[D, x0 - u], [0, 1]] with D =
+    diag(+-1), the sign carrying u - x0 in each coordinate row, so B^-1 =
+    [[D, D (u - x0)], [0, 1]]: coordinate row i of the tableau is D_ii
+    times (row i plus (u_i - x0_i) times the convexity row), and no
+    inverse is computed.  The convexity row is 1 on the y columns, on its
+    identity column and in the rhs, and 0 elsewhere.  The slack rows' costs
+    are -1 and the convexity row's 0, so the objective row is c plus the
+    sum of the coordinate rows.
+    """
+    d, k = rmat.shape[1], cols.shape[1]
+    at = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    c, a, _ = _margin_lps(rmat, at, cols)
+    count, m, structural = a.shape
+    diff = (rmat[at[:, 0]] - rmat[cols[:, 0]]).astype(np.float64)
+    sign = np.where(diff >= 0, 1.0, -1.0)
+    tabs = np.zeros((count, m + 1, structural + m + 1))
+    tabs[:, :m, :structural] = a
+    tabs[:, d, structural + d:] = 1.0
+    rows = tabs[:, :d]
+    rows[:, :, d:d + k] += diff[:, :, None]
+    rows[:, np.arange(d), structural + np.arange(d)] = 1.0
+    rows[:, :, structural + d] = rows[:, :, -1] = diff
+    rows *= sign[:, :, None]
+    rows += 0.0  # turns the -0.0 of -1 times 0 into 0.0
+    tabs[:, m, :structural] = c
+    tabs[:, m] += rows.sum(axis=1)
+    bases = np.empty((count, m), dtype=np.int64)
+    bases[:, :d] = np.where(sign > 0, structural - d + np.arange(d), np.arange(d))
+    bases[:, d] = d
+    return tabs, bases
+
+
+def _add_columns(tabs, bases, rmat, pairs, cols, k):
+    """The final tableaux tabs of the margin LPs of pairs, at bases, with y
+    columns for the vertices cols[:, k:] inserted after their first k: the
+    tableaux of the margin LPs of pairs over cols at the same bases.
+
+    A tableau's identity block holds B^-1 above minus the prices c_B B^-1
+    in its objective row, and a y column costs 0, so that block times
+    [x - u; 1] is the new column, its reduced cost included.  The new
+    columns shift z+, z-, s+ and the basis indices at them along.
+    """
+    d = rmat.shape[1]
+    m, at, add = d + 1, d + k, cols.shape[1] - k
+    structural = tabs.shape[2] - m - 1
+    u = np.array(pairs, dtype=np.int64).reshape(-1, 2)[:, 0]
+    new = np.ones((len(u), m, add))
+    new[:, :d] = rmat.T[:, cols[:, k:]].transpose(1, 0, 2) - rmat[u][:, :, None]
+    new = tabs[:, :, structural:structural + m] @ new
+    tabs = np.concatenate([tabs[:, :, :at], new, tabs[:, :, at:]], axis=2)
+    return tabs, np.where(bases >= at, bases + add, bases)
 
 
 def _margin_solution(res, d: int):
@@ -454,11 +544,11 @@ def _margin_solution(res, d: int):
     return -np.array(res.duals[:d]), -res.objective
 
 
-def _solve_margin(rmat, u: int, v: int, exact: bool):
-    """The largest exposure margin t* of (u, v), and a cost vector attaining it."""
+def _solve_margin(rmat, u: int, v: int):
+    """The largest exposure margin t* of (u, v), and a cost vector attaining
+    it, from the margin LP over every vertex solved in Fractions."""
     c, a, b = _margin_lps(rmat, [(u, v)])
-    start = _margin_start(rmat, [(u, v)])[0]
-    res = simplex_max(c, a[0], b, start, exact=exact)
+    res = simplex_max(c, a[0], b, _margin_start(rmat, [(u, v)])[0], exact=True)
     return _margin_solution(res, rmat.shape[1])
 
 
@@ -477,7 +567,7 @@ def _normalized_margins(rmat, u, v, w):
 
 
 def _decide_exact(rmat, u: int, v: int):
-    w, t = _solve_margin(rmat, u, v, exact=True)
+    w, t = _solve_margin(rmat, u, v)
     if t <= 0:
         return False, 0.0, "exact", None, 0.0
     wn, gaps, _ = _normalized_margins(rmat, [u], [v], w[None])
@@ -494,12 +584,13 @@ def _decide_pairs(rmat, pairs) -> list:
     """(u, v, is_edge, margin, mode, weights, objective) for each pair.
 
     The float margin LPs are solved in lockstep by column generation.  Each
-    starts with y columns for the _START_COLUMNS vertices nearest its pair
-    and is done once t <= 0, which proves a non-edge as t >= t*, or once
-    its w leaves no other vertex 1e-9 below the least gap of its column
-    vertices, as w is then optimal for the full LP.  The rest get columns
-    for the _ROUND_COLUMNS vertices of least gap and restart from their
-    final bases, which stay feasible.  A pair whose LP ended at
+    starts with y columns for the _START_COLUMNS vertices nearest its pair,
+    built by _first_tableaux, and is done once t <= 0, which proves a
+    non-edge as t >= t*, or once its w leaves no other vertex 1e-9 below
+    the least gap of its column vertices, as w is then optimal for the full
+    LP.  The rest keep their final tableaux, which stay feasible, and get
+    columns for the _ROUND_COLUMNS vertices of least gap from _add_columns;
+    no LP is built or inverted again.  A pair whose LP ended at
     t <= _EXACT_LO is a float non-edge whatever its w, as w = 0 is
     feasible and so 0 <= t* <= t; of the others, a failed solve, a w not
     level on (u, v) or a final margin in the exact window goes to
@@ -512,26 +603,23 @@ def _decide_pairs(rmat, pairs) -> list:
     at = np.array(pairs, dtype=np.int64).reshape(-1, 2)
     u, v = at.T
     w, t, live = np.zeros((len(at), d)), np.zeros(len(at)), np.arange(len(at))
+    # a stable sort, so cols[:, 0] is _margin_start's x0
     cols = np.argsort(_distances(rmat, at), axis=1, kind="stable")[:, :min(n - 2, _START_COLUMNS)]
-    start = _margin_start(rmat, at, cols)
+    tabs, bases = _first_tableaux(rmat, at, cols)
     while live.size:
-        c, a, b = _margin_lps(rmat, at[live], cols)
-        for slot, (q, res) in enumerate(zip(live, simplex_max_many(c, a, [b] * len(live), start))):
-            try:
-                w[q], t[q] = _margin_solution(res, d)
-                start[slot] = res.basis
-            except LpError:
-                t[q] = np.nan  # decided exactly
+        k = cols.shape[1]
+        solved = np.array([res == OPTIMAL for res in pivot_tableaux(tabs, bases)], dtype=bool)
+        # w is minus the coordinate rows' duals, and t minus the objective
+        w[live[solved]] = tabs[solved, -1, 2 * d + k + 2:3 * d + k + 2]
+        t[live] = np.where(solved, tabs[:, -1, -1], np.nan)  # nan: decided exactly
         gaps = _normalized_margins(rmat, u[live], v[live], w[live])[1]
         level = np.take_along_axis(gaps, cols, axis=1).min(axis=1)
         gaps[np.arange(len(live))[:, None], cols] = np.inf
         more = (t[live] > 0) & (gaps.min(axis=1) < level - 1e-9)
-        k, add = cols.shape[1], min(_ROUND_COLUMNS, n - 2 - cols.shape[1])
-        new = np.argsort(gaps[more], axis=1, kind="stable")[:, :add]
+        new = np.argsort(gaps[more], axis=1, kind="stable")[:, :min(_ROUND_COLUMNS, n - 2 - k)]
         cols = np.concatenate([cols[more], new], axis=1)
-        # the new y columns shift z+, z- and s+ along
-        start = np.where(start[more] >= d + k, start[more] + add, start[more])
         live = live[more]
+        tabs, bases = _add_columns(tabs[more], bases[more], rmat, at[live], cols, k)
     wn, gaps, imbalance = _normalized_margins(rmat, u, v, w)
     margins = gaps.min(axis=1).tolist()
     out = []
@@ -629,16 +717,19 @@ class EdgeSurvey:
     """All certified edges of a vertex set, with their orbits and LP stats.
 
     orbits maps the first edge of each orbit of edges under _symmetries to
-    the orbit's size.  certificates is built on first access.  seconds
-    holds the wall-clock time of the prefilter and certify stages; it is
-    kept out of stats so that stats stays deterministic.
+    the orbit's size.  certificates is built on first access, from the
+    pairs that passed the prefilter: the pair walk of _orbit_tree that
+    moves each witness to the other pairs of its orbit runs only then.
+    seconds holds the wall-clock time of the prefilter and certify stages;
+    it is kept out of stats so that stats stays deterministic.
     """
 
     edges: tuple
     orbits: dict
     stats: dict
     seconds: dict
-    # vs, its relabellings, and the decisions and walk of certify_all_edges
+    # vs, its relabellings, the decisions of the orbits' first pairs, and
+    # the pairs that passed the prefilter
     _lift: tuple = field(repr=False, compare=False)
 
     @cached_property
@@ -646,8 +737,10 @@ class EdgeSurvey:
         """Every edge's certificate.  An edge decided by symmetry takes the
         witness of the pair it was reached from, with the weights moved to
         its own coordinates."""
-        vs, syms, decided, derived = self._lift
+        vs, syms, decided, (i, j) = self._lift
         varying, _ = _restricted(vs)
+        todo = list(zip(i.tolist(), j.tolist()))
+        _, derived = _orbit_tree(todo, [g.rows for g in syms], _pair_image)
         decided = dict(decided)
         # under syms[s], restricted weight k of a pair moves to position moved[s][k]
         column = {pos: k for k, pos in enumerate(varying)}
@@ -667,20 +760,23 @@ class EdgeSurvey:
 def certify_all_edges(vs: VertexSet) -> EdgeSurvey:
     """Certify every vertex pair; deterministic regardless of batching.
 
-    The pairs that pass the prefilter are split into orbits under the
-    relabellings of _symmetries, and only the first pair of each orbit has
-    its margin LP solved.  These are cut into batches whose margin LPs are
-    solved in lockstep.  Every other pair takes the decision of its orbit.
+    The pairs that pass the prefilter are labelled with the first pair of
+    their orbit under the relabellings of _symmetries by _pair_orbits, and
+    only those first pairs have their margin LPs solved.  These are cut
+    into batches whose margin LPs are solved in lockstep.  Every other pair
+    takes the decision of its orbit, read from the labels.
     """
     t0 = time.perf_counter()
     _, rmat = _restricted(vs)
     n = len(rmat)
     hit = _midpoint_prefilter(rmat)
     i, j = np.triu_indices(n, 1)
-    todo = list(zip(i[~hit].tolist(), j[~hit].tolist()))
+    i, j = i[~hit], j[~hit]
     t1 = time.perf_counter()
     syms = _symmetries(vs)
-    reps, derived = _orbit_tree(todo, [g.rows for g in syms], _pair_image)
+    label = _pair_orbits(i, j, n, [g.rows for g in syms])
+    first = np.nonzero(label == np.arange(len(label)))[0]
+    reps = list(zip(i[first].tolist(), j[first].tolist()))
     size = _batch_size(rmat)
     decided = {}
     exact_used = 0
@@ -689,21 +785,23 @@ def certify_all_edges(vs: VertexSet) -> EdgeSurvey:
             if decision[1] == "exact":
                 exact_used += 1
             decided[(u, v)] = decision
-    root = {pair: pair for pair in reps}
-    for pair, source, _ in derived:
-        root[pair] = root[source]
-    edges = [pair for pair in todo if decided[root[pair]][0]]
-    orbits = Counter(root[pair] for pair in edges)
+    is_edge = np.zeros(len(label), dtype=bool)
+    is_edge[first] = [decided[pair][0] for pair in reps]
+    edge = is_edge[label]
+    edges = tuple(zip(i[edge].tolist(), j[edge].tolist()))
+    sizes = np.bincount(label[edge], minlength=len(label))
+    shown = first[is_edge[first]]
+    orbits = dict(zip(zip(i[shown].tolist(), j[shown].tolist()), sizes[shown].tolist()))
     stats = {
         "pairs": n * (n - 1) // 2,
         "prefiltered": int(hit.sum()),
         "lp_solved": len(reps),
-        "by_symmetry": len(derived),
+        "by_symmetry": len(label) - len(reps),
         "exact_resolves": exact_used,
         "edges": len(edges),
     }
     seconds = {"prefilter": t1 - t0, "certify": time.perf_counter() - t1}
-    return EdgeSurvey(tuple(edges), orbits, stats, seconds, (vs, syms, decided, derived))
+    return EdgeSurvey(edges, orbits, stats, seconds, (vs, syms, decided, (i, j)))
 
 
 # ---------------------------------------------------------------------------

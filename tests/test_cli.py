@@ -262,6 +262,16 @@ def test_analyze_polytope_validation(tmp_path):
     assert _run("analyze-polytope", "--skeleton", str(directed), "--out", out) == 2
 
 
+@pytest.mark.parametrize("header", ["p 1 x", "p 3 3", "p", "p3", "q 3"])
+def test_analyze_polytope_rejects_a_header_that_is_not_p_n(tmp_path, capsys, header):
+    skel = tmp_path / "skel.txt"
+    skel.write_text(f"{header}\n")
+    out = tmp_path / "census.json"
+    assert _run("analyze-polytope", "--skeleton", str(skel), "--out", str(out)) == 2
+    assert "first line must be 'p <n>'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_analyze_polytope_rejects_p5_with_its_size(tmp_path, capsys):
     out = tmp_path / "census.json"
     assert _run("analyze-polytope", "--p", "5", "--out", str(out)) == 2

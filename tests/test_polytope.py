@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cimwalk import lp as lp_mod
 from cimwalk import moves as moves_mod
 from cimwalk import polytope
 from cimwalk import search as search_mod
@@ -391,7 +392,7 @@ def test_exact_margin_lp_duals_attain_the_margin():
     n = len(rmat)
     for u in range(n):
         for v in range(u + 1, n):
-            w, t = _solve_margin(rmat, u, v, exact=True)
+            w, t = _solve_margin(rmat, u, v)
             assert all(abs(x) <= 1 for x in w)
             scores = [sum(a * b for a, b in zip(w, row)) for row in rmat.tolist()]
             assert scores[u] == scores[v]
@@ -996,34 +997,194 @@ def test_column_generation_matches_the_full_lp_on_path_and_cycle_faces(kind, p):
 
 def test_column_generation_adds_columns_in_rounds_and_restarts_warm_at_p4(monkeypatch):
     # the census LPs of p = 4 start with _START_COLUMNS y columns; those
-    # that need more come back in later rounds, each started from the basis
-    # it ended the round before with: the same columns, in the same rows
+    # that need more come back in later rounds as the tableau they ended the
+    # round before with, in the same order, with the new y columns inserted
+    # before z+ and the basis carried along
     rounds = []
-    solve = polytope.simplex_max_many
+    pivot = polytope.pivot_tableaux
 
-    def recording(c, a, b, start, exact=False):
-        out = solve(c, a, b, start, exact)
-        rounds.append((a, np.array(start), out))
+    def recording(stack, basis, exact=False):
+        before, start = stack.copy(), basis.copy()
+        out = pivot(stack, basis, exact)
+        rounds.append((before, start, stack.copy(), basis.copy(), out))
         return out
 
-    monkeypatch.setattr(polytope, "simplex_max_many", recording)
+    monkeypatch.setattr(polytope, "pivot_tableaux", recording)
     survey = certify_all_edges(enumerate_mecs(4))
     d = _restricted(enumerate_mecs(4))[1].shape[1]
-    assert [a.shape[2] for a, _, _ in rounds] == [
+    m = d + 1
+    assert [stack.shape[2] - m - 1 for stack, *_ in rounds] == [
         2 * d + 2 + polytope._START_COLUMNS + r * polytope._ROUND_COLUMNS
         for r in range(len(rounds))]
     assert len(rounds[0][0]) == survey.stats["lp_solved"] == 237
     assert len(rounds) > 1
-    assert all(isinstance(res, LpResult) for _, _, out in rounds for res in out)
-    for (before, _, solved), (after, starts, _) in zip(rounds, rounds[1:]):
-        k = before.shape[2] - 2 * d - 2
+    assert all(res == OPTIMAL for *_, out in rounds for res in out)
+    for (_, _, solved, ended, _), (after, starts, *_) in zip(rounds, rounds[1:]):
+        k = solved.shape[2] - m - 1 - 2 * d - 2
+        add = after.shape[2] - solved.shape[2]
         q = 0
-        for a, start in zip(after, starts):
-            # the LPs keep their order, and a restarted LP keeps its earlier
-            # columns, with the new y columns inserted before z+
-            while not ((before[q][:, :d + k] == a[:, :d + k]).all()
-                       and (before[q][:, d + k:] == a[:, -(d + 2):]).all()):
+        for tab, start in zip(after, starts):
+            # the LPs keep their order, and a restarted LP keeps its final
+            # tableau, with the new y columns inserted before z+
+            while not ((solved[q][:, :d + k] == tab[:, :d + k]).all()
+                       and (solved[q][:, d + k:] == tab[:, d + k + add:]).all()):
                 q += 1
-            assert (a[:, start] == before[q][:, solved[q].basis]).all()
+            assert (start == np.where(ended[q] >= d + k, ended[q] + add, ended[q])).all()
+            assert (tab[:, start] == np.eye(m + 1)[:, :m]).all()
             q += 1
-        assert len(after) < len(before)
+        assert len(after) < len(solved)
+
+
+def _enter_basis_tableaux(rmat, pairs, cols, bases):
+    """The margin LPs of pairs over cols, rebuilt by _margin_lps and moved
+    to the bases by lp._enter_basis: the tableaux before they were kept."""
+    c, a, b = polytope._margin_lps(rmat, pairs, cols)
+    count, m, structural = a.shape
+    stack = np.zeros((count, m + 1, structural + m + 1))
+    stack[:, :m, :structural] = a
+    stack[:, np.arange(m), structural + np.arange(m)] = 1.0
+    stack[:, :m, -1] = b
+    stack[:, m, :structural] = c
+    basis = np.array(bases)
+    assert lp_mod._enter_basis(stack, basis, basis.copy(), False) == [None] * count
+    return stack
+
+
+@pytest.mark.parametrize("kind, p", [("full", 3), ("full", 4), ("cycle", 6)])
+def test_first_tableaux_equal_the_inverted_start_bit_for_bit(kind, p):
+    # every pair, in chunks, with the census's first y columns
+    _, rmat = _restricted(_face(kind, p))
+    n = len(rmat)
+    i, j = np.triu_indices(n, 1)
+    at = np.stack([i, j], axis=1)
+    for s in range(0, len(at), 2000):
+        pairs = at[s:s + 2000]
+        cols = np.argsort(polytope._distances(rmat, pairs), axis=1,
+                          kind="stable")[:, :min(n - 2, polytope._START_COLUMNS)]
+        tabs, bases = polytope._first_tableaux(rmat, pairs, cols)
+        d = rmat.shape[1]
+        # _margin_start's basis: its x0 is the first y column, and each
+        # coordinate row has the same slack, s- (below d) or s+ (above)
+        full = polytope._margin_start(rmat, pairs)
+        assert (cols[:, 0] == polytope._distances(rmat, pairs).argmin(axis=1)).all()
+        assert (bases[:, d] == d).all()
+        assert ((bases[:, :d] > d) == (full[:, :d] > d)).all()
+        want = _enter_basis_tableaux(rmat, pairs, cols, bases)
+        assert (tabs.view(np.int64) == want.view(np.int64)).all()
+
+
+@pytest.mark.parametrize("kind, p, picked", [("full", 4, None), ("full", 4, 240),
+                                             ("cycle", 8, None)])
+def test_carried_tableaux_equal_the_rebuilt_lps_in_every_round(monkeypatch, kind, p, picked):
+    # the census survivors, or pairs drawn from all pairs (non-edges too)
+    _, rmat = _restricted(_face(kind, p))
+    n = len(rmat)
+    i, j = np.triu_indices(n, 1)
+    keep = ~polytope._midpoint_prefilter(rmat)
+    if picked:
+        keep = np.zeros(len(i), dtype=bool)
+        keep[np.random.default_rng(4).choice(len(i), picked, replace=False)] = True
+    pairs = list(zip(i[keep].tolist(), j[keep].tolist()))
+    carried = []
+    add_columns = polytope._add_columns
+
+    def recording(tabs, bases, rmat, pairs, cols, k):
+        out = add_columns(tabs, bases, rmat, pairs, cols, k)
+        if len(pairs):
+            carried.append((pairs, cols, *out))
+        return out
+
+    monkeypatch.setattr(polytope, "_add_columns", recording)
+    got = polytope._decide_pairs(rmat, pairs)
+    monkeypatch.undo()
+    assert carried
+    for at, cols, tabs, bases in carried:
+        assert np.abs(tabs - _enter_basis_tableaux(rmat, at, cols, bases)).max() <= 1e-9
+    _assert_column_generation_matches_the_full_lp(rmat, pairs, got)
+
+
+def test_a_p4_census_walks_no_pair_orbit_and_inverts_no_basis(monkeypatch):
+    # counts, not times: the pair orbits are labelled with arrays, each
+    # batch builds its margin LPs once, and later rounds carry tableaux
+    vs = enumerate_mecs(4)
+    _, rmat = _restricted(vs)
+    one_lp = polytope._BATCH_BYTES // polytope._batch_size(rmat)
+    orbit_tree = polytope._orbit_tree
+    for batch_bytes, batches in [(polytope._BATCH_BYTES, 1), (100 * one_lp, 3)]:
+        calls, walked = Counter(), []
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        def walking(items, perms, image):
+            walked.append(list(items))
+            return orbit_tree(walked[-1], perms, image)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(polytope, "_BATCH_BYTES", batch_bytes)
+            for module, name in [(polytope, "_margin_lps"), (polytope, "_add_columns"),
+                                 (lp_mod, "_enter_basis"), (np.linalg, "inv")]:
+                patch.setattr(module, name, counting(name, getattr(module, name)))
+            patch.setattr(polytope, "_orbit_tree", walking)
+            census = edge_census(vs)
+        assert census["lp_stats"]["lp_solved"] == 237
+        assert walked == [list(range(185))]
+        assert calls["_margin_lps"] == batches
+        assert calls["_add_columns"] > batches
+        assert calls["_enter_basis"] == calls["inv"] == 0
+
+
+def _check_pair_orbits(vs):
+    """_pair_orbits against the orbit walk over the prefilter survivors:
+    the same first pairs, the same root for every pair, and the same count
+    decided by symmetry."""
+    _, rmat = _restricted(vs)
+    n = len(rmat)
+    hit = _midpoint_prefilter(rmat)
+    i, j = np.triu_indices(n, 1)
+    i, j = i[~hit], j[~hit]
+    todo = list(zip(i.tolist(), j.tolist()))
+    perms = [g.rows for g in polytope._symmetries(vs)]
+    reps, derived = polytope._orbit_tree(todo, perms, polytope._pair_image)
+    root = {pair: pair for pair in reps}
+    for pair, source, _ in derived:
+        root[pair] = root[source]
+    label = polytope._pair_orbits(i, j, n, perms)
+    assert [todo[q] for q in label.tolist()] == [root[pair] for pair in todo]
+    first = np.nonzero(label == np.arange(len(label)))[0]
+    assert [todo[q] for q in first.tolist()] == reps
+    assert len(label) - len(first) == len(derived) == certify_all_edges(vs).stats["by_symmetry"]
+
+
+@pytest.mark.parametrize("kind, p", [("full", 2), ("full", 3), ("full", 4),
+                                     *[(k, p) for k in ("path", "cycle") for p in range(4, 9)],
+                                     ("rotations", 4), ("asym", 6)])
+def test_pair_orbits_match_the_orbit_tree(kind, p):
+    _check_pair_orbits(_face(kind, p))
+
+
+@pytest.mark.parametrize("budget", [0, 20])
+@pytest.mark.parametrize("p", [3, 4])
+def test_pair_orbits_match_the_orbit_tree_with_finer_orbits(monkeypatch, p, budget):
+    monkeypatch.setattr(polytope, "_SYMMETRY_BUDGET", budget)
+    monkeypatch.setattr(polytope, "_symmetries", polytope._symmetries.__wrapped__)
+    _check_pair_orbits(enumerate_mecs(p))
+
+
+def test_pair_orbits_reject_pairs_that_are_not_closed():
+    vs = enumerate_mecs(3)
+    _, rmat = _restricted(vs)
+    n = len(rmat)
+    i, j = np.triu_indices(n, 1)
+    perms = [g.rows for g in polytope._symmetries(vs)]
+    label = polytope._pair_orbits(i, j, n, perms)
+    # drop the last pair of an orbit of two or more, and then the first
+    big = np.nonzero(np.bincount(label) > 1)[0][0]
+    members = np.nonzero(label == big)[0]
+    for q in (members[-1], members[0]):
+        keep = np.arange(len(i)) != q
+        with pytest.raises(ValueError, match="not closed"):
+            polytope._pair_orbits(i[keep], j[keep], n, perms)
