@@ -3,10 +3,12 @@
 Vertices are characteristic imsets of MECs, held as dense 0/1 vectors indexed
 by the subsets of {0..p-1} with at least two elements.  A pair of vertices
 spans an edge exactly when some cost vector exposes the pair: w.u = w.v while
-every other vertex scores strictly lower.  The exposure problem is solved as
-a small LP, and certified edges are then classified by the move sweeps: a
-move's target is its source row plus the move's imset delta, looked up among
-the rows.
+every other vertex scores strictly lower.  The rows are 0/1, so the vertices
+in the smallest cube face holding u and v span a face of the polytope, and
+the pair is an edge exactly when it is an edge of that face.  The exposure
+problem is solved on that face as a small LP, and certified edges are then
+classified by the move sweeps: a move's target is its source row plus the
+move's imset delta, looked up among the rows.
 
 Two cheap midpoint filters run before any LP: if u + v collides with the sum
 of a different vertex pair, or equals twice a third vertex, then the segment
@@ -18,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -25,8 +28,9 @@ from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
-# consistent_extension and full_imset are not called here; they stay
-# importable for perfbench's tracer, which wraps them in this module.
+# consistent_extension, full_imset and simplex_max are not called here;
+# they stay importable for perfbench's tracer, which wraps them in this
+# module.
 from .graphs import (
     GraphError,
     UndirectedGraph,
@@ -356,7 +360,10 @@ class EdgeCertificate:
 
     weights is aligned with the parent vertex set's coords; margin is the
     smallest gap w.u - w.x over all other vertices after scaling w to unit
-    max-norm.  mode records which arithmetic decided the pair.
+    max-norm.  objective is the optimum t* of the pair's face LP (see
+    _decide_pairs), and inf on a two-vertex face.  mode records how the pair
+    was decided: "float" or "exact" arithmetic, or "trivial" for a
+    two-vertex face, decided with no LP.
     """
 
     u: int
@@ -401,11 +408,37 @@ def _restricted(vs: VertexSet) -> tuple:
     return varying, rmat
 
 
-def _margin_lps(rmat, pairs, cols=None):
-    """(c, a, b) of the equality-form LPs that give the exposure margins of pairs.
+def _faces(rmat, at):
+    """Per pair (u, v) of at: c_F = u + v - 1, and c_F.(u - x) for every
+    vertex x, with -1 at u and v.
 
-    The margin LP of (u, v)  max t  s.t.  w.(u - v) = 0,  w.(u - x) >= t for
-    every other vertex x,  w in [-1, 1]^d  is posed in its dual form
+    Rows are 0/1, so c_F is +1 where u = v = 1, -1 where u = v = 0 and 0
+    where they differ.  c_F.(u - x) is then a nonnegative integer, 0
+    exactly when x agrees with u wherever u and v agree: when x lies in the
+    box of (u, v), the smallest cube face holding both.
+    """
+    u = rmat[at[:, 0]]
+    face = u + rmat[at[:, 1]] - 1
+    slack = (face * u).sum(axis=1)[:, None] - face @ rmat.T
+    np.put_along_axis(slack, at, -1, axis=1)
+    return face, slack
+
+
+def _box_columns(box, k: int):
+    """k y columns per row of the mask box: the row's first k vertices in
+    index order, padded by repeating its first vertex where it has fewer;
+    a repeated column leaves an LP's value unchanged."""
+    order = np.argsort(~box, axis=1, kind="stable")[:, :k]
+    return np.where(np.arange(k) < box.sum(axis=1)[:, None], order, order[:, :1])
+
+
+def _margin_lps(rmat, pairs, cols):
+    """(c, a, b) of the equality-form LPs that give the exposure margins of
+    pairs over the y vertices cols, one row of cols per pair.
+
+    The margin LP of (u, v) over vertices X  max t  s.t.  w.(u - v) = 0,
+    w.(u - x) >= t for every x in X,  w in [-1, 1]^d  is posed in its dual
+    form
 
         min |r|_1,  r = sum_x y_x (u - x) + z (u - v),  y >= 0,  sum_x y_x = 1,
 
@@ -413,18 +446,13 @@ def _margin_lps(rmat, pairs, cols=None):
     coordinate equations s+ - s- - r = 0 and the convexity row, and the
     tableau has d + 1 rows whatever the vertex count.  Columns run s-, y,
     z+, z-, s+; of the orders tried for the two-phase solve, this one took
-    the fewest Bland pivots on the p = 4 polytope.  cols lists the y
-    vertices per pair, by default all but u and v in index order; with
-    fewer, the LP is a relaxation whose optimum t bounds t* from above.  c
-    and b are shared; a holds one matrix per pair.  _margin_start gives a
-    feasible basis for the LPs over every vertex, and _first_tableaux the
-    canonical tableaux over fewer.
+    the fewest Bland pivots on the p = 4 polytope.  With X the box of
+    (u, v) this is the pair's face LP (see _decide_pairs); with part of the
+    box, a relaxation whose optimum t bounds the face t* from above.  c
+    and b are shared; a holds one matrix per pair.
     """
-    n, d = rmat.shape
+    d = rmat.shape[1]
     u, v = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    rest = np.arange(n)
-    if cols is None:
-        cols = np.nonzero((rest != u[:, None]) & (rest != v[:, None]))[1].reshape(-1, n - 2)
     k = cols.shape[1]
     eye = np.eye(d, dtype=np.int64)
     a = np.zeros((len(u), d + 1, d + k + 2 + d))
@@ -444,51 +472,21 @@ def _margin_lps(rmat, pairs, cols=None):
     return c, a, b
 
 
-def _distances(rmat, pairs):
-    """Per pair, |u - x|_1 + |v - x|_1 <= 2d for every vertex x, and 2d + 1
-    for u and v, in the smallest dtype holding 2d + 1, where a stable sort
-    is a radix sort; rows are 0/1, so |u - x|_1 = |u| + |x| - 2 u.x."""
-    at, top = np.array(pairs, dtype=np.int64).reshape(-1, 2), 2 * rmat.shape[1] + 1
-    sums = rmat[at[:, 0]] + rmat[at[:, 1]]
-    dist = sums.sum(axis=1)[:, None] + 2 * rmat.sum(axis=1) - 2 * sums @ rmat.T
-    np.put_along_axis(dist, at, top, axis=1)
-    return dist.astype(np.min_scalar_type(top))
-
-
-def _margin_start(rmat, pairs):
-    """A feasible starting basis for each margin LP of _margin_lps(rmat,
-    pairs), one column per row.
-
-    y = e_x0 for the other vertex x0 nearest to u and v in summed l1
-    distance (the first on ties), z = 0, and in coordinate row i the
-    residual u_i - x0_i carried by s+_i where it is >= 0 and by s-_i where
-    it is negative.  The basis matrix is a signed identity plus the y_x0
-    column, so it is never singular.
-    """
-    n, d = rmat.shape
-    u, v = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    x0 = _distances(rmat, pairs).argmin(axis=1)
-    start = np.empty((len(u), d + 1), dtype=np.int64)
-    start[:, :d] = np.where(rmat[u] >= rmat[x0], d + n + np.arange(d), np.arange(d))
-    # y_x0 is column d + (position of x0 among the other vertices)
-    start[:, d] = d + x0 - (x0 > u) - (x0 > v)
-    return start
-
-
 def _first_tableaux(rmat, pairs, cols):
     """The margin LPs of pairs over the y columns cols, as canonical
     tableaux B^-1 [A | I | b] at their start bases, and those bases.  All
     entries are small integers, so they are exact.
 
-    The start is _margin_start's, with x0 = cols[:, 0] as its first y
-    column.  Its basis matrix is B = [[D, x0 - u], [0, 1]] with D =
-    diag(+-1), the sign carrying u - x0 in each coordinate row, so B^-1 =
-    [[D, D (u - x0)], [0, 1]]: coordinate row i of the tableau is D_ii
-    times (row i plus (u_i - x0_i) times the convexity row), and no
-    inverse is computed.  The convexity row is 1 on the y columns, on its
-    identity column and in the rhs, and 0 elsewhere.  The slack rows' costs
-    are -1 and the convexity row's 0, so the objective row is c plus the
-    sum of the coordinate rows.
+    The start is feasible: y = e_x0 for x0 = cols[:, 0], z = 0, and in
+    coordinate row i the residual u_i - x0_i carried by s+_i where it is
+    >= 0 and by s-_i where it is negative.  Its basis matrix is B =
+    [[D, x0 - u], [0, 1]] with D = diag(+-1), the sign carrying u - x0 in
+    each coordinate row, so B^-1 = [[D, D (u - x0)], [0, 1]]: coordinate
+    row i of the tableau is D_ii times (row i plus (u_i - x0_i) times the
+    convexity row), and no inverse is computed.  The convexity row is 1 on
+    the y columns, on its identity column and in the rhs, and 0 elsewhere.
+    The slack rows' costs are -1 and the convexity row's 0, so the
+    objective row is c plus the sum of the coordinate rows.
     """
     d, k = rmat.shape[1], cols.shape[1]
     at = np.array(pairs, dtype=np.int64).reshape(-1, 2)
@@ -534,22 +532,22 @@ def _add_columns(tabs, bases, rmat, pairs, cols, k):
     return tabs, np.where(bases >= at, bases + add, bases)
 
 
-def _margin_solution(res, d: int):
-    """(w, t*) from a solved margin LP: strong duality gives the optimum t*,
-    and minus the duals of the d coordinate rows is an optimal w."""
-    if isinstance(res, LpError):
-        raise res
-    if res.status != OPTIMAL:
-        raise LpError(f"margin LP ended with status {res.status}")
-    return -np.array(res.duals[:d]), -res.objective
-
-
 def _solve_margin(rmat, u: int, v: int):
-    """The largest exposure margin t* of (u, v), and a cost vector attaining
-    it, from the margin LP over every vertex solved in Fractions."""
-    c, a, b = _margin_lps(rmat, [(u, v)])
-    res = simplex_max(c, a[0], b, _margin_start(rmat, [(u, v)])[0], exact=True)
-    return _margin_solution(res, rmat.shape[1])
+    """The face t* of (u, v), and a cost vector attaining it that is 0 where
+    u and v agree, from the face LP over every vertex of the box, which
+    must hold one.  _first_tableaux's start, whose entries are small
+    integers, is lifted to Fractions and pivoted exactly."""
+    at = np.array([[u, v]])
+    face, slack = _faces(rmat, at)
+    cols = _box_columns(slack == 0, int((slack == 0).sum()))
+    tabs, bases = _first_tableaux(rmat, at, cols)
+    tabs = np.frompyfunc(Fraction, 1, 1)(tabs.astype(np.int64).astype(object))
+    if pivot_tableaux(tabs, bases, exact=True) != [OPTIMAL]:
+        raise LpError("the exact face LP ended without an optimum")
+    d, k = rmat.shape[1], cols.shape[1]
+    # w is minus the coordinate rows' duals, and t minus the objective
+    w = tabs[0, -1, 2 * d + k + 2:3 * d + k + 2]
+    return np.where(face[0] == 0, w, Fraction(0)), tabs[0, -1, -1]
 
 
 def _normalized_margins(rmat, u, v, w):
@@ -566,80 +564,138 @@ def _normalized_margins(rmat, u, v, w):
     return wn, gaps, imbalance
 
 
+def _lift(rmat, at, w):
+    """Cost vectors of unit max-norm exposing each pair (u, v) of at on the
+    whole polytope, and their margins, from face weights w that are 0 where
+    u and v agree.
+
+    Scaled to unit max-norm, w keeps every box vertex at least t below u,
+    t > 0 being its face margin.  Adding lam c_F changes no box vertex's
+    gap, as c_F.(u - x) = 0 there, and adds lam c_F.(u - x) >= lam to every
+    other gap; the least lam >= 0 that lifts each of those to t or more
+    exposes the pair with margin t / max(1, lam).
+    """
+    u, v = at.T
+    face, slack = _faces(rmat, at)
+    wn, gaps, _ = _normalized_margins(rmat, u, v, w)
+    t = np.where(slack == 0, gaps, np.inf).min(axis=1)
+    lam = np.where(slack > 0, (t[:, None] - gaps) / np.maximum(slack, 1), 0.0).max(axis=1)
+    wn, gaps, _ = _normalized_margins(rmat, u, v, wn + lam[:, None] * face)
+    return wn, gaps.min(axis=1)
+
+
 def _decide_exact(rmat, u: int, v: int):
     w, t = _solve_margin(rmat, u, v)
     if t <= 0:
         return False, 0.0, "exact", None, 0.0
-    wn, gaps, _ = _normalized_margins(rmat, [u], [v], w[None])
-    return True, float(gaps.min()), "exact", tuple(float(x) for x in wn[0]), float(t)
+    wn, margin = _lift(rmat, np.array([[u, v]]), w[None].astype(np.float64))
+    return True, float(margin[0]), "exact", tuple(wn[0].tolist()), float(t)
 
 
 # y columns of a margin LP's first round, and of each later round; chosen on
-# the p = 4 census LPs, see CHANGES.md.
+# the p = 4 census LPs over every vertex, see CHANGES.md.
 _START_COLUMNS = 40
 _ROUND_COLUMNS = 24
 
 
-def _decide_pairs(rmat, pairs) -> list:
-    """(u, v, is_edge, margin, mode, weights, objective) for each pair.
+def _face_lps(rmat, at, box, differ):
+    """(w, t) per pair of at from its float face LP over the vertices of
+    box, solved in lockstep by column generation; w is 0 where differ is
+    False, and t is nan where the solve failed.
 
-    The float margin LPs are solved in lockstep by column generation.  Each
-    starts with y columns for the _START_COLUMNS vertices nearest its pair,
-    built by _first_tableaux, and is done once t <= 0, which proves a
-    non-edge as t >= t*, or once its w leaves no other vertex 1e-9 below
-    the least gap of its column vertices, as w is then optimal for the full
-    LP.  The rest keep their final tableaux, which stay feasible, and get
-    columns for the _ROUND_COLUMNS vertices of least gap from _add_columns;
-    no LP is built or inverted again.  A pair whose LP ended at
-    t <= _EXACT_LO is a float non-edge whatever its w, as w = 0 is
-    feasible and so 0 <= t* <= t; of the others, a failed solve, a w not
-    level on (u, v) or a final margin in the exact window goes to
-    _decide_exact.
+    Each LP starts with y columns for the first _START_COLUMNS vertices of
+    its box, built by _first_tableaux, and is done once t <= 0, which
+    proves a non-edge as t >= t*, or once its w leaves no other box vertex
+    1e-9 below the least gap of its column vertices, as w is then optimal
+    for the face LP.  The rest keep their final tableaux, which stay
+    feasible, and get columns for the _ROUND_COLUMNS box vertices of least
+    gap from _add_columns; no LP is built or inverted again.
     """
-    if len(rmat) == 2:
-        zeros = tuple(0.0 for _ in rmat[0])
-        return [(u, v, True, math.inf, "trivial", zeros, math.inf) for u, v in pairs]
-    n, d = rmat.shape
-    at = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    d = rmat.shape[1]
     u, v = at.T
     w, t, live = np.zeros((len(at), d)), np.zeros(len(at)), np.arange(len(at))
-    # a stable sort, so cols[:, 0] is _margin_start's x0
-    cols = np.argsort(_distances(rmat, at), axis=1, kind="stable")[:, :min(n - 2, _START_COLUMNS)]
+    cols = _box_columns(box, min(box.sum(axis=1).max(), _START_COLUMNS))
     tabs, bases = _first_tableaux(rmat, at, cols)
-    while live.size:
+    while True:
         k = cols.shape[1]
         solved = np.array([res == OPTIMAL for res in pivot_tableaux(tabs, bases)], dtype=bool)
         # w is minus the coordinate rows' duals, and t minus the objective
-        w[live[solved]] = tabs[solved, -1, 2 * d + k + 2:3 * d + k + 2]
+        w[live[solved]] = np.where(differ[live[solved]],
+                                   tabs[solved, -1, 2 * d + k + 2:3 * d + k + 2], 0.0)
         t[live] = np.where(solved, tabs[:, -1, -1], np.nan)  # nan: decided exactly
         gaps = _normalized_margins(rmat, u[live], v[live], w[live])[1]
+        gaps[~box[live]] = np.inf
         level = np.take_along_axis(gaps, cols, axis=1).min(axis=1)
         gaps[np.arange(len(live))[:, None], cols] = np.inf
         more = (t[live] > 0) & (gaps.min(axis=1) < level - 1e-9)
-        new = np.argsort(gaps[more], axis=1, kind="stable")[:, :min(_ROUND_COLUMNS, n - 2 - k)]
-        cols = np.concatenate([cols[more], new], axis=1)
-        live = live[more]
+        if not more.any():
+            return w, t
+        gaps, cols, live = gaps[more], cols[more], live[more]
+        left = np.isfinite(gaps).sum(axis=1)
+        add = min(_ROUND_COLUMNS, left.max())
+        new = np.argsort(gaps, axis=1, kind="stable")[:, :add]
+        cols = np.concatenate([cols, np.where(np.arange(add) < left[:, None], new, cols[:, :1])],
+                              axis=1)
         tabs, bases = _add_columns(tabs[more], bases[more], rmat, at[live], cols, k)
-    wn, gaps, imbalance = _normalized_margins(rmat, u, v, w)
-    margins = gaps.min(axis=1).tolist()
-    out = []
-    for q, (pu, pv) in enumerate(pairs):
-        if t[q] <= _EXACT_LO:
-            out.append((pu, pv, False, margins[q], "float", None, float(t[q])))
-        elif np.isnan(t[q]) or imbalance[q] > 1e-9 or _EXACT_LO < margins[q] < _EXACT_HI:
-            out.append((pu, pv, *_decide_exact(rmat, pu, pv)))
+
+
+def _decide_pairs(rmat, pairs, exact: bool = False) -> list:
+    """(u, v, is_edge, margin, mode, weights, objective) for each pair.
+
+    Each pair is decided on its face.  The box of (u, v) is a face of the
+    0/1 cube, so the vertices in it span a face of the polytope (see
+    _faces), and a face of a face is a face: [u, v] is an edge of the
+    polytope exactly when it is an edge of that face.  A box with no other
+    vertex is a two-vertex face, decided with no LP: c_F exposes the pair,
+    with every gap at least 1.
+
+    The other pairs' face LPs are solved in float by _face_lps, or in
+    Fractions by _decide_exact when exact is set.  A float decision reads
+    the face t and the face margin, the least gap to a box vertex of w
+    scaled to unit max-norm.  A pair whose LP ended at t <= _EXACT_LO is a
+    float non-edge whatever its w, as w = 0 is feasible and so
+    0 <= t* <= t; of the others, a failed solve, a w not level on (u, v)
+    or a face margin in the exact window goes to _decide_exact.  An edge's
+    w is lifted to the whole polytope by _lift, so its margin is over every
+    vertex; its objective is the face t*.
+    """
+    at = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    face, slack = _faces(rmat, at)
+    box = slack == 0
+    out = [None] * len(at)
+    flat = np.nonzero(~box.any(axis=1))[0]
+    wn, gaps, _ = _normalized_margins(rmat, at[flat, 0], at[flat, 1], face[flat].astype(np.float64))
+    for q, weights, margin in zip(flat.tolist(), wn.tolist(), gaps.min(axis=1).tolist()):
+        out[q] = (*pairs[q], True, margin, "trivial", tuple(weights), math.inf)
+    lp = np.nonzero(box.any(axis=1))[0]
+    if exact or not lp.size:
+        for q in lp.tolist():
+            out[q] = (*pairs[q], *_decide_exact(rmat, *pairs[q]))
+        return out
+    sub = at[lp]
+    w, t = _face_lps(rmat, sub, box[lp], face[lp] == 0)
+    _, gaps, imbalance = _normalized_margins(rmat, sub[:, 0], sub[:, 1], w)
+    margins = np.where(box[lp], gaps, np.inf).min(axis=1)
+    edge = (t > _EXACT_LO) & (imbalance <= 1e-9) & (margins >= _EXACT_HI)
+    lifted = zip(*_lift(rmat, sub[edge], w[edge]))
+    for q, tq, margin, off, is_edge in zip(lp.tolist(), t.tolist(), margins.tolist(),
+                                           imbalance.tolist(), edge.tolist()):
+        pu, pv = pairs[q]
+        if is_edge:
+            weights, margin = next(lifted)
+            out[q] = (pu, pv, True, float(margin), "float", tuple(weights.tolist()), tq)
+        elif math.isnan(tq) or tq > _EXACT_LO and (off > 1e-9 or margin > _EXACT_LO):
+            out[q] = (pu, pv, *_decide_exact(rmat, pu, pv))
         else:
-            edge = margins[q] > EDGE_TOL
-            weights = tuple(wn[q].tolist()) if edge else None
-            out.append((pu, pv, edge, margins[q], "float", weights, float(t[q])))
+            out[q] = (pu, pv, False, margin, "float", None, tq)
     return out
 
 
 def certify_edge(u: int, v: int, vs: VertexSet, exact: bool = False) -> Optional[EdgeCertificate]:
     """Certificate that conv(u, v) is an edge of the polytope, or None.
 
-    With exact=True the rational solve is used directly instead of the float
-    path with its re-solve window.
+    With exact=True the pair's face LP is solved in Fractions directly
+    instead of the float path with its re-solve window.
     """
     if u == v:
         raise ValueError("vertex indices must be distinct")
@@ -647,8 +703,7 @@ def certify_edge(u: int, v: int, vs: VertexSet, exact: bool = False) -> Optional
     if not (0 <= u < n and 0 <= v < n):
         raise ValueError("vertex index out of range")
     varying, rmat = _restricted(vs)
-    exact = exact and len(rmat) > 2
-    is_edge, *rest = _decide_exact(rmat, u, v) if exact else _decide_pairs(rmat, [(u, v)])[0][2:]
+    _, _, is_edge, *rest = _decide_pairs(rmat, [(u, v)], exact)[0]
     return _certificate(vs, varying, u, v, *rest) if is_edge else None
 
 
@@ -705,7 +760,8 @@ def _batch_size(rmat) -> int:
     """Margin LPs per lockstep batch, from the byte size of one tableau.
 
     A first-round margin LP has d + 1 rows and an objective row, and
-    3d + k + 4 columns with its k y columns, the identity block and the rhs.
+    3d + k + 4 columns with its k y columns, the identity block and the
+    rhs; k is at most min(n - 2, _START_COLUMNS).
     """
     n, d = rmat.shape
     tableau_bytes = 8 * (d + 2) * (3 * d + min(n - 2, _START_COLUMNS) + 4)
@@ -762,9 +818,9 @@ def certify_all_edges(vs: VertexSet) -> EdgeSurvey:
 
     The pairs that pass the prefilter are labelled with the first pair of
     their orbit under the relabellings of _symmetries by _pair_orbits, and
-    only those first pairs have their margin LPs solved.  These are cut
-    into batches whose margin LPs are solved in lockstep.  Every other pair
-    takes the decision of its orbit, read from the labels.
+    only those first pairs are decided, each on its face by _decide_pairs.
+    These are cut into batches whose face LPs are solved in lockstep.
+    Every other pair takes the decision of its orbit, read from the labels.
     """
     t0 = time.perf_counter()
     _, rmat = _restricted(vs)
@@ -779,12 +835,10 @@ def certify_all_edges(vs: VertexSet) -> EdgeSurvey:
     reps = list(zip(i[first].tolist(), j[first].tolist()))
     size = _batch_size(rmat)
     decided = {}
-    exact_used = 0
     for k in range(0, len(reps), size):
         for u, v, *decision in _decide_pairs(rmat, reps[k:k + size]):
-            if decision[1] == "exact":
-                exact_used += 1
             decided[(u, v)] = decision
+    modes = Counter(decision[2] for decision in decided.values())
     is_edge = np.zeros(len(label), dtype=bool)
     is_edge[first] = [decided[pair][0] for pair in reps]
     edge = is_edge[label]
@@ -795,9 +849,10 @@ def certify_all_edges(vs: VertexSet) -> EdgeSurvey:
     stats = {
         "pairs": n * (n - 1) // 2,
         "prefiltered": int(hit.sum()),
-        "lp_solved": len(reps),
+        "lp_solved": len(reps) - modes["trivial"],
+        "two_vertex_faces": modes["trivial"],
         "by_symmetry": len(label) - len(reps),
-        "exact_resolves": exact_used,
+        "exact_resolves": modes["exact"],
         "edges": len(edges),
     }
     seconds = {"prefilter": t1 - t0, "certify": time.perf_counter() - t1}

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from cimwalk import lp, polytope
 from cimwalk.lp import OPTIMAL, UNBOUNDED, LpError, LpResult, simplex_max, simplex_max_many
 from lp_reference import serial_exact_run, serial_run, two_phase_simplex_max
+from margin_reference import margin_lps, margin_start
 
 
 def _le(c, rows):
@@ -368,8 +369,8 @@ def test_exact_margin_lps_match_the_serial_exact_reference_p3(monkeypatch):
     _, rmat = polytope._restricted(polytope.enumerate_mecs(3))
     n = len(rmat)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    c, a, b = polytope._margin_lps(rmat, pairs)
-    lps = list(zip(a, [b] * len(a), polytope._margin_start(rmat, pairs)))
+    c, a, b = margin_lps(rmat, pairs)
+    lps = list(zip(a, [b] * len(a), margin_start(rmat, pairs)))
     assert max(_assert_exact_matches_the_serial_reference(monkeypatch, c, lps)) > 1
 
 
@@ -377,8 +378,8 @@ def _assert_margin_lps_match(vs, step=1):
     _, rmat = polytope._restricted(vs)
     n = len(rmat)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)][::step]
-    c, a, b = polytope._margin_lps(rmat, pairs)
-    starts = polytope._margin_start(rmat, pairs)
+    c, a, b = margin_lps(rmat, pairs)
+    starts = margin_start(rmat, pairs)
     want, _ = _started_reference(c, a, [b] * len(a), starts)
     for res, ref in zip(simplex_max_many(c, a, [b] * len(a), starts), want):
         _assert_same(res, ref)
@@ -462,8 +463,8 @@ def test_started_margin_lps_take_at_most_three_quarters_of_the_two_phase_pivots(
     hit = polytope._midpoint_prefilter(rmat)
     i, j = np.triu_indices(len(rmat), 1)
     pairs = list(zip(i[~hit].tolist(), j[~hit].tolist()))[::10]
-    c, a, b = polytope._margin_lps(rmat, pairs)
-    starts = polytope._margin_start(rmat, pairs)
+    c, a, b = margin_lps(rmat, pairs)
+    starts = margin_start(rmat, pairs)
     want, started = _started_reference(c, a, [b] * len(a), starts)
     got = simplex_max_many(c, a, [b] * len(a), starts)
     for res, ref in zip(got, want):
@@ -519,6 +520,6 @@ def test_margin_lp_restart_takes_no_pivot_p3(monkeypatch):
     _, rmat = polytope._restricted(polytope.enumerate_mecs(3))
     n = len(rmat)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    c, a, b = polytope._margin_lps(rmat, pairs)
-    lps = list(zip(a, [b] * len(a), polytope._margin_start(rmat, pairs)))
+    c, a, b = margin_lps(rmat, pairs)
+    lps = list(zip(a, [b] * len(a), margin_start(rmat, pairs)))
     assert _assert_restart_takes_no_pivot(monkeypatch, c, lps, exact=False) == len(pairs)
