@@ -248,10 +248,10 @@ def _cmd_discover(args) -> int:
     _write_json(args.out, result)
     _write_manifest(args.out, "discover",
                     {"algo": args.algo, "data": args.data, "alpha": args.alpha,
-                     "strategy": args.strategy, "seed": args.seed,
+                     "strategy": args.strategy,
                      "subset_cap": args.subset_cap, "tree_moves": args.tree_moves,
                      "out": args.out},
-                    args.seed, [args.data], [args.out], t0)
+                    None, [args.data], [args.out], t0)
     return 0
 
 
@@ -363,7 +363,6 @@ def _build_parser() -> argparse.ArgumentParser:
     dis.add_argument("--alpha", type=float, default=1e-4)
     dis.add_argument("--strategy", choices=sorted(_STRATEGIES),
                      default="first-improvement")
-    dis.add_argument("--seed", type=int, default=0)
     dis.add_argument("--subset-cap", type=int, default=None)
     dis.add_argument("--tree-moves", action="store_true")
     dis.add_argument("--out", default="result.json")

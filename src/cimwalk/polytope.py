@@ -54,7 +54,6 @@ from .moves import (
     _raw_edge_candidates,
     _raw_tree_candidates,
     _raw_turn_candidates,
-    enumerate_turn_moves,
 )
 
 EDGE_TOL = 1e-7
@@ -209,18 +208,6 @@ def _refined_colours(adj: list) -> list:
         colours = refined
 
 
-def _node_orbit(x: int, gens: list) -> set:
-    orbit, stack = {x}, [x]
-    while stack:
-        y = stack.pop()
-        for g in gens:
-            z = g.nodes[y]
-            if z not in orbit:
-                orbit.add(z)
-                stack.append(z)
-    return orbit
-
-
 @lru_cache(maxsize=64)
 def _symmetries(vs: VertexSet) -> tuple:
     """Generators of the node relabellings that map vs onto itself.
@@ -276,57 +263,21 @@ def _symmetries(vs: VertexSet) -> tuple:
 
     gens = []
     for i in reversed(range(p)):
-        orbit = _node_orbit(i, gens)
         for y in range(i + 1, p):
-            if y not in orbit and fits(list(range(i)), y):
+            label = _orbit_labels(p, [np.array(g.nodes) for g in gens])
+            if label[y] != label[i] and fits(list(range(i)), y):
                 found = extend(list(range(i)) + [y])
                 if found:
                     gens.append(found)
-                    orbit = _node_orbit(i, gens)
     return tuple(gens)
 
 
-def _orbit_tree(items: Iterable, perms: list, image) -> tuple:
-    """Split items, a set closed under perms, into orbits, in item order.
+def _pair_images(i, j, n: int, perms: list) -> list:
+    """Each generator's image of the pairs (i[q], j[q]) of n vertices, i < j,
+    ordered by u n + v and closed under perms, as an index array over them.
 
-    Returns the first item of each orbit, and every other item as
-    (item, source, k) with item = image(source, perms[k]); each source
-    comes before the items derived from it.
-    """
-    seen = set()
-    reps, derived = [], []
-    for item in items:
-        if item in seen:
-            continue
-        seen.add(item)
-        reps.append(item)
-        queue = [item]
-        for source in queue:
-            for k, perm in enumerate(perms):
-                new = image(source, perm)
-                if new not in seen:
-                    seen.add(new)
-                    queue.append(new)
-                    derived.append((new, source, k))
-    return reps, derived
-
-
-def _pair_image(pair, perm):
-    a, b = perm[pair[0]], perm[pair[1]]
-    return (a, b) if a < b else (b, a)
-
-
-def _pair_orbits(i, j, n: int, perms: list) -> np.ndarray:
-    """The index of the first pair of each pair's orbit, for the pairs
-    (i[q], j[q]) of n vertices, i < j, ordered by u n + v and closed under
-    perms.
-
-    Each pair is the id u n + v, and its image under every generator is
-    looked up among the sorted ids with np.searchsorted.  Then each pair
-    takes the least label of its images, and the labels jump to their own
-    labels, until nothing changes.  A label stays in its orbit and never
-    grows, and at the fixed point it is constant along every generator's
-    cycles, so it is the least index of the orbit.  Memory is O(pairs).
+    Each pair is the id u n + v, and its image under a generator is looked
+    up among the sorted ids with np.searchsorted.
     """
     ids = i * n + j
     # an image past the last id meets the sentinel -1
@@ -340,7 +291,20 @@ def _pair_orbits(i, j, n: int, perms: list) -> np.ndarray:
         if (padded[at] != image).any():
             raise ValueError("the pairs are not closed under the relabellings")
         images.append(at)
-    label = np.arange(len(ids))
+    return images
+
+
+def _orbit_labels(n: int, images: list) -> np.ndarray:
+    """The least item of each item's orbit, for items 0..n-1 and generators
+    given by their image index arrays.
+
+    Each item takes the least label of its images, and the labels jump to
+    their own labels, until nothing changes.  A label stays in its orbit
+    and never grows, and at the fixed point it is constant along every
+    generator's cycles, so it is the least item of the orbit.  Memory is
+    O(n).
+    """
+    label = np.arange(n)
     while True:
         old = label
         for at in images:
@@ -348,6 +312,33 @@ def _pair_orbits(i, j, n: int, perms: list) -> np.ndarray:
         label = label[label]
         if (label == old).all():
             return label
+
+
+def _orbit_walk(label, images) -> tuple:
+    """(item, source, k) arrays with item = images[k][source] for every
+    item that is not the least of its orbit, each orbit searched breadth
+    first from its least item.
+
+    All orbits are walked a level at a time: each item of the frontier
+    tries the generators in order, and an item not seen before is taken
+    from its first try, sources in the order they were reached.  Records
+    are then grouped by orbit, in the order of the orbits' least items, so
+    each source comes before the items derived from it.
+    """
+    seen = label == np.arange(len(label))
+    frontier = np.nonzero(seen)[0]
+    levels = [(frontier[:0],) * 3]
+    while frontier.size:
+        # try s K + k sends frontier[s] through images[k]
+        reached = np.array([at[frontier] for at in images], dtype=np.int64).T.ravel()
+        _, first = np.unique(reached, return_index=True)
+        first = np.sort(first[~seen[reached[first]]])
+        levels.append((reached[first], frontier[first // len(images)], first % len(images)))
+        frontier = levels[-1][0]
+        seen[frontier] = True
+    item, source, k = (np.concatenate(part) for part in zip(*levels))
+    order = np.argsort(label[item], kind="stable")
+    return item[order], source[order], k[order]
 
 
 # ---------------------------------------------------------------------------
@@ -399,9 +390,10 @@ def _restricted(vs: VertexSet) -> tuple:
 
     Constant coordinates contribute the same amount to every w.x, so their
     weights can be fixed at zero without changing any margin.  The matrix is
-    a read-only integer array, one row per vertex.
+    a read-only 0/1 float64 array, one row per vertex, so that its products
+    run in BLAS; every sum of its entries is a small integer, and exact.
     """
-    full = np.array(vs.matrix, dtype=np.int64)
+    full = np.array(vs.matrix, dtype=np.float64)
     varying = tuple(int(k) for k in np.nonzero((full != full[0]).any(axis=0))[0])
     rmat = full[:, list(varying)]
     rmat.flags.writeable = False
@@ -749,23 +741,26 @@ def _midpoint_prefilter(matrix) -> np.ndarray:
     return collides[:len(i)]
 
 
-# Bytes of the first-round tableau stack of one lockstep batch of margin LPs
-# (523 LPs at p = 4): enough LPs to spread each step's fixed numpy overhead,
-# few enough that the stack stays small.  On a 2-CPU host, 1 to 8 MiB gave
-# the same census time within noise, before column generation.
+# Bytes that one lockstep batch of margin LPs may hold (332 LPs at p = 4,
+# 16 at p = 5): enough LPs to spread each step's fixed numpy overhead, few
+# enough that the batch stays small.  On a 2-CPU host, 1 to 8 MiB of
+# tableaux alone gave the same census time within noise, before column
+# generation.
 _BATCH_BYTES = 4 << 20
 
 
 def _batch_size(rmat) -> int:
-    """Margin LPs per lockstep batch, from the byte size of one tableau.
+    """Margin LPs per lockstep batch, from the bytes that one pair holds.
 
     A first-round margin LP has d + 1 rows and an objective row, and
     3d + k + 4 columns with its k y columns, the identity block and the
-    rhs; k is at most min(n - 2, _START_COLUMNS).
+    rhs; k is at most _START_COLUMNS, as the largest box is not known
+    before _faces runs.  Each pair also holds n-wide rows: the float slack
+    and bool box of _faces, and the scores and gaps of _normalized_margins.
     """
     n, d = rmat.shape
-    tableau_bytes = 8 * (d + 2) * (3 * d + min(n - 2, _START_COLUMNS) + 4)
-    return max(1, _BATCH_BYTES // tableau_bytes)
+    tableau_bytes = 8 * (d + 2) * (3 * d + _START_COLUMNS + 4)
+    return max(1, _BATCH_BYTES // (tableau_bytes + 25 * n))
 
 
 @dataclass(frozen=True)
@@ -774,7 +769,7 @@ class EdgeSurvey:
 
     orbits maps the first edge of each orbit of edges under _symmetries to
     the orbit's size.  certificates is built on first access, from the
-    pairs that passed the prefilter: the pair walk of _orbit_tree that
+    pairs that passed the prefilter: the _orbit_walk over their images that
     moves each witness to the other pairs of its orbit runs only then.
     seconds holds the wall-clock time of the prefilter and certify stages;
     it is kept out of stats so that stats stays deterministic.
@@ -784,8 +779,8 @@ class EdgeSurvey:
     orbits: dict
     stats: dict
     seconds: dict
-    # vs, its relabellings, the decisions of the orbits' first pairs, and
-    # the pairs that passed the prefilter
+    # vs, its relabellings, the decisions of the orbits' first pairs, the
+    # pairs that passed the prefilter, their orbit labels and their images
     _lift: tuple = field(repr=False, compare=False)
 
     @cached_property
@@ -793,22 +788,21 @@ class EdgeSurvey:
         """Every edge's certificate.  An edge decided by symmetry takes the
         witness of the pair it was reached from, with the weights moved to
         its own coordinates."""
-        vs, syms, decided, (i, j) = self._lift
+        vs, syms, decided, (i, j), label, images = self._lift
         varying, _ = _restricted(vs)
-        todo = list(zip(i.tolist(), j.tolist()))
-        _, derived = _orbit_tree(todo, [g.rows for g in syms], _pair_image)
+        pairs = list(zip(i.tolist(), j.tolist()))
         decided = dict(decided)
         # under syms[s], restricted weight k of a pair moves to position moved[s][k]
         column = {pos: k for k, pos in enumerate(varying)}
         moved = [[column[g.coords[pos]] for pos in varying] for g in syms]
-        for pair, source, s in derived:
-            is_edge, margin, mode, weights, objective = decided[source]
+        for q, source, s in zip(*(a.tolist() for a in _orbit_walk(label, images))):
+            is_edge, margin, mode, weights, objective = decided[pairs[source]]
             if is_edge:
                 image = [0.0] * len(weights)
                 for k, w in zip(moved[s], weights):
                     image[k] = w
                 weights = tuple(image)
-            decided[pair] = (is_edge, margin, mode, weights, objective)
+            decided[pairs[q]] = (is_edge, margin, mode, weights, objective)
         return {(u, v): _certificate(vs, varying, u, v, *decided[(u, v)][1:])
                 for u, v in self.edges}
 
@@ -817,10 +811,11 @@ def certify_all_edges(vs: VertexSet) -> EdgeSurvey:
     """Certify every vertex pair; deterministic regardless of batching.
 
     The pairs that pass the prefilter are labelled with the first pair of
-    their orbit under the relabellings of _symmetries by _pair_orbits, and
-    only those first pairs are decided, each on its face by _decide_pairs.
-    These are cut into batches whose face LPs are solved in lockstep.
-    Every other pair takes the decision of its orbit, read from the labels.
+    their orbit under the relabellings of _symmetries, by _orbit_labels over
+    their _pair_images, and only those first pairs are decided, each on its
+    face by _decide_pairs.  These are cut into batches whose face LPs are
+    solved in lockstep.  Every other pair takes the decision of its orbit,
+    read from the labels.
     """
     t0 = time.perf_counter()
     _, rmat = _restricted(vs)
@@ -830,7 +825,8 @@ def certify_all_edges(vs: VertexSet) -> EdgeSurvey:
     i, j = i[~hit], j[~hit]
     t1 = time.perf_counter()
     syms = _symmetries(vs)
-    label = _pair_orbits(i, j, n, [g.rows for g in syms])
+    images = _pair_images(i, j, n, [g.rows for g in syms])
+    label = _orbit_labels(len(i), images)
     first = np.nonzero(label == np.arange(len(label)))[0]
     reps = list(zip(i[first].tolist(), j[first].tolist()))
     size = _batch_size(rmat)
@@ -856,7 +852,7 @@ def certify_all_edges(vs: VertexSet) -> EdgeSurvey:
         "edges": len(edges),
     }
     seconds = {"prefilter": t1 - t0, "certify": time.perf_counter() - t1}
-    return EdgeSurvey(edges, orbits, stats, seconds, (vs, syms, decided, (i, j)))
+    return EdgeSurvey(edges, orbits, stats, seconds, (vs, syms, decided, (i, j), label, images))
 
 
 # ---------------------------------------------------------------------------
@@ -868,23 +864,24 @@ def _pair_move_kinds(vs: VertexSet) -> dict:
 
     A relabelling of the nodes maps a class's moves to its image's moves of
     the same kinds, so the moves are enumerated for the first class of each
-    orbit under _symmetries and carried along to the rest of the orbit.  An
-    edge move adds or removes one skeleton edge, so edge moves are skipped
-    for a class when no class of vs has such a skeleton.
+    orbit under _symmetries and carried along the rest of the orbit by
+    _orbit_walk.  An edge move adds or removes one skeleton edge, so edge
+    moves are skipped for a class when no class of vs has such a skeleton.
     """
     skeletons = {mec.skeleton.edges for mec in vs.mecs}
     perms = [g.rows for g in _symmetries(vs)]
-    reps, derived = _orbit_tree(range(len(vs)), perms, lambda i, perm: perm[i])
+    images = [np.array(perm) for perm in perms]
+    label = _orbit_labels(len(vs), images)
     targets = _move_targets(vs)
     found = {}
-    for i in reps:
+    for i in np.nonzero(label == np.arange(len(vs)))[0].tolist():
         mec = vs.mecs[i]
         found[i] = targets(i, _raw_turn_candidates(mec, None))
         if any(len(mec.skeleton.edges ^ s) == 1 for s in skeletons):
             found[i] += targets(i, _raw_edge_candidates(mec, None))
         if mec.skeleton.is_tree() or mec.skeleton.is_single_cycle():
             found[i] += targets(i, _raw_tree_candidates(mec))
-    for i, source, k in derived:
+    for i, source, k in zip(*(a.tolist() for a in _orbit_walk(label, images))):
         found[i] = [(perms[k][j], kind) for j, kind in found[source]]
     kinds = {}
     for i, targets in found.items():
@@ -1343,21 +1340,15 @@ def verify_simplex_faces(p: int) -> dict:
 
 
 def verify_turn_connectivity(g: UndirectedGraph) -> bool:
-    """Whether turn moves alone connect every MEC on the fixed skeleton g."""
-    mecs = [mec for mec, _ in _mecs_with_skeleton(g)]
-    index = {mec: k for k, mec in enumerate(mecs)}
-    parent = list(range(len(mecs)))
+    """Whether turn moves alone connect every MEC on the fixed skeleton g.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for mec in mecs:
-        for _, target in enumerate_turn_moves(mec):
-            a, b = find(index[mec]), find(index[target])
-            if a != b:
-                parent[a] = b
-    roots = {find(k) for k in range(len(mecs))}
-    return len(roots) <= 1
+    A turn move keeps the skeleton, so its targets are read among the rows
+    of the face by _move_targets, and each move merges its two components.
+    """
+    vs = _build_vertex_set(g.p, _mecs_with_skeleton(g))
+    targets = _move_targets(vs)
+    label = np.arange(len(vs))
+    for i, mec in enumerate(vs.mecs):
+        for j, _ in targets(i, _raw_turn_candidates(mec, None)):
+            label[label == label[j]] = label[i]
+    return len(set(label.tolist())) <= 1

@@ -5,6 +5,9 @@ Every orientation of a skeleton is built as a validated Dag from its arcs
 with mec_of, and each class's row is read from the full imset of its
 consistent extension.  It shares no code with the parent-bitmask
 enumerator in cimwalk.graphs.
+
+orbit_tree is the item-by-item orbit search that the array orbit labels
+and walk of cimwalk.polytope are checked against.
 """
 
 import itertools
@@ -60,3 +63,38 @@ def vertex_set_by_dag(p: int, mecs) -> VertexSet:
 def parent_masks(dag: Dag) -> tuple:
     """The parent set of each node as a bitmask."""
     return tuple(sum(1 << k for k in pa) for pa in dag.parents)
+
+
+def orbit_tree(items, perms: list, image) -> tuple:
+    """Split items, a set closed under perms, into orbits, in item order.
+
+    Returns the first item of each orbit, and every other item as
+    (item, source, k) with item = image(source, perms[k]); each orbit is
+    searched breadth first, so each source comes before the items derived
+    from it.
+    """
+    seen = set()
+    reps, derived = [], []
+    for item in items:
+        if item in seen:
+            continue
+        seen.add(item)
+        reps.append(item)
+        queue = [item]
+        for source in queue:
+            for k, perm in enumerate(perms):
+                new = image(source, perm)
+                if new not in seen:
+                    seen.add(new)
+                    queue.append(new)
+                    derived.append((new, source, k))
+    return reps, derived
+
+
+def pair_image(pair, perm):
+    a, b = perm[pair[0]], perm[pair[1]]
+    return (a, b) if a < b else (b, a)
+
+
+def item_image(item, perm):
+    return perm[item]

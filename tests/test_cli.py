@@ -207,6 +207,19 @@ def test_discover_validation_errors(tmp_path):
                 "--out", str(tmp_path / "r.json")) == 2
 
 
+def test_discover_takes_no_seed(tmp_path):
+    # the search is deterministic given the data, so there is no seed to set
+    data, _ = _simulate(tmp_path, p=3, d=1.0, n=50, seed=1)
+    out = tmp_path / "r.json"
+    assert _run("discover", "--algo", "greedy-cim", "--data", str(data),
+                "--seed", "1", "--out", str(out)) == 2
+    assert not out.exists()
+    assert _run("discover", "--algo", "greedy-cim", "--data", str(data),
+                "--out", str(out)) == 0
+    manifest = json.loads((tmp_path / "r.json.manifest.json").read_text())
+    assert manifest["seed"] is None and "seed" not in manifest["config"]
+
+
 def test_score_command(tmp_path):
     data, _ = _simulate(tmp_path, p=3, d=1.0, n=200, seed=4)
     graph = tmp_path / "graph.txt"

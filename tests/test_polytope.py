@@ -30,9 +30,9 @@ from cimwalk.polytope import (EdgeCertificate, _midpoint_prefilter,
                               star_over_cliques,
                               verify_simplex_faces, verify_stab_equivalence,
                               verify_turn_connectivity)
-from enumeration_reference import (dags_by_arcs, imset_vector, mecs_by_dag,
-                                   orientations_by_arcs, parent_masks,
-                                   vertex_set_by_dag)
+from enumeration_reference import (dags_by_arcs, imset_vector, item_image,
+                                   mecs_by_dag, orbit_tree, orientations_by_arcs,
+                                   pair_image, parent_masks, vertex_set_by_dag)
 from lp_reference import two_phase_simplex_max
 from margin_reference import (distances, face_lp, margin_lps, margin_solution,
                               margin_start)
@@ -329,6 +329,58 @@ def test_simplex_faces_p4():
     assert all(b["full_rank"] for b in report["basis_checks"])
     with pytest.raises(GraphError):
         verify_simplex_faces(3)
+
+
+def _turn_connectivity_by_class(g):
+    """verify_turn_connectivity before the row lookup: a union-find over
+    the target classes that enumerate_turn_moves builds and verifies."""
+    mecs = [mec for mec, _ in polytope._mecs_with_skeleton(g)]
+    index = {mec: k for k, mec in enumerate(mecs)}
+    parent = list(range(len(mecs)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for mec in mecs:
+        for _, target in enumerate_turn_moves(mec):
+            a, b = find(index[mec]), find(index[target])
+            if a != b:
+                parent[a] = b
+    return len({find(k) for k in range(len(mecs))}) <= 1
+
+
+_SMALL_SKELETONS = [UndirectedGraph.from_edges(p, edges) for p in (1, 2, 3, 4)
+                    for edges in itertools.chain.from_iterable(
+                        itertools.combinations(itertools.combinations(range(p), 2), m)
+                        for m in range(p * (p - 1) // 2 + 1))]
+_FIVE_EDGE_SKELETONS = [UndirectedGraph.from_edges(5, edges) for edges in
+                        itertools.combinations(itertools.combinations(range(5), 2), 5)]
+
+
+@pytest.mark.parametrize("kinds, graphs, connected", [
+    (None, _SMALL_SKELETONS, 75),
+    ({moves_mod.FLIP}, _SMALL_SKELETONS, 23),
+    ({moves_mod.FLIP, moves_mod.BUDDING}, _FIVE_EDGE_SKELETONS, 210)],
+    ids=["all-turns-p4", "flips-p4", "flips-buddings-five-edges-p5"])
+def test_turn_connectivity_matches_the_class_union_find_on_every_small_skeleton(
+        monkeypatch, kinds, graphs, connected):
+    # with some turn kinds left out the comparison also meets skeletons
+    # that the turns do not connect; on the five-edge p = 5 skeletons some
+    # moves join two components of several classes each
+    if kinds:
+        raw = moves_mod._raw_turn_candidates
+
+        def only(mec, cap):
+            return (move for move in raw(mec, cap) if move.kind in kinds)
+
+        monkeypatch.setattr(moves_mod, "_raw_turn_candidates", only)
+        monkeypatch.setattr(polytope, "_raw_turn_candidates", only)
+    answers = [verify_turn_connectivity(g) for g in graphs]
+    assert answers == [_turn_connectivity_by_class(g) for g in graphs]
+    assert sum(answers) == connected
 
 
 def test_turn_connectivity_small_skeletons():
@@ -807,7 +859,7 @@ def _eager_certificates(vs):
     skip = _skipped(rmat)
     todo = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in skip]
     syms = polytope._symmetries(vs)
-    reps, derived = polytope._orbit_tree(todo, [g.rows for g in syms], polytope._pair_image)
+    reps, derived = orbit_tree(todo, [g.rows for g in syms], pair_image)
     decided = {(u, v): decision for u, v, *decision in polytope._decide_pairs(rmat, reps)}
     column = {pos: k for k, pos in enumerate(varying)}
     moved = [[column[g.coords[pos]] for pos in varying] for g in syms]
@@ -1217,12 +1269,13 @@ def test_carried_tableaux_equal_the_rebuilt_lps_in_every_round(monkeypatch, kind
 
 
 def test_a_p4_census_walks_no_pair_orbit_and_inverts_no_basis(monkeypatch):
-    # counts, not times: the pair orbits are labelled with arrays, each
-    # batch builds its margin LPs once, and later rounds carry tableaux
+    # counts, not times: the pair orbits are labelled with arrays and never
+    # walked, the class orbits are walked once, each batch builds its
+    # margin LPs once, and later rounds carry tableaux
     vs = enumerate_mecs(4)
     _, rmat = _restricted(vs)
     one_lp = polytope._BATCH_BYTES // polytope._batch_size(rmat)
-    orbit_tree = polytope._orbit_tree
+    orbit_walk = polytope._orbit_walk
     for batch_bytes, batches in [(polytope._BATCH_BYTES, 1), (100 * one_lp, 3)]:
         calls, walked = Counter(), []
 
@@ -1232,29 +1285,45 @@ def test_a_p4_census_walks_no_pair_orbit_and_inverts_no_basis(monkeypatch):
                 return fn(*args, **kwargs)
             return wrapped
 
-        def walking(items, perms, image):
-            walked.append(list(items))
-            return orbit_tree(walked[-1], perms, image)
+        def walking(label, images):
+            walked.append(len(label))
+            return orbit_walk(label, images)
 
         with monkeypatch.context() as patch:
             patch.setattr(polytope, "_BATCH_BYTES", batch_bytes)
             for module, name in [(polytope, "_margin_lps"), (polytope, "_add_columns"),
                                  (lp_mod, "_enter_basis"), (np.linalg, "inv")]:
                 patch.setattr(module, name, counting(name, getattr(module, name)))
-            patch.setattr(polytope, "_orbit_tree", walking)
+            patch.setattr(polytope, "_orbit_walk", walking)
             census = edge_census(vs)
         assert census["lp_stats"]["lp_solved"] == 204
-        assert walked == [list(range(185))]
+        assert walked == [185]
         assert calls["_margin_lps"] == batches
         # every p = 4 box fits in the first round's columns
         assert calls["_add_columns"] == 0
         assert calls["_enter_basis"] == calls["inv"] == 0
 
 
+def _check_orbits(items, perms, image, images):
+    """_orbit_labels and _orbit_walk over the generator images against
+    orbit_tree: the same first items, the same root for every item, and
+    the same (item, source, generator) records in the same order."""
+    reps, derived = orbit_tree(items, perms, image)
+    root = {item: item for item in reps}
+    for item, source, _ in derived:
+        root[item] = root[source]
+    label = polytope._orbit_labels(len(items), images)
+    assert [items[q] for q in label.tolist()] == [root[item] for item in items]
+    first = np.nonzero(label == np.arange(len(label)))[0]
+    assert [items[q] for q in first.tolist()] == reps
+    walk = zip(*(a.tolist() for a in polytope._orbit_walk(label, images)))
+    assert [(items[q], items[source], k) for q, source, k in walk] == derived
+    return label
+
+
 def _check_pair_orbits(vs):
-    """_pair_orbits against the orbit walk over the prefilter survivors:
-    the same first pairs, the same root for every pair, and the same count
-    decided by symmetry."""
+    """The pair orbits over the prefilter survivors against orbit_tree, and
+    the count decided by symmetry."""
     _, rmat = _restricted(vs)
     n = len(rmat)
     hit = _midpoint_prefilter(rmat)
@@ -1262,15 +1331,9 @@ def _check_pair_orbits(vs):
     i, j = i[~hit], j[~hit]
     todo = list(zip(i.tolist(), j.tolist()))
     perms = [g.rows for g in polytope._symmetries(vs)]
-    reps, derived = polytope._orbit_tree(todo, perms, polytope._pair_image)
-    root = {pair: pair for pair in reps}
-    for pair, source, _ in derived:
-        root[pair] = root[source]
-    label = polytope._pair_orbits(i, j, n, perms)
-    assert [todo[q] for q in label.tolist()] == [root[pair] for pair in todo]
+    label = _check_orbits(todo, perms, pair_image, polytope._pair_images(i, j, n, perms))
     first = np.nonzero(label == np.arange(len(label)))[0]
-    assert [todo[q] for q in first.tolist()] == reps
-    assert len(label) - len(first) == len(derived) == certify_all_edges(vs).stats["by_symmetry"]
+    assert len(label) - len(first) == certify_all_edges(vs).stats["by_symmetry"]
 
 
 @pytest.mark.parametrize("kind, p", [("full", 2), ("full", 3), ("full", 4),
@@ -1278,6 +1341,18 @@ def _check_pair_orbits(vs):
                                      ("rotations", 4), ("asym", 6)])
 def test_pair_orbits_match_the_orbit_tree(kind, p):
     _check_pair_orbits(_face(kind, p))
+
+
+@pytest.mark.parametrize("kind, p", [("full", 2), ("full", 3), ("full", 4),
+                                     *[(k, p) for k in ("path", "cycle") for p in range(4, 9)],
+                                     ("star", 5), ("star", 6), ("complete", 4),
+                                     ("complete", 5), ("rotations", 4), ("asym", 6)])
+def test_class_and_node_orbits_match_the_orbit_tree(kind, p):
+    vs = _face(kind, p)
+    gens = polytope._symmetries(vs)
+    for items, perms in [(list(range(len(vs))), [g.rows for g in gens]),
+                         (list(range(p)), [g.nodes for g in gens])]:
+        _check_orbits(items, perms, item_image, [np.array(perm) for perm in perms])
 
 
 @pytest.mark.parametrize("budget", [0, 20])
@@ -1294,11 +1369,11 @@ def test_pair_orbits_reject_pairs_that_are_not_closed():
     n = len(rmat)
     i, j = np.triu_indices(n, 1)
     perms = [g.rows for g in polytope._symmetries(vs)]
-    label = polytope._pair_orbits(i, j, n, perms)
+    label = polytope._orbit_labels(len(i), polytope._pair_images(i, j, n, perms))
     # drop the last pair of an orbit of two or more, and then the first
     big = np.nonzero(np.bincount(label) > 1)[0][0]
     members = np.nonzero(label == big)[0]
     for q in (members[-1], members[0]):
         keep = np.arange(len(i)) != q
         with pytest.raises(ValueError, match="not closed"):
-            polytope._pair_orbits(i[keep], j[keep], n, perms)
+            polytope._pair_images(i[keep], j[keep], n, perms)
