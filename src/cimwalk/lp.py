@@ -8,20 +8,20 @@ read.
 
 One tableau layout and one pivot loop serve two arithmetic modes: float64
 numpy arrays for speed, and Fraction object arrays with exact comparisons
-for re-solves of numerically ambiguous instances.  LPs of one shape are
-solved as a stack of tableaux pivoted in lockstep, so many LPs cost one
-numpy call per step; a single LP is a stack of one.  Entering columns
-follow Bland's smallest-index rule, which rules out cycling in the exact
-mode and is harmless in the float mode.  An optimal result carries the row
-duals as well as the primal point.
+for re-solves of numerically ambiguous instances.  Entering columns follow
+Bland's smallest-index rule, which rules out cycling in the exact mode and
+is harmless in the float mode.
 
-simplex_max and simplex_max_many build the tableaux and move them to the
-start basis.  pivot_tableaux pivots tableaux that are already canonical, so
-a caller can keep them between solves: a final tableau holds B^-1 in its
+pivot_tableaux pivots a stack of tableaux that are already canonical in
+lockstep, so many LPs of one shape cost one numpy call per step, and a
+caller can keep them between solves: a final tableau holds B^-1 in its
 identity block and minus the prices c_B B^-1 in the objective row there,
 so a column a of cost c_a added later enters as that block times a, plus
 c_a in the objective row, with no inverse computed: the warm start of
-column generation.
+column generation.  simplex_max solves one LP: it builds the tableau,
+moves it to the start basis and pivots it as a stack of one, and returns
+an LpResult with the row duals as well as the primal point, or raises
+LpError.
 """
 
 from __future__ import annotations
@@ -51,37 +51,37 @@ class LpResult:
     basis: Sequence = ()
 
 
-def _pivot(tableau, basis, r, col):
-    tableau[r] = tableau[r] / tableau[r, col]
-    factors = tableau[:, col].copy()
-    factors[r] = 0 * factors[r]  # keeps the dtype in object mode
-    tableau -= np.outer(factors, tableau[r])
-    basis[r] = col
+def pivot_tableaux(stack, basis, exact: bool = False) -> list:
+    """Pivot canonical tableaux to their optima, in place.
 
+    stack is (count, m + 1, n + m + 1): each LP's B^-1 [A | I | b] at the
+    basis basis[k], with the objective row c - c_B B^-1 A last (zero on
+    the basic columns, -c_B B^-1 b in its rhs cell).  Only the n
+    structural columns enter.
 
-def _run(stack, basis, m, obj_row, allowed_mask, exact):
-    """Bland's-rule pivots on every tableau of a stack (count, rows, width).
-
-    At each step every LP still running picks its entering column (the first
-    allowed positive reduced cost) and its leaving row (the smallest ratio,
+    At each step every LP still running picks its entering column (the
+    first positive reduced cost) and its leaving row (the smallest ratio,
     ties to the smallest basis index), and all of them pivot at once with
-    _pivot's elementwise arithmetic, so each tableau ends where a solve on
-    its own would, bit for bit in float.  Exact stacks of Fractions compare
-    with no tolerance, and every value written into them is a Fraction.
-    The pivots run on a copy; a finished tableau is written back into stack
-    and basis and leaves the running set.  Returns one outcome per LP:
-    OPTIMAL, UNBOUNDED, or None where the pivot limit was hit.
+    elementwise arithmetic, so each tableau ends where a solve on its own
+    would, bit for bit in float.  Exact stacks of Fractions compare with no
+    tolerance, and every value written into them is a Fraction.  The pivots
+    run on a copy; a finished tableau is written back into stack and basis
+    and leaves the running set.  Returns one outcome per LP: OPTIMAL,
+    UNBOUNDED, or None where the pivot limit was hit.
     """
+    count, rows, width = stack.shape
+    if not count:
+        return []
+    m, n = rows - 1, width - rows
     zero = Fraction(0) if exact else 0.0
     tol = zero if exact else 1e-9
-    outcome = [None] * len(stack)
+    outcome = [None] * count
     # the running LPs are tab[:count]; live maps a slot to its LP in stack
     tab, bas = stack.copy(), basis.copy()
-    live = np.arange(len(stack))
-    count = len(stack)
+    live = np.arange(count)
     for _ in range(_MAX_PIVOTS):
         t, b = tab[:count], bas[:count]
-        cand = (t[:, obj_row, :-1] > tol) & allowed_mask
+        cand = t[:, m, :n] > tol
         enter = cand.argmax(axis=1)
         col = t[np.arange(count), :m, enter]
         pos = col > tol
@@ -107,7 +107,7 @@ def _run(stack, basis, m, obj_row, allowed_mask, exact):
                            out=np.full(col.shape, np.inf, dtype=t.dtype))
         best = ratios.min(axis=1, keepdims=True)
         near = pos & (ratios <= (best if exact else best + 1e-12 + 1e-9 * np.abs(best)))
-        leave = np.where(near, b, t.shape[2]).argmin(axis=1)
+        leave = np.where(near, b, width).argmin(axis=1)
         idx = np.arange(count)
         row = t[idx, leave] / t[idx, leave, enter][:, None]
         t[idx, leave] = row
@@ -118,78 +118,47 @@ def _run(stack, basis, m, obj_row, allowed_mask, exact):
     return outcome
 
 
-def _enter_basis(stack, basis, start, exact):
-    """Turn tableaux [A | I | b] over c into B^-1 [A | I | b] for the basis start.
+def _enter_basis(tableau, start, exact: bool) -> None:
+    """Turn a tableau [A | I | b] over c into B^-1 [A | I | b] for the basis
+    start, in place, or raise LpError for a singular or infeasible start.
 
-    start is (count, m): the column made basic in each row.  The objective
-    row becomes c - c_B B^-1 A with -c_B B^-1 b in its rhs cell, and basis is
-    set to start.  Float stacks are multiplied by their batched basis
-    inverses; exact tableaux are pivoted column by column, swapping in a
-    later row where a pivot entry is zero.  Returns one entry per LP: None,
-    or the LpError for a singular or infeasible start.
+    start holds the column made basic in each row.  The objective row
+    becomes c - c_B B^-1 A with -c_B B^-1 b in its rhs cell.  A float
+    tableau is multiplied by the basis inverse; an exact one is pivoted
+    column by column, swapping in a later row where a pivot entry is zero.
     """
-    count, rows, width = stack.shape
-    m = rows - 1
-    out = [None] * count
+    m = len(tableau) - 1
     if exact:
-        zero = Fraction(0)
-        for k in range(count):
-            tab, cols = stack[k], start[k]
-            for i, col in enumerate(cols):
-                nonzero = [r for r in range(i, m) if tab[r, col] != zero]
-                if not nonzero:
-                    out[k] = LpError("singular start basis")
-                    break
-                tab[[i, nonzero[0]]] = tab[[nonzero[0], i]]
-                _pivot(tab, basis[k], i, col)
-            if out[k] is None and (tab[:m, -1] < zero).any():
-                out[k] = LpError("infeasible start basis")
-    else:
-        lpi = np.arange(count)[:, None]
-        mats = stack[lpi, :m, start].transpose(0, 2, 1)
-        # a singular basis leaves nan or inf behind, and is flagged below
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            try:
-                inverse = np.linalg.inv(mats)
-            except np.linalg.LinAlgError:
-                inverse = np.full(mats.shape, np.nan)
-                for k in range(count):
-                    try:
-                        inverse[k] = np.linalg.inv(mats[k])
-                    except np.linalg.LinAlgError:
-                        pass
-            prices = stack[lpi, m, start][:, None, :] @ inverse
-            stack[:, m] -= (prices @ stack[:, :m])[:, 0]
-            stack[:, :m] = inverse @ stack[:, :m]
-            basic = stack[:, :m][lpi, :, start]
-            singular = ~(np.abs(basic - np.eye(m)) <= 1e-9).all(axis=(1, 2))
-            infeasible = (stack[:, :m, -1] < -1e-7).any(axis=1)
-        # the basic columns are exactly the unit vectors of their rows
-        stack[:, :m][lpi, :, start] = np.eye(m)
-        stack[:, m][lpi, start] = 0.0
-        for k in range(count):
-            if singular[k]:
-                out[k] = LpError("singular start basis")
-            elif infeasible[k]:
-                out[k] = LpError("infeasible start basis")
-    basis[:] = start
-    return out
-
-
-def pivot_tableaux(stack, basis, exact: bool = False) -> list:
-    """Pivot canonical tableaux to their optima, in place.
-
-    stack is (count, m + 1, n + m + 1): each LP's B^-1 [A | I | b] at the
-    basis basis[k], with the objective row c - c_B B^-1 A last (zero on
-    the basic columns, -c_B B^-1 b in its rhs cell).  Only the n
-    structural columns enter.  Returns one outcome per LP: OPTIMAL,
-    UNBOUNDED, or None where the pivot limit was hit.
-    """
-    count, rows, width = stack.shape
-    if not count:
-        return []
-    m = rows - 1
-    return _run(stack, basis, m, m, np.arange(width - 1) < width - 1 - m, exact)
+        for i, col in enumerate(start):
+            nonzero = [r for r in range(i, m) if tableau[r, col] != 0]
+            if not nonzero:
+                raise LpError("singular start basis")
+            tableau[[i, nonzero[0]]] = tableau[[nonzero[0], i]]
+            tableau[i] = tableau[i] / tableau[i, col]
+            factors = tableau[:, col].copy()
+            factors[i] = Fraction(0)
+            tableau -= np.outer(factors, tableau[i])
+        if (tableau[:m, -1] < 0).any():
+            raise LpError("infeasible start basis")
+        return
+    # a nearly singular basis leaves inf or nan behind, and is caught below
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        try:
+            inverse = np.linalg.inv(tableau[:m, start])
+        except np.linalg.LinAlgError:
+            raise LpError("singular start basis") from None
+        prices = tableau[m, start][None] @ inverse
+        tableau[m] -= (prices @ tableau[:m])[0]
+        tableau[:m] = inverse @ tableau[:m]
+        singular = not (np.abs(tableau[:m, start] - np.eye(m)) <= 1e-9).all()
+        infeasible = (tableau[:m, -1] < -1e-7).any()
+    if singular:
+        raise LpError("singular start basis")
+    if infeasible:
+        raise LpError("infeasible start basis")
+    # the basic columns are exactly the unit vectors of their rows
+    tableau[:m, start] = np.eye(m)
+    tableau[m, start] = 0.0
 
 
 def simplex_max(c, a, b, start, exact: bool = False) -> LpResult:
@@ -205,55 +174,25 @@ def simplex_max(c, a, b, start, exact: bool = False) -> LpResult:
     and the row duals: duals[i] is the rate at which the optimum grows
     with b[i], read from the final objective row under identity column i.
     """
-    res = simplex_max_many(c, [a], [b], [start], exact=exact)[0]
-    if isinstance(res, LpError):
-        raise res
-    return res
-
-
-def simplex_max_many(c, a_stack, b_stack, start, exact: bool = False) -> list:
-    """simplex_max(c, a, b, s, exact) for every (a, b, s) of the stacks.
-
-    a_stack holds one (m, n) matrix per LP, b_stack one length-m rhs and
-    start one basis of m columns; c is shared.  The LPs are pivoted in
-    lockstep, each exactly as it would be pivoted alone.  Returns one entry
-    per LP: its LpResult, or the LpError that simplex_max raises for it.
-    """
-    n, (count, m) = len(c), np.shape(b_stack)
-    if exact:
-        zero, one = Fraction(0), Fraction(1)
-        lift = np.frompyfunc(Fraction, 1, 1)
-        a = lift(np.array(a_stack, dtype=object).reshape(count, m, n))
-        rhs = lift(np.array(b_stack, dtype=object).reshape(count, m))
-        cost = lift(np.array(c, dtype=object).reshape(n))
-    else:
-        zero, one = 0.0, 1.0
-        a = np.asarray(a_stack, dtype=np.float64).reshape(count, m, n)
-        rhs = np.array(b_stack, dtype=np.float64).reshape(count, m)
-        cost = np.array(c, dtype=np.float64).reshape(n)
-    start = np.array(start, dtype=np.int64).reshape(count, m)
+    n, m = len(c), len(b)
+    start = np.array(start, dtype=np.int64).reshape(m)
     if ((start < 0) | (start >= n)).any():
         raise ValueError("a start basis holds structural columns only")
-    stack = np.full((count, m + 1, n + m + 1), zero, dtype=a.dtype)
-    stack[:, :m, :n] = a
-    stack[:, np.arange(m), n + np.arange(m)] = one
-    stack[:, :m, -1] = rhs
-    stack[:, m, :n] = cost
-    basis = start.copy()
-    out = _enter_basis(stack, basis, start, exact)
-    ok = [k for k in range(count) if out[k] is None]
-    if not ok:
-        return out
-    tabs, bases = stack[ok], basis[ok]
-    outcomes = pivot_tableaux(tabs, bases, exact)
-    x = np.full((len(ok), n), zero, dtype=a.dtype)
-    x[np.arange(len(ok))[:, None], bases] = tabs[:, :m, -1]
-    duals = (-tabs[:, m, n:n + m]).tolist()
-    for q, (k, status) in enumerate(zip(ok, outcomes)):
-        if status is None:
-            out[k] = LpError("pivot limit exceeded")
-        elif status == UNBOUNDED:
-            out[k] = LpResult(UNBOUNDED, [], None)
-        else:
-            out[k] = LpResult(OPTIMAL, x[q].tolist(), -tabs[q, m, -1], duals[q], bases[q].tolist())
-    return out
+    tab = np.zeros((m + 1, n + m + 1), dtype=object if exact else np.float64)
+    tab[:m, :n] = np.array(a, dtype=tab.dtype).reshape(m, n)
+    tab[np.arange(m), n + np.arange(m)] = 1
+    tab[:m, -1] = b
+    tab[m, :n] = c
+    if exact:
+        tab = np.frompyfunc(Fraction, 1, 1)(tab)
+    _enter_basis(tab, start, exact)
+    basis = start[None].copy()
+    [status] = pivot_tableaux(tab[None], basis, exact)
+    if status is None:
+        raise LpError("pivot limit exceeded")
+    if status == UNBOUNDED:
+        return LpResult(UNBOUNDED, [], None)
+    x = np.full(n, Fraction(0) if exact else 0.0, dtype=tab.dtype)
+    x[basis[0]] = tab[:m, -1]
+    return LpResult(OPTIMAL, x.tolist(), -tab[m, -1], (-tab[m, n:n + m]).tolist(),
+                    basis[0].tolist())

@@ -524,6 +524,12 @@ def _add_columns(tabs, bases, rmat, pairs, cols, k):
     return tabs, np.where(bases >= at, bases + add, bases)
 
 
+def _optimum(tabs, d: int):
+    """(w, t) per solved face LP tableau: w is minus the d coordinate rows'
+    duals, under their identity columns, and t minus the objective."""
+    return tabs[:, -1, -d - 2:-2], tabs[:, -1, -1]
+
+
 def _solve_margin(rmat, u: int, v: int):
     """The face t* of (u, v), and a cost vector attaining it that is 0 where
     u and v agree, from the face LP over every vertex of the box, which
@@ -536,10 +542,8 @@ def _solve_margin(rmat, u: int, v: int):
     tabs = np.frompyfunc(Fraction, 1, 1)(tabs.astype(np.int64).astype(object))
     if pivot_tableaux(tabs, bases, exact=True) != [OPTIMAL]:
         raise LpError("the exact face LP ended without an optimum")
-    d, k = rmat.shape[1], cols.shape[1]
-    # w is minus the coordinate rows' duals, and t minus the objective
-    w = tabs[0, -1, 2 * d + k + 2:3 * d + k + 2]
-    return np.where(face[0] == 0, w, Fraction(0)), tabs[0, -1, -1]
+    w, t = _optimum(tabs, rmat.shape[1])
+    return np.where(face[0] == 0, w[0], Fraction(0)), t[0]
 
 
 def _normalized_margins(rmat, u, v, w):
@@ -611,10 +615,9 @@ def _face_lps(rmat, at, box, differ):
     while True:
         k = cols.shape[1]
         solved = np.array([res == OPTIMAL for res in pivot_tableaux(tabs, bases)], dtype=bool)
-        # w is minus the coordinate rows' duals, and t minus the objective
-        w[live[solved]] = np.where(differ[live[solved]],
-                                   tabs[solved, -1, 2 * d + k + 2:3 * d + k + 2], 0.0)
-        t[live] = np.where(solved, tabs[:, -1, -1], np.nan)  # nan: decided exactly
+        opt_w, opt_t = _optimum(tabs, d)
+        w[live[solved]] = np.where(differ[live[solved]], opt_w[solved], 0.0)
+        t[live] = np.where(solved, opt_t, np.nan)  # nan: decided exactly
         gaps = _normalized_margins(rmat, u[live], v[live], w[live])[1]
         gaps[~box[live]] = np.inf
         level = np.take_along_axis(gaps, cols, axis=1).min(axis=1)

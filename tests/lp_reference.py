@@ -1,17 +1,19 @@
-"""The serial simplex loops that the LP tests use as references.
+"""The simplex loops that the LP tests use as references.
 
 One tableau at a time, with the same Bland's rule as cimwalk.lp's lockstep
 kernel: a float loop with its tolerances, an exact loop over Fractions with
 none, and a full two-phase float solve (senses, negated rows, phase 1 and
 the drive-out of leftover artificials) for LPs that come without a start
-basis.
+basis.  lockstep_simplex_max is simplex_max for a batch of LPs of one
+shape, pivoted together by cimwalk.lp.pivot_tableaux.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
-from cimwalk.lp import OPTIMAL, UNBOUNDED, LpError, LpResult
+from cimwalk import lp
+from cimwalk.lp import OPTIMAL, UNBOUNDED, LpError, LpResult, pivot_tableaux
 
 INFEASIBLE = "infeasible"
 _FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
@@ -23,6 +25,58 @@ def _pivot(tableau, basis, r, col):
     factors[r] = 0 * factors[r]
     tableau -= np.outer(factors, tableau[r])
     basis[r] = col
+
+
+def tableaux(c, a_stack, b_stack, exact=False):
+    """The tableaux [A | I | b] over c of '=' LPs of one shape, one per
+    (a, b) of the stacks: float64, or Fractions with exact=True."""
+    (count, m), n = np.shape(b_stack), len(c)
+    stack = np.zeros((count, m + 1, n + m + 1), dtype=object if exact else np.float64)
+    stack[:, :m, :n] = np.array(a_stack, dtype=stack.dtype).reshape(count, m, n)
+    stack[:, np.arange(m), n + np.arange(m)] = 1
+    stack[:, :m, -1] = b_stack
+    stack[:, m, :n] = c
+    return np.frompyfunc(Fraction, 1, 1)(stack) if exact else stack
+
+
+def optimal_result(tableau, basis, n, exact=False):
+    """The LpResult of a tableau that is optimal at basis, with n
+    structural columns: the primal point, the optimum and the row duals."""
+    m = len(basis)
+    x = [Fraction(0) if exact else 0.0] * n
+    for i, col in enumerate(basis):
+        x[col] = tableau[i, -1]
+    duals = [-tableau[m, n + i] for i in range(m)]
+    return LpResult(OPTIMAL, x, -tableau[m, -1], duals, [int(col) for col in basis])
+
+
+def lockstep_simplex_max(c, a_stack, b_stack, starts, exact=False):
+    """simplex_max(c, a, b, s, exact) for every (a, b, s) of the stacks.
+
+    Each tableau is moved to its start basis by lp._enter_basis, and those
+    that enter are pivoted as one stack by pivot_tableaux, each exactly as
+    it would be pivoted alone.  Returns one entry per LP: its LpResult, or
+    the LpError that simplex_max raises for it.
+    """
+    stack = tableaux(c, a_stack, b_stack, exact)
+    count, rows, width = stack.shape
+    starts = np.array(starts, dtype=np.int64).reshape(count, rows - 1)
+    out = [None] * count
+    for k in range(count):
+        try:
+            lp._enter_basis(stack[k], starts[k], exact)
+        except LpError as exc:
+            out[k] = exc
+    ok = [k for k in range(count) if out[k] is None]
+    tabs, bases = stack[ok], starts[ok]
+    for k, tab, basis, status in zip(ok, tabs, bases, pivot_tableaux(tabs, bases, exact)):
+        if status is None:
+            out[k] = LpError("pivot limit exceeded")
+        elif status == UNBOUNDED:
+            out[k] = LpResult(UNBOUNDED, [], None)
+        else:
+            out[k] = optimal_result(tab, basis, width - rows, exact)
+    return out
 
 
 def serial_run(tableau, basis, m, obj_row, allowed_mask, width, counter, max_pivots):

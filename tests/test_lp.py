@@ -10,8 +10,15 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from cimwalk import lp, polytope
-from cimwalk.lp import OPTIMAL, UNBOUNDED, LpError, LpResult, simplex_max, simplex_max_many
-from lp_reference import serial_exact_run, serial_run, two_phase_simplex_max
+from cimwalk.lp import OPTIMAL, UNBOUNDED, LpError, LpResult, simplex_max
+from lp_reference import (
+    lockstep_simplex_max,
+    optimal_result,
+    serial_exact_run,
+    serial_run,
+    tableaux,
+    two_phase_simplex_max,
+)
 from margin_reference import margin_lps, margin_start
 
 
@@ -193,32 +200,20 @@ def _started_reference(c, a, b, starts, max_pivots=50_000, exact=False):
     from the tableau [A | I | b] that lp._enter_basis moves to its start
     basis; with exact=True in Fractions by the serial exact loop.  Returns
     the outcomes and the pivot count of each."""
-    count, m, n = len(b), len(b[0]), len(c)
-    stack = np.zeros((count, m + 1, n + m + 1), dtype=object if exact else np.float64)
-    stack[:, :m, :n] = np.array(a, dtype=stack.dtype).reshape(count, m, n)
-    stack[:, np.arange(m), n + np.arange(m)] = 1.0
-    stack[:, :m, -1] = b
-    stack[:, m, :n] = c
-    if exact:
-        stack = np.frompyfunc(Fraction, 1, 1)(stack)
-    basis = np.array(starts, dtype=np.int64).reshape(count, m)
-    errors = lp._enter_basis(stack, basis, basis.copy(), exact)
+    stack = tableaux(c, a, b, exact)
+    count, rows, width = stack.shape
+    m, n = rows - 1, width - rows
     allowed = np.arange(n + m) < n
     run = serial_exact_run if exact else serial_run
     outcomes, pivots = [], []
-    for tableau, bas, error in zip(stack, basis.tolist(), errors):
-        counter = [0]
+    for tableau, start in zip(stack, np.array(starts, dtype=np.int64).reshape(count, m)):
+        counter, basis = [0], start.tolist()
         try:
-            if error is not None:
-                raise error
-            if not run(tableau, bas, m, m, allowed, n + m + 1, counter, max_pivots):
+            lp._enter_basis(tableau, start, exact)
+            if not run(tableau, basis, m, m, allowed, width, counter, max_pivots):
                 outcomes.append(LpResult(UNBOUNDED, [], None))
             else:
-                x = [Fraction(0) if exact else 0.0] * n
-                for i, col in enumerate(bas):
-                    x[col] = tableau[i, -1]
-                duals = [-tableau[m, n + i] for i in range(m)]
-                outcomes.append(LpResult(OPTIMAL, x, -tableau[m, -1], duals))
+                outcomes.append(optimal_result(tableau, basis, n, exact))
         except LpError as exc:
             outcomes.append(exc)
         pivots.append(counter[0])
@@ -292,7 +287,7 @@ def test_float_simplex_matches_the_serial_reference_bitwise(lp_data):
 @given(_based_lps(count=6, entries=_entries))
 def test_batch_matches_the_serial_reference_bitwise(lp_data):
     c, lps = _float_lps(lp_data)
-    got = simplex_max_many(c, *zip(*lps))
+    got = lockstep_simplex_max(c, *zip(*lps))
     for res, (a, b, start) in zip(got, lps):
         _assert_same(res, _started_reference(c, [a], [b], [start])[0][0])
 
@@ -313,7 +308,7 @@ _MIXED.append((_MIXED[0][0], _MIXED[0][1], [3, 3, 4]))
 
 
 def _solve_mixed(exact=False):
-    return simplex_max_many(_MIXED_C, *zip(*_MIXED), exact=exact)
+    return lockstep_simplex_max(_MIXED_C, *zip(*_MIXED), exact=exact)
 
 
 def test_batch_with_mixed_outcomes_and_finishing_steps():
@@ -350,7 +345,7 @@ def _assert_exact_matches_the_serial_reference(monkeypatch, c, lps):
     want, pivots = _started_reference(c, a, b, starts, exact=True)
     for limit in range(1, max(pivots) + 2):
         monkeypatch.setattr(lp, "_MAX_PIVOTS", limit)
-        got = simplex_max_many(c, a, b, starts, exact=True)
+        got = lockstep_simplex_max(c, a, b, starts, exact=True)
         for res, ref, k in zip(got, want, pivots):
             if k >= limit and not isinstance(ref, LpError):
                 ref = LpError("pivot limit exceeded")
@@ -381,7 +376,7 @@ def _assert_margin_lps_match(vs, step=1):
     c, a, b = margin_lps(rmat, pairs)
     starts = margin_start(rmat, pairs)
     want, _ = _started_reference(c, a, [b] * len(a), starts)
-    for res, ref in zip(simplex_max_many(c, a, [b] * len(a), starts), want):
+    for res, ref in zip(lockstep_simplex_max(c, a, [b] * len(a), starts), want):
         _assert_same(res, ref)
 
 
@@ -466,7 +461,7 @@ def test_started_margin_lps_take_at_most_three_quarters_of_the_two_phase_pivots(
     c, a, b = margin_lps(rmat, pairs)
     starts = margin_start(rmat, pairs)
     want, started = _started_reference(c, a, [b] * len(a), starts)
-    got = simplex_max_many(c, a, [b] * len(a), starts)
+    got = lockstep_simplex_max(c, a, [b] * len(a), starts)
     for res, ref in zip(got, want):
         _assert_same(res, ref)
     two_phase = 0
@@ -485,14 +480,14 @@ def _assert_restart_takes_no_pivot(monkeypatch, c, lps, exact):
     """Each optimal LP of lps, restarted from the basis it returned, is
     optimal again before any pivot: with a pivot limit of 1 a solve that
     pivoted would end at the limit."""
-    first = simplex_max_many(c, *zip(*lps), exact=exact)
+    first = lockstep_simplex_max(c, *zip(*lps), exact=exact)
     monkeypatch.setattr(lp, "_MAX_PIVOTS", 1)
     solved = [(res, a, b) for res, (a, b, _) in zip(first, lps)
               if isinstance(res, LpResult) and res.status == OPTIMAL]
     if not solved:
         return 0
-    again = simplex_max_many(c, [a for _, a, _ in solved], [b for _, _, b in solved],
-                             [res.basis for res, _, _ in solved], exact=exact)
+    again = lockstep_simplex_max(c, [a for _, a, _ in solved], [b for _, _, b in solved],
+                                 [res.basis for res, _, _ in solved], exact=exact)
     for (res, _, _), res2 in zip(solved, again):
         assert isinstance(res2, LpResult) and res2.status == OPTIMAL
         assert res2.basis == res.basis
