@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .graphs import UndirectedGraph
+from .graphs import UndirectedGraph, _bits
 from .scoring import SufficientStats
 
 __all__ = [
@@ -96,7 +96,7 @@ def fisher_z_test(i: int, j: int, cond: Iterable[int],
 _STACK_BLOCKS = 4096
 
 
-def _separated(pairs, frozen: dict, level: int, stats: SufficientStats, alpha: float):
+def _separated(pairs, frozen: list, level: int, stats: SufficientStats, alpha: float):
     """(i, j, cond) for each pair the level separates, with the first cond found.
 
     A pair tries the sets of i's pool, then those of j's pool not yet tried.
@@ -153,8 +153,8 @@ def pc_skeleton(stats: SufficientStats, alpha: float,
     while True:
         if max_cond is not None and level > max_cond:
             break
-        frozen = {v: tuple(sorted(graph.neighbors(v))) for v in range(p)}
-        if all(len(frozen[v]) - 1 < level for v in range(p)):
+        frozen = [tuple(_bits(mask)) for mask in graph.neighbor_masks]
+        if all(len(nbrs) - 1 < level for nbrs in frozen):
             break
         if stats.n <= level + 3:
             break

@@ -54,11 +54,16 @@ class UndirectedGraph:
     def has_edge(self, a: int, b: int) -> bool:
         return _canon_pair(a, b) in self.edges
 
+    @cached_property
+    def neighbor_masks(self) -> tuple:
+        """The neighbours of each node as a bitmask, bit k for neighbour k."""
+        return _adjacency(self.p, self.edges)
+
     def neighbors(self, i: int) -> frozenset:
-        return _neighbor_map(self)[i]
+        return frozenset(_bits(self.neighbor_masks[i]))
 
     def degree(self, i: int) -> int:
-        return len(self.neighbors(i))
+        return self.neighbor_masks[i].bit_count()
 
     def remove_edge(self, a: int, b: int) -> "UndirectedGraph":
         e = _canon_pair(a, b)
@@ -67,17 +72,15 @@ class UndirectedGraph:
         return UndirectedGraph(self.p, self.edges - {e})
 
     def is_connected(self) -> bool:
-        if self.p == 0:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for y in self.neighbors(x):
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return len(seen) == self.p
+        adj = self.neighbor_masks
+        seen = frontier = 1 if adj else 0
+        while frontier:
+            reach = 0
+            for x in _bits(frontier):
+                reach |= adj[x]
+            frontier = reach & ~seen
+            seen |= frontier
+        return seen == (1 << self.p) - 1
 
     def is_tree(self) -> bool:
         return len(self.edges) == self.p - 1 and self.is_connected()
@@ -89,15 +92,6 @@ class UndirectedGraph:
             and self.is_connected()
             and all(self.degree(i) == 2 for i in range(self.p))
         )
-
-
-@lru_cache(maxsize=None)
-def _neighbor_map(graph: UndirectedGraph) -> tuple:
-    nbrs = [set() for _ in range(graph.p)]
-    for a, b in graph.edges:
-        nbrs[a].add(b)
-        nbrs[b].add(a)
-    return tuple(frozenset(s) for s in nbrs)
 
 
 @dataclass(frozen=True)
@@ -120,7 +114,7 @@ class Dag:
                     raise GraphError(f"self-loop at node {i}")
                 if i in self.parents[k]:
                     raise GraphError(f"both orientations present between {i} and {k}")
-        if topological_order_or_none(self.p, self.arcs()) is None:
+        if not _acyclic(self.parent_masks):
             raise CycleError("arcs contain a directed cycle")
 
     @staticmethod
@@ -201,7 +195,10 @@ def topological_order_or_none(p: int, arcs: Iterable) -> Optional[list]:
 
 
 def is_acyclic(p: int, arcs: Iterable) -> bool:
-    return topological_order_or_none(p, list(arcs)) is not None
+    parents = [0] * p
+    for a, b in arcs:
+        parents[b] |= 1 << a
+    return _acyclic(parents)
 
 
 def topological_order(dag: Dag) -> list:
@@ -276,6 +273,19 @@ def markov_equivalent(g: Dag, h: Dag) -> bool:
     return skeleton(g) == skeleton(h) and v_structures(g) == v_structures(h)
 
 
+def _required_arcs(mec: Mec) -> tuple:
+    """Parent and child bitmasks of the arcs the class's v-structures
+    require, and neighbour bitmasks of the skeleton edges left undirected."""
+    parents, children = [0] * mec.p, [0] * mec.p
+    for vs in mec.vstructs:
+        a, b = vs.tails
+        parents[vs.collider] |= 1 << a | 1 << b
+        children[a] |= 1 << vs.collider
+        children[b] |= 1 << vs.collider
+    und = [a & ~(pa | ch) for a, pa, ch in zip(mec.skeleton.neighbor_masks, parents, children)]
+    return parents, children, und
+
+
 @lru_cache(maxsize=1_000_000)
 def consistent_extension(mec: Mec) -> Optional[Dag]:
     """Find a DAG inducing the given class, or None if there is none.
@@ -287,53 +297,28 @@ def consistent_extension(mec: Mec) -> Optional[Dag]:
     deterministic.  The output is re-checked against the class, which guards
     against patterns whose peeling succeeds by accident.
     """
-    skel = mec.skeleton
-    p = skel.p
-    required = set()
-    for vs in mec.vstructs:
-        for t in vs.tails:
-            required.add((t, vs.collider))
-    for a, b in required:
-        if (b, a) in required:
-            return None
-    directed_pairs = {_canon_pair(a, b) for a, b in required}
-    und = {e for e in skel.edges if e not in directed_pairs}
-
-    adj = [set(skel.neighbors(i)) for i in range(p)]
-    out_heads = [set() for _ in range(p)]
-    for a, b in required:
-        out_heads[a].add(b)
-    und_nbrs = [set() for _ in range(p)]
-    for a, b in und:
-        und_nbrs[a].add(b)
-        und_nbrs[b].add(a)
-
-    remaining = set(range(p))
-    arcs = list(required)
-    while remaining:
-        chosen = None
-        for x in sorted(remaining):
-            if out_heads[x] & remaining:
-                continue
-            nb = adj[x] & remaining
-            ok = True
-            for y in und_nbrs[x] & remaining:
-                if (nb - {y}) - adj[y]:
-                    ok = False
-                    break
-            if ok:
-                chosen = x
+    p = mec.p
+    adj = mec.skeleton.neighbor_masks
+    parents, children, und = _required_arcs(mec)
+    if any(pa & ch for pa, ch in zip(parents, children)):
+        return None  # some pair is required both ways
+    left = (1 << p) - 1
+    while left:
+        for x in _bits(left):
+            nb = adj[x] & left
+            if not children[x] & left and all(nb & ~adj[y] == 1 << y
+                                              for y in _bits(und[x] & left)):
                 break
-        if chosen is None:
+        else:
             return None
-        for y in und_nbrs[chosen] & remaining:
-            arcs.append((y, chosen))
-        remaining.discard(chosen)
-
-    dag = Dag.from_arcs(p, arcs)
-    if skeleton(dag) != skel or v_structures(dag) != mec.vstructs:
+        parents[x] |= und[x] & left
+        left ^= 1 << x
+    # the class's v-structures as _vstructure_key encodes them
+    vkey = sum(1 << (vs.collider * p + vs.tails[0]) * p + vs.tails[1] for vs in mec.vstructs)
+    arcs = [(a, j) for j, pa in enumerate(parents) for a in _bits(pa)]
+    if _adjacency(p, arcs) != adj or _vstructure_key(parents, adj) != vkey:
         return None
-    return dag
+    return Dag(p, tuple(frozenset(_bits(pa)) for pa in parents))
 
 
 @dataclass(frozen=True)
@@ -355,71 +340,43 @@ class PartiallyDirectedGraph:
 
 
 def essential_graph(mec: Mec) -> PartiallyDirectedGraph:
-    """The CPDAG of the class: v-structure arcs closed under the Meek rules."""
+    """The CPDAG of the class: v-structure arcs closed under the Meek rules.
+
+    The rules only orient edges that every DAG of a realizable class
+    shares, so the order they are applied in does not change the closure.
+    """
     if consistent_extension(mec) is None:
         raise GraphError("class is not realizable by any DAG")
-    p = mec.skeleton.p
-    adj = [set(mec.skeleton.neighbors(i)) for i in range(p)]
-    arcs = set()
-    for vs in mec.vstructs:
-        for t in vs.tails:
-            arcs.add((t, vs.collider))
-    und = {e for e in mec.skeleton.edges if e not in {_canon_pair(a, b) for a, b in arcs}}
+    p = mec.p
+    adj = mec.skeleton.neighbor_masks
+    pa, ch, und = _required_arcs(mec)
 
-    def orient(a, b):
-        und.discard(_canon_pair(a, b))
-        arcs.add((a, b))
+    def forced(x, y):
+        # x - y becomes x -> y by, one line each below:
+        # rule 1: z -> x with z and y non-adjacent
+        # rule 2: x -> z -> y
+        # rule 3: x - z1 -> y and x - z2 -> y with z1 and z2 non-adjacent
+        # rule 4: x - d -> c -> y with x adjacent to c, d and y non-adjacent
+        both = und[x] & pa[y]
+        return (pa[x] & ~adj[y]
+                or ch[x] & pa[y]
+                or any(both & ~adj[z] != 1 << z for z in _bits(both))
+                or any(ch[d] & pa[y] & adj[x] for d in _bits(und[x] & ~adj[y] & ~(1 << y))))
 
     changed = True
     while changed:
         changed = False
-        for a, b in sorted(und):
-            for x, y in ((a, b), (b, a)):
-                # Rule 1: z -> x, x - y, z and y non-adjacent  =>  x -> y
-                if any((z, x) in arcs and y not in adj[z] and z != y for z in range(p)):
-                    orient(x, y)
+        for x in range(p):
+            for y in _bits(und[x]):
+                if forced(x, y):
+                    pa[y] |= 1 << x
+                    ch[x] |= 1 << y
+                    und[x] ^= 1 << y
+                    und[y] ^= 1 << x
                     changed = True
-                    break
-                # Rule 2: x -> z -> y with x - y  =>  x -> y
-                if any((x, z) in arcs and (z, y) in arcs for z in range(p)):
-                    orient(x, y)
-                    changed = True
-                    break
-                # Rule 3: x - z1, x - z2, z1 -> y, z2 -> y, z1,z2 non-adjacent
-                done = False
-                for z1, z2 in itertools.combinations(sorted(adj[x]), 2):
-                    if z2 in adj[z1] or z1 == y or z2 == y:
-                        continue
-                    if (
-                        _canon_pair(x, z1) in und
-                        and _canon_pair(x, z2) in und
-                        and (z1, y) in arcs
-                        and (z2, y) in arcs
-                    ):
-                        orient(x, y)
-                        changed = True
-                        done = True
-                        break
-                if done:
-                    break
-                # Rule 4: x - d, d -> c, c -> y, x adjacent to c, d,y non-adjacent
-                done = False
-                for d in sorted(adj[x]):
-                    if _canon_pair(x, d) not in und or d == y:
-                        continue
-                    for c in range(p):
-                        if (d, c) in arcs and (c, y) in arcs and c in adj[x] and y not in adj[d]:
-                            orient(x, y)
-                            changed = True
-                            done = True
-                            break
-                    if done:
-                        break
-                if done:
-                    break
-            if changed:
-                break
-    return PartiallyDirectedGraph(p, frozenset(arcs), frozenset(und))
+    return PartiallyDirectedGraph(
+        p, frozenset((a, y) for y in range(p) for a in _bits(pa[y])),
+        frozenset((x, y) for x in range(p) for y in _bits(und[x]) if x < y))
 
 
 def cpdag_of_dag(dag: Dag) -> PartiallyDirectedGraph:
@@ -519,13 +476,28 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _adjacency(p: int, edges: Iterable) -> list:
+def _adjacency(p: int, edges: Iterable) -> tuple:
     """Neighbour bitmask of each node."""
     adj = [0] * p
     for a, b in edges:
         adj[a] |= 1 << b
         adj[b] |= 1 << a
-    return adj
+    return tuple(adj)
+
+
+def _acyclic(parents) -> bool:
+    """Whether parent bitmasks describe a DAG: peeling its sinks (the nodes
+    that are no remaining node's parent) empties it."""
+    left = (1 << len(parents)) - 1
+    while left:
+        has_child = 0
+        for x, pa in enumerate(parents):
+            if left >> x & 1:
+                has_child |= pa
+        if not left & ~has_child:
+            return False
+        left &= has_child
+    return True
 
 
 def orientation_masks(g: UndirectedGraph) -> Iterator[tuple]:
@@ -533,8 +505,7 @@ def orientation_masks(g: UndirectedGraph) -> Iterator[tuple]:
 
     The edges are taken sorted and their orientation bits run as
     itertools.product((0, 1), ...) runs them, bit 0 orienting (a, b) as
-    a -> b.  An orientation is acyclic when peeling its sinks (the nodes
-    that are no remaining node's parent) empties it.
+    a -> b.
     """
     p = g.p
     edges = sorted(g.edges)
@@ -546,16 +517,7 @@ def orientation_masks(g: UndirectedGraph) -> Iterator[tuple]:
                 parents[a] |= 1 << b
             else:
                 parents[b] |= 1 << a
-        left = (1 << p) - 1
-        while left:
-            has_child = 0
-            for x, pa in enumerate(parents):
-                if left >> x & 1:
-                    has_child |= pa
-            if not left & ~has_child:
-                break
-            left &= has_child
-        if not left:
+        if _acyclic(parents):
             yield tuple(parents)
 
 
@@ -584,7 +546,7 @@ def skeleton_classes(g: UndirectedGraph) -> list:
     Mec is built only for the first orientation of each.
     """
     p = g.p
-    adj = _adjacency(p, g.edges)
+    adj = g.neighbor_masks
     first = {}
     for parents in orientation_masks(g):
         first.setdefault(_vstructure_key(parents, adj), parents)

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Iterator, Optional
 
-from .graphs import (Dag, GraphError, Mec, UndirectedGraph, _adjacency, _bits,
-                     consistent_extension)
+from .graphs import Dag, GraphError, Mec, UndirectedGraph, _bits, consistent_extension
 # recover_mec stays importable here for perfbench's tracer
 from .imset import (ImsetError, family, full_imset, key_of, mask_entry,
                     mec_restricted_imset, nodes_of, recover_mec, triple_vstructure)
@@ -165,11 +164,11 @@ def apply_move(mec: Mec, move: Move) -> Mec:
     if pairs:
         new_skel = UndirectedGraph(mec.p, skel.edges.difference(map(nodes_of, pairs)).union(
             nodes_of(k) for k in pairs if k in ones))
+    adj, new_adj = skel.neighbor_masks, new_skel.neighbor_masks
     for pair in pairs:
         a, b = nodes_of(pair)
-        near = (skel.neighbors(a) | skel.neighbors(b)
-                | new_skel.neighbors(a) | new_skel.neighbors(b))
-        touched.update(pair | 1 << c for c in near - {a, b})
+        near = adj[a] | adj[b] | new_adj[a] | new_adj[b]
+        touched.update(pair | 1 << c for c in _bits(near & ~pair))
     vstructs = {vs for vs in mec.vstructs if vs.mask not in touched}
     try:
         for key in touched:
@@ -216,7 +215,7 @@ def _admissible(mec: Mec, i: int, cap: Optional[int]) -> tuple:
     (size, lex) order of the node tuples.  `cap` bounds the subset size.
     """
     pa = representative(mec).parent_masks
-    nbrs = sorted(mec.skeleton.neighbors(i))
+    nbrs = list(_bits(mec.skeleton.neighbor_masks[i]))
     out = [1 << k for k in nbrs]
     valid = set(out)
     level = out[:]
@@ -254,7 +253,7 @@ def _raw_turn_candidates(mec: Mec, cap: Optional[int]) -> Iterator[Move]:
     enforced through the admissible families.
     """
     c = partial(mask_entry, representative(mec).parent_masks)
-    ne = _adjacency(mec.p, mec.skeleton.edges)
+    ne = mec.skeleton.neighbor_masks
 
     for i in range(mec.p):
         for j in _bits(ne[i]):
@@ -297,7 +296,7 @@ def _raw_edge_candidates(mec: Mec, cap: Optional[int]) -> Iterator[Move]:
     """
     c = partial(mask_entry, representative(mec).parent_masks)
     p = mec.p
-    ne = _adjacency(p, mec.skeleton.edges)
+    ne = mec.skeleton.neighbor_masks
 
     for i in range(p):
         for j in range(p):
@@ -325,13 +324,14 @@ def _tree_paths(mec: Mec) -> Iterator[tuple]:
     """
     skel = mec.skeleton
     p = skel.p
+    adj = skel.neighbor_masks
     if skel.is_tree():
         for a in range(p):
             prev = {a: None}
             queue = [a]
             while queue:
                 x = queue.pop(0)
-                for y in sorted(skel.neighbors(x)):
+                for y in _bits(adj[x]):
                     if y not in prev:
                         prev[y] = x
                         queue.append(y)
@@ -345,13 +345,10 @@ def _tree_paths(mec: Mec) -> Iterator[tuple]:
                 if len(path) >= 4:
                     yield tuple(path)
     elif skel.is_single_cycle():
-        succ = {}
         start = 0
-        nbrs = sorted(skel.neighbors(start))
-        order = [start, nbrs[0]]
+        order = [start, next(_bits(adj[start]))]
         while len(order) < p:
-            nxt = [y for y in skel.neighbors(order[-1]) if y != order[-2]]
-            order.append(nxt[0])
+            order.append(next(_bits(adj[order[-1]] & ~(1 << order[-2]))))
         for s in range(p):
             for direction in (1, -1):
                 for n_nodes in range(4, p + 3):

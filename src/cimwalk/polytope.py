@@ -908,7 +908,7 @@ def _canonical_skeleton(g: UndirectedGraph) -> tuple:
     swapping them is an automorphism.
     """
     p = g.p
-    adj = _adjacency(p, g.edges)
+    adj = g.neighbor_masks
     twins = [sum(1 << x for x in range(y)
                  if adj[x] & ~(1 << y) == adj[y] & ~(1 << x)) for y in range(p)]
     best = [()]

@@ -4,10 +4,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import graphs_reference
 from cimwalk import cli
 from cimwalk.graphs import (CycleError, Dag, GraphError, Mec, UndirectedGraph,
-                            VStructure, acyclic_orientations, all_dags, all_mecs,
+                            VStructure, acyclic_orientations, all_classes, all_dags, all_mecs,
                             consistent_extension, cpdag_of_dag, dag_from_text,
                             essential_graph, format_graph_text, is_acyclic,
                             markov_equivalent, mec_of, orientation_masks,
@@ -54,6 +57,8 @@ def test_topological_order_respects_arcs():
     for tail, head in d.arcs():
         assert pos[tail] < pos[head]
     assert is_acyclic(3, [(0, 1)]) and not is_acyclic(2, [(0, 1), (1, 0)])
+    assert is_acyclic(0, []) and is_acyclic(2, [(0, 1), (0, 1)])
+    assert not is_acyclic(2, [(1, 1)]) and not is_acyclic(4, [(0, 1), (1, 2), (2, 3), (3, 1)])
 
 
 def _sorted_ready_kahn(p, arcs):
@@ -223,3 +228,59 @@ def test_undirected_graph_shape_predicates():
     assert not UndirectedGraph.from_edges(4, [(0, 1)]).is_connected()
     assert sorted(cycle.neighbors(0)) == [1, 3]
     assert cycle.degree(0) == 2
+    assert cycle.neighbor_masks == (0b1010, 0b0101, 0b1010, 0b0101)
+    assert UndirectedGraph(0, frozenset()).is_connected()
+    assert UndirectedGraph(1, frozenset()).is_connected()
+    assert not UndirectedGraph(2, frozenset()).is_connected()
+
+
+def _assert_matches_the_set_reference(mec):
+    """The extension (None included) and, for a realizable class, the
+    essential graph equal the set-based reference's."""
+    ext = consistent_extension(mec)
+    assert ext == graphs_reference.consistent_extension(mec)
+    if ext is None:
+        with pytest.raises(GraphError):
+            essential_graph(mec)
+    else:
+        assert mec_of(ext) == mec
+        assert essential_graph(mec) == graphs_reference.essential_graph(mec)
+    return ext
+
+
+def test_extension_and_closure_match_the_set_reference_on_every_class_up_to_p5():
+    for p in range(1, 6):
+        for mec, _ in all_classes(p):
+            assert _assert_matches_the_set_reference(mec) is not None
+
+
+def test_extension_and_closure_match_the_set_reference_on_random_patterns():
+    """Random skeletons on 3-9 nodes, each unshielded triple a v-structure
+    with probability 0.2; about half of these patterns are unrealizable."""
+    rng = random.Random(11)
+    unrealizable = 0
+    for _ in range(20_000):
+        p = rng.randint(3, 9)
+        skel = UndirectedGraph.from_edges(
+            p, [e for e in itertools.combinations(range(p), 2) if rng.random() < 0.5])
+        triples = [VStructure(c, (a, b)) for c in range(p)
+                   for a, b in itertools.combinations(sorted(skel.neighbors(c)), 2)
+                   if not skel.has_edge(a, b)]
+        mec = Mec(skel, frozenset(t for t in triples if rng.random() < 0.2))
+        unrealizable += _assert_matches_the_set_reference(mec) is None
+    assert 8_000 < unrealizable < 12_000
+
+
+@st.composite
+def _dags_up_to_12(draw):
+    p = draw(st.integers(1, 12))
+    order = draw(st.permutations(range(p)))
+    pairs = list(itertools.combinations(range(p), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Dag.from_arcs(p, [(order[a], order[b]) for (a, b), k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=300)
+@given(_dags_up_to_12())
+def test_extension_and_closure_match_the_set_reference_on_drawn_dags(dag):
+    assert _assert_matches_the_set_reference(mec_of(dag)) is not None
