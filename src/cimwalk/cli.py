@@ -25,9 +25,9 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .graphs import (Dag, GraphError, Mec, UndirectedGraph, VStructure,
+from .graphs import (Dag, GraphError, Mec, UndirectedGraph, _vstructures,
                      consistent_extension, essential_graph, format_graph_text,
-                     is_acyclic, mec_of, parse_graph_text, shd)
+                     mec_of, parse_graph_text, shd)
 from .ci_tests import CiTestError
 from .imset import ImsetError
 from .moves import MoveError
@@ -154,24 +154,24 @@ def _node_pairs(items, p: int, what: str) -> list:
 
 
 def _mec_from_graph_json(obj: dict) -> Mec:
+    """The class of an essential graph JSON object, which must be the
+    essential graph of a realizable class."""
     p = _graph_fields(obj, ("p", "arcs", "edges"), "essential graph JSON")
     arcs = _node_pairs(obj["arcs"], p, "essential graph 'arcs'")
     edges = _node_pairs(obj["edges"], p, "essential graph 'edges'")
-    _require(is_acyclic(p, arcs), "essential graph 'arcs' contain a directed cycle")
     try:
         skel = UndirectedGraph.from_edges(
             p, [tuple(sorted(a)) for a in arcs] + [tuple(sorted(e)) for e in edges])
-        directed = set(arcs)
-        vstructs = set()
-        for (a, c0) in directed:
-            for (b, c1) in directed:
-                if c0 == c1 and a < b and not skel.has_edge(a, b):
-                    vstructs.add(VStructure(c0, (a, b)))
-        mec = Mec(skel, frozenset(vstructs))
+        parents = Dag.from_arcs(p, arcs).parent_masks
     except GraphError as exc:
         raise ValidationError(f"invalid essential graph: {exc}")
+    mec = Mec(skel, _vstructures(parents, skel.neighbor_masks))
     _require(consistent_extension(mec) is not None,
              "essential graph does not describe a realizable class")
+    cpdag = essential_graph(mec)
+    _require(cpdag.arcs == frozenset(arcs)
+             and cpdag.undirected == frozenset(tuple(sorted(e)) for e in edges),
+             "essential graph is not the essential graph of its class")
     return mec
 
 

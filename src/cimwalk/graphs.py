@@ -6,7 +6,6 @@ so they can be cached and used as dictionary keys throughout the package.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -176,29 +175,23 @@ class Dag:
 
 
 def topological_order_or_none(p: int, arcs: Iterable) -> Optional[list]:
-    """Kahn's algorithm; smallest-index node first.  None if a cycle exists."""
-    indeg = [0] * p
-    children = [[] for _ in range(p)]
-    for a, b in arcs:
-        indeg[b] += 1
-        children[a].append(b)
-    order = []
-    ready = [i for i in range(p) if indeg[i] == 0]  # sorted, so a heap
-    while ready:
-        x = heapq.heappop(ready)
-        order.append(x)
-        for y in children[x]:
-            indeg[y] -= 1
-            if indeg[y] == 0:
-                heapq.heappush(ready, y)
-    return order if len(order) == p else None
-
-
-def is_acyclic(p: int, arcs: Iterable) -> bool:
+    """Kahn's order on parent bitmasks, smallest ready node first; None on a cycle."""
     parents = [0] * p
     for a, b in arcs:
         parents[b] |= 1 << a
-    return _acyclic(parents)
+    order, done = [], 0
+    while len(order) < p:
+        x = next((x for x, pa in enumerate(parents)
+                  if not (done >> x & 1 or pa & ~done)), None)
+        if x is None:
+            return None
+        order.append(x)
+        done |= 1 << x
+    return order
+
+
+def is_acyclic(p: int, arcs: Iterable) -> bool:
+    return topological_order_or_none(p, arcs) is not None
 
 
 def topological_order(dag: Dag) -> list:
@@ -255,22 +248,18 @@ def skeleton(dag: Dag) -> UndirectedGraph:
 
 
 def v_structures(dag: Dag) -> frozenset:
-    out = set()
-    for j in range(dag.p):
-        for a, b in itertools.combinations(sorted(dag.parents[j]), 2):
-            if not dag.adjacent(a, b):
-                out.add(VStructure(j, (a, b)))
-    return frozenset(out)
+    return mec_of(dag).vstructs
 
 
 def mec_of(dag: Dag) -> Mec:
-    return Mec(skeleton(dag), v_structures(dag))
+    skel = skeleton(dag)
+    return Mec(skel, _vstructures(dag.parent_masks, skel.neighbor_masks))
 
 
 def markov_equivalent(g: Dag, h: Dag) -> bool:
     if g.p != h.p:
         raise GraphError("graphs have different node counts")
-    return skeleton(g) == skeleton(h) and v_structures(g) == v_structures(h)
+    return mec_of(g) == mec_of(h)
 
 
 def _required_arcs(mec: Mec) -> tuple:
@@ -294,14 +283,21 @@ def consistent_extension(mec: Mec) -> Optional[Dag]:
     undirected neighbor is adjacent to all of its other remaining neighbors.
     Orienting the undirected edges of such a node into it creates no new
     v-structure.  Smallest-index candidate is taken, so the result is
-    deterministic.  The output is re-checked against the class, which guards
-    against patterns whose peeling succeeds by accident.
+    deterministic.
+
+    A pattern whose required arcs meet at a collider the class does not list
+    is rejected before the peel.  That test is exact, so the DAG needs no
+    re-check: a peeled node's undirected neighbours, which become its parents,
+    are adjacent to all its other remaining neighbours, so only two required
+    parents can be non-adjacent; and the peel orients each skeleton edge once.
     """
     p = mec.p
     adj = mec.skeleton.neighbor_masks
     parents, children, und = _required_arcs(mec)
     if any(pa & ch for pa, ch in zip(parents, children)):
         return None  # some pair is required both ways
+    if _vstructure_key(parents, adj).bit_count() != len(mec.vstructs):
+        return None  # two required arcs meet at an unlisted collider
     left = (1 << p) - 1
     while left:
         for x in _bits(left):
@@ -313,11 +309,6 @@ def consistent_extension(mec: Mec) -> Optional[Dag]:
             return None
         parents[x] |= und[x] & left
         left ^= 1 << x
-    # the class's v-structures as _vstructure_key encodes them
-    vkey = sum(1 << (vs.collider * p + vs.tails[0]) * p + vs.tails[1] for vs in mec.vstructs)
-    arcs = [(a, j) for j, pa in enumerate(parents) for a in _bits(pa)]
-    if _adjacency(p, arcs) != adj or _vstructure_key(parents, adj) != vkey:
-        return None
     return Dag(p, tuple(frozenset(_bits(pa)) for pa in parents))
 
 
@@ -537,6 +528,13 @@ def _vstructure_key(parents: tuple, adj: list) -> int:
     return key
 
 
+def _vstructures(parents: tuple, adj: list) -> frozenset:
+    """The v-structures of an orientation, decoded from _vstructure_key."""
+    p = len(parents)
+    return frozenset(VStructure(pos // (p * p), (pos // p % p, pos % p))
+                     for pos in _bits(_vstructure_key(parents, adj)))
+
+
 def skeleton_classes(g: UndirectedGraph) -> list:
     """Each class with skeleton g once, in order of first orientation, as
     (Mec, parent bitmasks of that first orientation).
@@ -545,14 +543,11 @@ def skeleton_classes(g: UndirectedGraph) -> list:
     same v-structures, so the classes are keyed by _vstructure_key and a
     Mec is built only for the first orientation of each.
     """
-    p = g.p
     adj = g.neighbor_masks
     first = {}
     for parents in orientation_masks(g):
         first.setdefault(_vstructure_key(parents, adj), parents)
-    return [(Mec(g, frozenset(VStructure(pos // (p * p), (pos // p % p, pos % p))
-                              for pos in _bits(key))), parents)
-            for key, parents in first.items()]
+    return [(Mec(g, _vstructures(parents, adj)), parents) for parents in first.values()]
 
 
 def acyclic_orientations(g: UndirectedGraph) -> Iterator[Dag]:

@@ -104,6 +104,9 @@ def sample(model: SemModel, n: int, rng: np.random.Generator):
     scale = float(np.sqrt(model.noise_variance))
     data = rng.standard_normal((n, p)) * scale
     for node in topological_order(model.dag):
+        # Float sums depend on their order, which here is the parent
+        # frozenset's: Dag.from_arcs must keep building its sets as it does
+        # (one rebuilt from the parent bitmask may iterate differently).
         for parent in model.dag.parent_set(node):
             data[:, node] += model.weights[(parent, node)] * data[:, parent]
     return data, SufficientStats.from_data(data)

@@ -1,12 +1,22 @@
-"""Set-based Dor-Tarsi extension and Meek closure, the reference that the
-bitmask versions in cimwalk.graphs are compared against (`==`, None included)."""
+"""Set-based Dor-Tarsi extension, v-structures and Meek closure, the
+reference that the bitmask versions in cimwalk.graphs are compared against
+(`==`, None included)."""
 
 import itertools
 from functools import lru_cache
 from typing import Optional
 
-from cimwalk.graphs import (Dag, GraphError, Mec, PartiallyDirectedGraph, _canon_pair,
-                            skeleton, v_structures)
+from cimwalk.graphs import (Dag, GraphError, Mec, PartiallyDirectedGraph, VStructure,
+                            _canon_pair, skeleton)
+
+
+def v_structures(dag: Dag) -> frozenset:
+    out = set()
+    for j in range(dag.p):
+        for a, b in itertools.combinations(sorted(dag.parents[j]), 2):
+            if not dag.adjacent(a, b):
+                out.add(VStructure(j, (a, b)))
+    return frozenset(out)
 
 
 @lru_cache(maxsize=1_000_000)

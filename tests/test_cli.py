@@ -92,7 +92,7 @@ def _unwritable_argv(tmp_path, command):
     graph = tmp_path / "graph.txt"
     graph.write_text("p 3\n0 -> 1\n")
     result = tmp_path / "result.json"
-    result.write_text(json.dumps({"essential_graph": _graph(3, arcs=[[0, 1]])}))
+    result.write_text(json.dumps({"essential_graph": _graph(3, arcs=[[0, 1], [2, 1]])}))
     return {
         "simulate-out": ["simulate", "--p", "3", "--d", "1", "--n", "5",
                          "--out", missing, "--truth", str(tmp_path / "t.json")],
@@ -133,6 +133,21 @@ def test_a_failed_simulate_leaves_no_file_behind(tmp_path, capsys, bad):
                 "--out", str(out), "--truth", str(truth)) == 2
     assert "runtime error" not in capsys.readouterr().err
     assert sorted(path.name for path in tmp_path.rglob("*")) == ["sub"]
+
+
+@pytest.mark.parametrize("p, seed, n, data_sha, truth_sha", [
+    (5, 3, 200, "c801d686037bc06dbdde38c679098f51e6adfc79036571ac4943d27517154e76",
+     "6f03f976cd4e19979da042e7134fc044bd8dacb96c0b7f70ec0fe40dad38fffa"),
+    (16, 7000, 10000, "8cf5ec4d9295b95d904f7bc2904cb49219d89c8b495b0d4b377464bc501c2233",
+     "efb73b4e3579969c9863751e86c1967cb0875f45d8c7276ba57d5aad1657dfe9"),
+    # a parent frozenset here iterates in another order than one rebuilt
+    # from its bitmask, so this pins how Dag.from_arcs builds its sets
+    (20, 14, 200, "4cf8d374499cbe2d2d9f5deff9f93cf5ce882b0d1ae2146fe78da4d35af156b6",
+     "7b27b766ae84686338b00bd941624aa8474196f5cde915807599d706e3ca715f"),
+])
+def test_simulate_bytes_are_pinned(tmp_path, p, seed, n, data_sha, truth_sha):
+    data, truth = _simulate(tmp_path, p=p, d=2.0, n=n, seed=seed)
+    assert (_sha256(data), _sha256(truth)) == (data_sha, truth_sha)
 
 
 def test_discover_compare_roundtrip(tmp_path):
@@ -358,7 +373,7 @@ def test_compare_rejects_malformed_result_graph(tmp_path, capsys, graph):
         "bool-p", "not-an-object"])
 def test_compare_rejects_malformed_truth(tmp_path, capsys, truth):
     result = tmp_path / "result.json"
-    result.write_text(json.dumps({"essential_graph": _graph(3, arcs=[[0, 1]])}))
+    result.write_text(json.dumps({"essential_graph": _graph(3, arcs=[[0, 1], [2, 1]])}))
     truth_path = tmp_path / "truth.json"
     truth_path.write_text(json.dumps(truth))
     assert _run("compare", "--result", str(result), "--truth", str(truth_path),
@@ -375,6 +390,27 @@ def test_compare_accepts_hand_written_graphs(tmp_path):
     assert _run("compare", "--result", str(result), "--truth", str(truth),
                 "--out", str(out)) == 0
     assert json.loads(out.read_text()) == {"shd": 0, "recovered": True}
+
+
+def test_compare_requires_the_essential_graph_of_the_class(tmp_path, capsys):
+    """0 -> 1 with 1 - 2 is no essential graph: no v-structure or Meek rule
+    forces 0 -> 1, so its class's essential graph leaves that edge undirected."""
+    truth = tmp_path / "truth.json"
+    truth.write_text(json.dumps({"p": 3, "arcs": [[0, 1]]}))
+    result = tmp_path / "result.json"
+    result.write_text(json.dumps({"essential_graph": _graph(3, arcs=[[0, 1]], edges=[[1, 2]])}))
+    out = tmp_path / "c.json"
+    assert _run("compare", "--result", str(result), "--truth", str(truth),
+                "--out", str(out)) == 2
+    assert "not the essential graph of its class" in capsys.readouterr().err
+    assert not out.exists()
+
+    data, truth = _simulate(tmp_path, p=6, d=2.0, n=1000, seed=4)
+    assert _run("discover", "--algo", "skeletal-greedy-cim", "--data", str(data),
+                "--out", str(result)) == 0
+    assert _run("compare", "--result", str(result), "--truth", str(truth),
+                "--out", str(out)) == 0
+    assert set(json.loads(out.read_text())) == {"shd", "recovered"}
 
 
 @pytest.mark.parametrize("threads", ["0", "-1", "-64"])

@@ -153,6 +153,29 @@ def test_consistent_extension_rejects_unrealizable():
     assert consistent_extension(Mec(skel, vs)) is None
 
 
+def test_consistent_extension_rejects_unlisted_colliders_before_the_peel():
+    # a star with centre 2: every pair of leaves is a candidate v-structure,
+    # and with any two leaves listed the centre's whole neighbourhood must
+    # point into it, so every leaf pair must be listed
+    star = UndirectedGraph.from_edges(5, [(0, 2), (1, 2), (3, 2), (4, 2)])
+    pairs = list(itertools.combinations((0, 1, 3, 4), 2))
+    two = frozenset({VStructure(2, (0, 1)), VStructure(2, (3, 4))})
+    assert consistent_extension(Mec(star, two)) is None
+    for left_out in pairs:
+        five = frozenset(VStructure(2, t) for t in pairs if t != left_out)
+        assert consistent_extension(Mec(star, five)) is None
+    ext = consistent_extension(Mec(star, frozenset(VStructure(2, t) for t in pairs)))
+    assert ext.arcs() == ((0, 2), (1, 2), (3, 2), (4, 2))
+    for mec in (Mec(star, two), Mec(star, frozenset(VStructure(2, t) for t in pairs))):
+        _assert_matches_the_set_reference(mec)
+
+
+def test_v_structures_match_the_set_reference():
+    for p in range(1, 5):
+        for dag in all_dags(p):
+            assert v_structures(dag) == graphs_reference.v_structures(dag)
+
+
 def test_essential_graph_is_meek_closed():
     # 0 -> 1 <- 2 with extra edge 1 - 3: the collider compels 1 -> 3
     dag = Dag.from_arcs(4, [(0, 1), (2, 1), (1, 3)])
