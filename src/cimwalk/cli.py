@@ -378,8 +378,9 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="edge census of a class polytope")
     ana.add_argument("--p", type=int, default=None)
     ana.add_argument("--skeleton", default=None)
-    # accepted and recorded in the manifest; the census runs in one process
-    ana.add_argument("--threads", type=int, default=None)
+    ana.add_argument("--threads", type=int, default=None,
+                     help="accepted (at least 1) and recorded in the manifest; "
+                          "it has no effect, since the census runs in one process")
     ana.add_argument("--out", default="census.json")
     ana.set_defaults(func=_cmd_analyze_polytope)
 

@@ -190,10 +190,6 @@ def topological_order_or_none(p: int, arcs: Iterable) -> Optional[list]:
     return order
 
 
-def is_acyclic(p: int, arcs: Iterable) -> bool:
-    return topological_order_or_none(p, arcs) is not None
-
-
 def topological_order(dag: Dag) -> list:
     order = topological_order_or_none(dag.p, dag.arcs())
     assert order is not None
@@ -254,12 +250,6 @@ def v_structures(dag: Dag) -> frozenset:
 def mec_of(dag: Dag) -> Mec:
     skel = skeleton(dag)
     return Mec(skel, _vstructures(dag.parent_masks, skel.neighbor_masks))
-
-
-def markov_equivalent(g: Dag, h: Dag) -> bool:
-    if g.p != h.p:
-        raise GraphError("graphs have different node counts")
-    return mec_of(g) == mec_of(h)
 
 
 def _required_arcs(mec: Mec) -> tuple:
@@ -370,22 +360,19 @@ def essential_graph(mec: Mec) -> PartiallyDirectedGraph:
         frozenset((x, y) for x in range(p) for y in _bits(und[x]) if x < y))
 
 
-def cpdag_of_dag(dag: Dag) -> PartiallyDirectedGraph:
-    return essential_graph(mec_of(dag))
-
-
 def shd(a: Mec, b: Mec) -> int:
     """Structural Hamming distance between the CPDAGs of two classes.
 
     One unit per unordered node pair whose status (absent, undirected,
-    directed either way) differs.
+    directed either way) differs.  A pair adjacent in neither skeleton is
+    absent in both, so only the pairs of either skeleton are compared.
     """
     if a.p != b.p:
         raise GraphError("classes have different node counts")
     ga = essential_graph(a)
     gb = essential_graph(b)
     count = 0
-    for i, j in itertools.combinations(range(a.p), 2):
+    for i, j in a.skeleton.edges | b.skeleton.edges:
         if ga.pair_status(i, j) != gb.pair_status(i, j):
             count += 1
     return count
@@ -443,20 +430,6 @@ def format_graph_text(p: int, arcs: Iterable = (), edges: Iterable = ()) -> str:
     for a, b in sorted(_canon_pair(x, y) for x, y in edges):
         lines.append(f"{a} -- {b}")
     return "\n".join(lines) + "\n"
-
-
-def dag_from_text(text: str) -> Dag:
-    p, arcs, edges = parse_graph_text(text)
-    if edges:
-        raise GraphError("expected a fully directed graph")
-    return Dag.from_arcs(p, arcs)
-
-
-def undirected_from_text(text: str) -> UndirectedGraph:
-    p, arcs, edges = parse_graph_text(text)
-    if arcs:
-        raise GraphError("expected an undirected graph")
-    return UndirectedGraph.from_edges(p, edges)
 
 
 def _bits(mask: int) -> Iterator[int]:

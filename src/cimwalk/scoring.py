@@ -319,14 +319,8 @@ def class_delta(source: Mec, target: Mec, cache: LocalScoreCache) -> float:
     return delta
 
 
-def delta_and_target(source: Mec, move: Move, stats: SufficientStats,
-                     cache: Optional[LocalScoreCache] = None):
-    """Score change of a move together with the target class."""
-    table = _cache_for(stats, cache)
-    target = apply_move(source, move)
-    return class_delta(source, target, table), target
-
-
 def score_delta(source: Mec, move: Move, stats: SufficientStats,
                 cache: Optional[LocalScoreCache] = None) -> float:
-    return delta_and_target(source, move, stats, cache)[0]
+    """Score change of a move, from the source class to the target it reaches."""
+    table = _cache_for(stats, cache)
+    return class_delta(source, apply_move(source, move), table)

@@ -1,11 +1,13 @@
 """Set-based Dor-Tarsi extension, v-structures and Meek closure, the
 reference that the bitmask versions in cimwalk.graphs are compared against
-(`==`, None included)."""
+(`==`, None included), and the all-pairs SHD that cimwalk.graphs.shd is
+compared against."""
 
 import itertools
 from functools import lru_cache
 from typing import Optional
 
+from cimwalk import graphs
 from cimwalk.graphs import (Dag, GraphError, Mec, PartiallyDirectedGraph, VStructure,
                             _canon_pair, skeleton)
 
@@ -146,3 +148,17 @@ def essential_graph(mec: Mec) -> PartiallyDirectedGraph:
             if changed:
                 break
     return PartiallyDirectedGraph(p, frozenset(arcs), frozenset(und))
+
+
+def shd(a: Mec, b: Mec) -> int:
+    """cimwalk.graphs.shd over every unordered node pair, on the package's
+    essential graphs."""
+    if a.p != b.p:
+        raise GraphError("classes have different node counts")
+    ga = graphs.essential_graph(a)
+    gb = graphs.essential_graph(b)
+    count = 0
+    for i, j in itertools.combinations(range(a.p), 2):
+        if ga.pair_status(i, j) != gb.pair_status(i, j):
+            count += 1
+    return count

@@ -20,13 +20,13 @@ from cimwalk.graphs import (CycleError, Dag, UndirectedGraph, acyclic_orientatio
 from cimwalk.imset import full_imset, imset_delta, subset_key
 from cimwalk.moves import (BUDDING, add_edge_delta, enumerate_turn_moves,
                            turn_edge_delta)
-from cimwalk.polytope import (edge_census, enumerate_mecs,
-                              verify_simplex_faces, verify_stab_equivalence,
-                              verify_turn_connectivity)
+from cimwalk.polytope import edge_census, enumerate_mecs
 from cimwalk.scoring import SufficientStats, score_dag, score_mec
 from cimwalk.search import (SearchConfig, greedy_cim,
                             recurrent_phased_greedy_cim, skeletal_greedy_cim)
 from cimwalk.simulate import assign_weights, make_rng, random_dag, sample
+from paper_claims import (verify_simplex_faces, verify_stab_equivalence,
+                          verify_turn_connectivity)
 
 
 @pytest.fixture(scope="module")

@@ -434,6 +434,11 @@ def test_analyze_polytope_threads_are_recorded_and_change_no_byte(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_analyze_polytope_help_says_threads_has_no_effect(capsys):
+    assert _run("analyze-polytope", "--help") == 0
+    assert "has no effect" in " ".join(capsys.readouterr().out.split())
+
+
 def test_version_flag():
     assert _run("--version") == 0
 

@@ -11,12 +11,11 @@ import graphs_reference
 from cimwalk import cli
 from cimwalk.graphs import (CycleError, Dag, GraphError, Mec, UndirectedGraph,
                             VStructure, acyclic_orientations, all_classes, all_dags, all_mecs,
-                            consistent_extension, cpdag_of_dag, dag_from_text,
-                            essential_graph, format_graph_text, is_acyclic,
-                            markov_equivalent, mec_of, orientation_masks,
+                            consistent_extension, essential_graph,
+                            format_graph_text, mec_of, orientation_masks,
                             parse_graph_text, shd, skeleton, skeleton_classes,
                             topological_order, topological_order_or_none,
-                            undirected_from_text, v_structures)
+                            v_structures)
 from enumeration_reference import (dags_by_arcs, mecs_by_dag, orientations_by_arcs,
                                    parent_masks)
 
@@ -56,9 +55,12 @@ def test_topological_order_respects_arcs():
     pos = {v: k for k, v in enumerate(order)}
     for tail, head in d.arcs():
         assert pos[tail] < pos[head]
-    assert is_acyclic(3, [(0, 1)]) and not is_acyclic(2, [(0, 1), (1, 0)])
-    assert is_acyclic(0, []) and is_acyclic(2, [(0, 1), (0, 1)])
-    assert not is_acyclic(2, [(1, 1)]) and not is_acyclic(4, [(0, 1), (1, 2), (2, 3), (3, 1)])
+    assert topological_order_or_none(3, [(0, 1)]) is not None
+    assert topological_order_or_none(2, [(0, 1), (1, 0)]) is None
+    assert topological_order_or_none(0, []) is not None
+    assert topological_order_or_none(2, [(0, 1), (0, 1)]) is not None
+    assert topological_order_or_none(2, [(1, 1)]) is None
+    assert topological_order_or_none(4, [(0, 1), (1, 2), (2, 3), (3, 1)]) is None
 
 
 def _sorted_ready_kahn(p, arcs):
@@ -108,9 +110,9 @@ def test_markov_equivalence_of_paths():
     reverse = Dag.from_arcs(3, [(2, 1), (1, 0)])
     fork = Dag.from_arcs(3, [(1, 0), (1, 2)])
     collider = Dag.from_arcs(3, [(0, 1), (2, 1)])
-    assert markov_equivalent(chain, reverse)
-    assert markov_equivalent(chain, fork)
-    assert not markov_equivalent(chain, collider)
+    assert mec_of(chain) == mec_of(reverse)
+    assert mec_of(chain) == mec_of(fork)
+    assert mec_of(chain) != mec_of(collider)
 
 
 def test_mec_validation():
@@ -184,7 +186,7 @@ def test_essential_graph_is_meek_closed():
     assert eg.pair_status(2, 1) == "forward"
     assert eg.pair_status(1, 3) == "forward"
     # fully undirected case
-    chain = cpdag_of_dag(Dag.from_arcs(3, [(0, 1), (1, 2)]))
+    chain = essential_graph(mec_of(Dag.from_arcs(3, [(0, 1), (1, 2)])))
     assert chain.pair_status(0, 1) == "undirected"
     assert chain.pair_status(1, 2) == "undirected"
     assert chain.pair_status(0, 2) == "absent"
@@ -201,14 +203,40 @@ def test_shd_counts_pair_status_mismatches():
         shd(chain, mec_of(Dag.from_arcs(2, [])))
 
 
+def test_shd_equals_the_all_pairs_reference_on_every_pair_of_classes_up_to_p4():
+    for p in range(1, 5):
+        mecs = all_mecs(p)
+        for a in mecs:
+            for b in mecs:
+                assert shd(a, b) == graphs_reference.shd(a, b)
+
+
+@st.composite
+def _dag_pairs_up_to_8(draw):
+    p = draw(st.integers(1, 8))
+    pairs = list(itertools.combinations(range(p), 2))
+    out = []
+    for _ in range(2):
+        order = draw(st.permutations(range(p)))
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        out.append(Dag.from_arcs(p, [(order[a], order[b])
+                                     for (a, b), k in zip(pairs, keep) if k]))
+    return out
+
+
+@settings(max_examples=200)
+@given(_dag_pairs_up_to_8())
+def test_shd_equals_the_all_pairs_reference_on_drawn_pairs(dags):
+    a, b = map(mec_of, dags)
+    assert shd(a, b) == graphs_reference.shd(a, b)
+
+
 def test_graph_text_round_trip():
     text = format_graph_text(4, arcs=[(0, 1)], edges=[(2, 3)])
     p, arcs, edges = parse_graph_text(text)
     assert (p, arcs, edges) == (4, [(0, 1)], [(2, 3)])
-    dag = dag_from_text("p 3\n0 -> 1\n2 -> 1\n")
-    assert dag.has_arc(0, 1) and dag.has_arc(2, 1)
-    und = undirected_from_text("p 3\n0 -- 1\n")
-    assert und.has_edge(0, 1)
+    assert parse_graph_text("p 3\n0 -> 1\n2 -> 1\n") == (3, [(0, 1), (2, 1)], [])
+    assert parse_graph_text("p 3\n0 -- 1\n") == (3, [], [(0, 1)])
     with pytest.raises(GraphError):
         parse_graph_text("no header")
     with pytest.raises(GraphError):

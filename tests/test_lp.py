@@ -20,6 +20,7 @@ from lp_reference import (
     two_phase_simplex_max,
 )
 from margin_reference import margin_lps, margin_start
+from paper_claims import cycle_graph
 
 
 def _le(c, rows):
@@ -386,7 +387,7 @@ def test_margin_lps_match_the_serial_reference_p3():
 
 @pytest.mark.parametrize("p", [4, 5, 6])
 def test_margin_lps_match_the_serial_reference_cycle_faces(p):
-    _assert_margin_lps_match(polytope.enumerate_mecs_with_skeleton(polytope.cycle_graph(p)))
+    _assert_margin_lps_match(polytope.enumerate_mecs_with_skeleton(cycle_graph(p)))
 
 
 def test_margin_lps_match_the_serial_reference_every_tenth_p4_pair():

@@ -22,20 +22,19 @@ from cimwalk.moves import (enumerate_edge_moves, enumerate_tree_moves,
                            enumerate_turn_moves, representative)
 from cimwalk.polytope import (EdgeCertificate, _midpoint_prefilter,
                               _restricted, _solve_margin, certify_all_edges,
-                              certify_edge, complete_minus_edge, cycle_graph,
-                              edge_census,
-                              enumerate_mecs, enumerate_mecs_with_skeleton,
-                              exact_rank, face_objective,
-                              maximizers, path_graph, poset_b_matrix,
-                              star_over_cliques,
-                              verify_simplex_faces, verify_stab_equivalence,
-                              verify_turn_connectivity)
+                              certify_edge, edge_census,
+                              enumerate_mecs, enumerate_mecs_with_skeleton)
 from enumeration_reference import (dags_by_arcs, imset_vector, item_image,
                                    mecs_by_dag, orbit_tree, orientations_by_arcs,
                                    pair_image, parent_masks, vertex_set_by_dag)
 from lp_reference import lockstep_simplex_max, tableaux, two_phase_simplex_max
 from margin_reference import (distances, face_lp, margin_lps, margin_solution,
                               margin_start)
+from paper_claims import (complete_minus_edge, cycle_graph, exact_rank,
+                          face_objective, maximizers, path_graph,
+                          poset_b_matrix, star_over_cliques,
+                          verify_simplex_faces, verify_stab_equivalence,
+                          verify_turn_connectivity)
 
 
 def test_enumerate_mecs_counts_and_order():
