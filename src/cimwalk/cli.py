@@ -1,11 +1,14 @@
 """Command-line entry point.
 
-Subcommands: simulate, discover, score, analyze-polytope, compare.  Every
-invocation that writes an output also writes a run manifest next to the
-primary output (``<out>.manifest.json``) recording the command, the full
-configuration, library versions, input and output hashes, and wall-clock
-time.  Outputs themselves are deterministic given the same inputs and
-seed, so re-running a manifest's command reproduces them byte for byte.
+Subcommands: simulate, discover, score, analyze-polytope, compare.  Each
+subparser declares which of its flags name input files (``reads``) and
+which name output files (``writes``, the primary output first).  ``main``
+checks every output before the command runs, and after it returns writes
+a run manifest next to the primary output (``<out>.manifest.json``)
+recording the command, the full configuration, library versions, input
+and output hashes, and wall-clock time.  Outputs themselves are
+deterministic given the same inputs and seed, so re-running a manifest's
+command reproduces them byte for byte.
 
 Exit codes: 0 success, 2 validation error (bad flags, malformed files),
 1 unexpected runtime error.
@@ -45,6 +48,8 @@ _STRATEGIES = {"first-improvement": FIRST_IMPROVEMENT,
                "best-improvement": BEST_IMPROVEMENT}
 # Markov equivalence classes on 5 nodes: the vertex count of a p = 5 census
 _P5_CLASSES = 8782
+# Parsed values that set up a run rather than configure it
+_HARNESS = ("command", "func", "reads", "writes")
 
 
 class ValidationError(Exception):
@@ -88,13 +93,29 @@ def _write_json(path: str, obj) -> None:
     _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _write_manifest(primary_out: str, command: str, config: dict, seed,
-                    inputs: list, outputs: list, t0: float,
-                    stage_seconds: Optional[dict] = None) -> None:
+def _run_files(args) -> tuple:
+    """The (inputs, outputs) paths of args' command, checked before it runs:
+    each output and the manifest must be a distinct file, none may be an
+    input, and each must be writable, so a failed check costs no work and
+    leaves every file as it was."""
+    inputs = {f"--{flag}": getattr(args, flag) for flag in args.reads
+              if getattr(args, flag) is not None}
+    outputs = {f"--{flag}": getattr(args, flag) for flag in args.writes}
+    named = {os.path.realpath(path): flag for flag, path in inputs.items()}
+    manifest = getattr(args, args.writes[0]) + ".manifest.json"
+    for flag, path in [*outputs.items(), ("the manifest", manifest)]:
+        clash = named.setdefault(os.path.realpath(path), flag)
+        _require(clash == flag, f"{flag} and {clash} name the same file: {path}")
+        _check_writable(path)
+    return list(inputs.values()), list(outputs.values())
+
+
+def _write_manifest(args, inputs: list, outputs: list, t0: float,
+                    stage_seconds: Optional[dict]) -> None:
     manifest = {
-        "command": command,
-        "config": config,
-        "seed": seed,
+        "command": args.command,
+        "config": {k: v for k, v in vars(args).items() if k not in _HARNESS},
+        "seed": getattr(args, "seed", None),
         "versions": {
             "cimwalk": __version__,
             "python": platform.python_version(),
@@ -106,7 +127,7 @@ def _write_manifest(primary_out: str, command: str, config: dict, seed,
     }
     if stage_seconds is not None:
         manifest["stage_seconds"] = {k: round(v, 3) for k, v in stage_seconds.items()}
-    _write_json(primary_out + ".manifest.json", manifest)
+    _write_json(outputs[0] + ".manifest.json", manifest)
 
 
 def _require(cond: bool, message: str) -> None:
@@ -114,12 +135,19 @@ def _require(cond: bool, message: str) -> None:
         raise ValidationError(message)
 
 
-def _load_json(path: str):
+def _read_text(path: str) -> str:
+    """A graph-text or JSON input, decoded as UTF-8 with an optional BOM."""
     try:
-        with open(path) as handle:
-            return json.load(handle)
-    except OSError as exc:
+        with open(path, encoding="utf-8-sig") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}")
+
+
+def _load_json(path: str):
+    text = _read_text(path)
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"malformed JSON in {path}: {exc}")
 
@@ -176,21 +204,15 @@ def _mec_from_graph_json(obj: dict) -> Mec:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns None, or the stage seconds for the manifest
 
 
-def _cmd_simulate(args) -> int:
-    t0 = time.time()
+def _cmd_simulate(args) -> None:
     _require(args.p >= 1, "--p must be at least 1")
     _require(args.n >= 1, "--n must be at least 1")
     _require(0 <= args.d <= max(args.p - 1, 0),
              f"--d must lie in [0, {max(args.p - 1, 0)}]")
     _require(args.seed >= 0, "--seed must be non-negative")
-    outputs = (args.out, args.truth, args.out + ".manifest.json")
-    _require(len({os.path.abspath(path) for path in outputs}) == len(outputs),
-             "--out, --truth and the manifest must be different files")
-    for path in outputs:  # so that a failed run leaves no partial dataset
-        _check_writable(path)
     rng = make_rng(args.seed)
     dag = random_dag(args.p, args.d, rng)
     model = assign_weights(dag, rng)
@@ -207,11 +229,6 @@ def _cmd_simulate(args) -> int:
         "weights": [[t, h, model.weights[(t, h)]] for t, h in dag.arcs()],
     }
     _write_json(args.truth, truth)
-    _write_manifest(args.out, "simulate",
-                    {"p": args.p, "d": args.d, "n": args.n, "seed": args.seed,
-                     "out": args.out, "truth": args.truth},
-                    args.seed, [], [args.out, args.truth], t0)
-    return 0
 
 
 def _load_stats(path: str):
@@ -222,8 +239,7 @@ def _load_stats(path: str):
     return stats
 
 
-def _cmd_discover(args) -> int:
-    t0 = time.time()
+def _cmd_discover(args) -> None:
     stats = _load_stats(args.data)
     try:
         config = SearchConfig(strategy=_STRATEGIES[args.strategy],
@@ -246,23 +262,11 @@ def _cmd_discover(args) -> int:
     }
     _require(isinstance(result["score"], float), "internal: score must be a float")
     _write_json(args.out, result)
-    _write_manifest(args.out, "discover",
-                    {"algo": args.algo, "data": args.data, "alpha": args.alpha,
-                     "strategy": args.strategy,
-                     "subset_cap": args.subset_cap, "tree_moves": args.tree_moves,
-                     "out": args.out},
-                    None, [args.data], [args.out], t0)
-    return 0
 
 
-def _cmd_score(args) -> int:
-    t0 = time.time()
+def _cmd_score(args) -> None:
     stats = _load_stats(args.data)
-    try:
-        with open(args.graph) as handle:
-            p, arcs, edges = parse_graph_text(handle.read())
-    except OSError as exc:
-        raise ValidationError(f"cannot read {args.graph}: {exc}")
+    p, arcs, edges = parse_graph_text(_read_text(args.graph))
     _require(not edges, "graph file must contain only directed arcs ('a -> b')")
     _require(p == stats.p,
              f"graph has {p} nodes but data has {stats.p} columns")
@@ -271,18 +275,12 @@ def _cmd_score(args) -> int:
     result = {"p": p, "score": value,
               "graph": _graph_json(p, arcs, [])}
     _write_json(args.out, result)
-    _write_manifest(args.out, "score",
-                    {"data": args.data, "graph": args.graph, "out": args.out},
-                    None, [args.data, args.graph], [args.out], t0)
-    return 0
 
 
-def _cmd_analyze_polytope(args) -> int:
-    t0 = time.time()
+def _cmd_analyze_polytope(args) -> dict:
     _require((args.p is None) != (args.skeleton is None),
              "exactly one of --p and --skeleton is required")
     _require(args.threads is None or args.threads >= 1, "--threads must be at least 1")
-    inputs = []
     start = time.perf_counter()
     if args.p is not None:
         pairs = _P5_CLASSES * (_P5_CLASSES - 1) // 2
@@ -293,26 +291,16 @@ def _cmd_analyze_polytope(args) -> int:
         _require(2 <= args.p <= 4, "--p must be between 2 and 4")
         vertex_set = enumerate_mecs(args.p)
     else:
-        try:
-            with open(args.skeleton) as handle:
-                p, arcs, edges = parse_graph_text(handle.read())
-        except OSError as exc:
-            raise ValidationError(f"cannot read {args.skeleton}: {exc}")
+        p, arcs, edges = parse_graph_text(_read_text(args.skeleton))
         _require(not arcs, "skeleton file must contain only undirected edges ('a -- b')")
         vertex_set = enumerate_mecs_with_skeleton(UndirectedGraph.from_edges(p, edges))
-        inputs.append(args.skeleton)
     stages = {"enumerate": time.perf_counter() - start}
     census = edge_census(vertex_set, seconds=stages)
     _write_json(args.out, census)
-    _write_manifest(args.out, "analyze-polytope",
-                    {"p": args.p, "skeleton": args.skeleton,
-                     "threads": args.threads, "out": args.out},
-                    None, inputs, [args.out], t0, stages)
-    return 0
+    return stages
 
 
-def _cmd_compare(args) -> int:
-    t0 = time.time()
+def _cmd_compare(args) -> None:
     result = _load_json(args.result)
     _require(isinstance(result, dict) and "essential_graph" in result,
              f"{args.result} missing field 'essential_graph'")
@@ -330,10 +318,6 @@ def _cmd_compare(args) -> int:
     report = {"shd": shd(found, true_mec), "recovered": found == true_mec}
     _write_json(args.out, report)
     print(json.dumps(report, sort_keys=True))
-    _write_manifest(args.out, "compare",
-                    {"result": args.result, "truth": args.truth, "out": args.out},
-                    None, [args.result, args.truth], [args.out], t0)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -355,24 +339,29 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out", default="data.csv")
     sim.add_argument("--truth", default="truth.json")
-    sim.set_defaults(func=_cmd_simulate)
+    sim.set_defaults(func=_cmd_simulate, reads=(), writes=("out", "truth"))
 
     dis = sub.add_parser("discover", help="run a greedy search on CSV data")
     dis.add_argument("--algo", choices=_ALGOS, required=True)
     dis.add_argument("--data", required=True)
-    dis.add_argument("--alpha", type=float, default=1e-4)
+    dis.add_argument("--alpha", type=float, default=1e-4,
+                     help="significance level of skeletal-greedy-cim's CI tests; "
+                          "checked to lie in (0, 1), and ignored by greedy-cim "
+                          "and recurrent-cim")
     dis.add_argument("--strategy", choices=sorted(_STRATEGIES),
-                     default="first-improvement")
+                     default="first-improvement",
+                     help="ignored by recurrent-cim, which always takes the "
+                          "best improvement")
     dis.add_argument("--subset-cap", type=int, default=None)
     dis.add_argument("--tree-moves", action="store_true")
     dis.add_argument("--out", default="result.json")
-    dis.set_defaults(func=_cmd_discover)
+    dis.set_defaults(func=_cmd_discover, reads=("data",), writes=("out",))
 
     sco = sub.add_parser("score", help="BIC-score a DAG's class on CSV data")
     sco.add_argument("--data", required=True)
     sco.add_argument("--graph", required=True)
     sco.add_argument("--out", default="score.json")
-    sco.set_defaults(func=_cmd_score)
+    sco.set_defaults(func=_cmd_score, reads=("data", "graph"), writes=("out",))
 
     ana = sub.add_parser("analyze-polytope",
                          help="edge census of a class polytope")
@@ -382,13 +371,15 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="accepted (at least 1) and recorded in the manifest; "
                           "it has no effect, since the census runs in one process")
     ana.add_argument("--out", default="census.json")
-    ana.set_defaults(func=_cmd_analyze_polytope)
+    ana.set_defaults(func=_cmd_analyze_polytope, reads=("skeleton",),
+                     writes=("out",))
 
     cmp_ = sub.add_parser("compare", help="compare a discovery result to truth")
     cmp_.add_argument("--result", required=True)
     cmp_.add_argument("--truth", required=True)
     cmp_.add_argument("--out", default="compare.json")
-    cmp_.set_defaults(func=_cmd_compare)
+    cmp_.set_defaults(func=_cmd_compare, reads=("result", "truth"),
+                      writes=("out",))
     return parser
 
 
@@ -398,8 +389,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    t0 = time.time()
     try:
-        return args.func(args)
+        inputs, outputs = _run_files(args)
+        stages = args.func(args)
+        _write_manifest(args, inputs, outputs, t0, stages)
+        return 0
     except (ValidationError, ScoringError, CiTestError, GraphError,
             SimulationError, MoveError, ImsetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
