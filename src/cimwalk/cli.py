@@ -3,12 +3,12 @@
 Subcommands: simulate, discover, score, analyze-polytope, compare.  Each
 subparser declares which of its flags name input files (``reads``) and
 which name output files (``writes``, the primary output first).  ``main``
-checks every output before the command runs, and after it returns writes
-a run manifest next to the primary output (``<out>.manifest.json``)
-recording the command, the full configuration, library versions, input
-and output hashes, and wall-clock time.  Outputs themselves are
-deterministic given the same inputs and seed, so re-running a manifest's
-command reproduces them byte for byte.
+checks every output, reads each input once, writes each output text the
+command returns, and writes a run manifest next to the primary output
+(``<out>.manifest.json``) recording the command, the full configuration,
+library versions, the SHA-256 of the bytes read and written, and
+wall-clock time.  Outputs are deterministic given the same inputs and
+seed, so re-running a manifest's command reproduces them byte for byte.
 
 Exit codes: 0 success, 2 validation error (bad flags, malformed files),
 1 unexpected runtime error.
@@ -23,7 +23,6 @@ import os
 import platform
 import sys
 import time
-from typing import Optional
 
 import numpy as np
 
@@ -35,8 +34,8 @@ from .ci_tests import CiTestError
 from .imset import ImsetError
 from .moves import MoveError
 from .polytope import edge_census, enumerate_mecs, enumerate_mecs_with_skeleton
-from .scoring import (LocalScoreCache, ScoringError, require_full_rank,
-                      score_mec, stats_from_csv)
+from .scoring import (LocalScoreCache, ScoringError, read_input,
+                      require_full_rank, score_mec, stats_from_csv)
 from .search import (BEST_IMPROVEMENT, FIRST_IMPROVEMENT, SearchConfig,
                      SearchError, greedy_cim, recurrent_phased_greedy_cim,
                      skeletal_greedy_cim)
@@ -56,23 +55,15 @@ class ValidationError(Exception):
     """User-input problem: reported with exit code 2."""
 
 
-def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
+def _write_text(path: str, text: str) -> str:
+    """Write text to path; returns the SHA-256 of the bytes written."""
+    data = text.encode()
     try:
-        with open(path, "rb") as handle:
-            for chunk in iter(lambda: handle.read(1 << 20), b""):
-                digest.update(chunk)
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}")
-    return digest.hexdigest()
-
-
-def _write_text(path: str, text: str) -> None:
-    try:
-        with open(path, "w") as handle:
-            handle.write(text)
+        with open(path, "wb") as handle:
+            handle.write(data)
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc}")
+    return hashlib.sha256(data).hexdigest()
 
 
 def _check_writable(path: str) -> None:
@@ -89,45 +80,36 @@ def _check_writable(path: str) -> None:
     raise ValidationError(f"cannot write {path}: {problem}")
 
 
-def _write_json(path: str, obj) -> None:
-    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _file_id(path: str):
+    """Device and inode of an existing file, so hard links match; else its real path."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    except ValueError as exc:  # a NUL byte in the path
+        raise ValidationError(f"invalid path {path!r}: {exc}")
+    return st.st_dev, st.st_ino
 
 
 def _run_files(args) -> tuple:
-    """The (inputs, outputs) paths of args' command, checked before it runs:
-    each output and the manifest must be a distinct file, none may be an
-    input, and each must be writable, so a failed check costs no work and
-    leaves every file as it was."""
+    """The (inputs, outputs, manifest) paths of args' command, checked before
+    it runs: each output and the manifest must be a distinct file, none may
+    be an input, and each must be writable, so a failed check costs no work
+    and leaves every file as it was."""
     inputs = {f"--{flag}": getattr(args, flag) for flag in args.reads
               if getattr(args, flag) is not None}
     outputs = {f"--{flag}": getattr(args, flag) for flag in args.writes}
-    named = {os.path.realpath(path): flag for flag, path in inputs.items()}
+    named = {_file_id(path): flag for flag, path in inputs.items()}
     manifest = getattr(args, args.writes[0]) + ".manifest.json"
     for flag, path in [*outputs.items(), ("the manifest", manifest)]:
-        clash = named.setdefault(os.path.realpath(path), flag)
+        clash = named.setdefault(_file_id(path), flag)
         _require(clash == flag, f"{flag} and {clash} name the same file: {path}")
         _check_writable(path)
-    return list(inputs.values()), list(outputs.values())
-
-
-def _write_manifest(args, inputs: list, outputs: list, t0: float,
-                    stage_seconds: Optional[dict]) -> None:
-    manifest = {
-        "command": args.command,
-        "config": {k: v for k, v in vars(args).items() if k not in _HARNESS},
-        "seed": getattr(args, "seed", None),
-        "versions": {
-            "cimwalk": __version__,
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
-        "input_hashes": {path: _sha256(path) for path in inputs},
-        "output_hashes": {path: _sha256(path) for path in outputs},
-        "wall_clock_seconds": round(time.time() - t0, 3),
-    }
-    if stage_seconds is not None:
-        manifest["stage_seconds"] = {k: round(v, 3) for k, v in stage_seconds.items()}
-    _write_json(outputs[0] + ".manifest.json", manifest)
+    return list(inputs.values()), list(outputs.values()), manifest
 
 
 def _require(cond: bool, message: str) -> None:
@@ -135,19 +117,9 @@ def _require(cond: bool, message: str) -> None:
         raise ValidationError(message)
 
 
-def _read_text(path: str) -> str:
-    """A graph-text or JSON input, decoded as UTF-8 with an optional BOM."""
+def _load_json(texts: dict, path: str):
     try:
-        with open(path, encoding="utf-8-sig") as handle:
-            return handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"cannot read {path}: {exc}")
-
-
-def _load_json(path: str):
-    text = _read_text(path)
-    try:
-        return json.loads(text)
+        return json.loads(texts[path])
     except json.JSONDecodeError as exc:
         raise ValidationError(f"malformed JSON in {path}: {exc}")
 
@@ -204,10 +176,10 @@ def _mec_from_graph_json(obj: dict) -> Mec:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands: each returns None, or the stage seconds for the manifest
+# Subcommands: each maps its input texts to its output texts, both keyed by path
 
 
-def _cmd_simulate(args) -> None:
+def _cmd_simulate(args, texts: dict, stages: dict) -> dict:
     _require(args.p >= 1, "--p must be at least 1")
     _require(args.n >= 1, "--n must be at least 1")
     _require(0 <= args.d <= max(args.p - 1, 0),
@@ -221,26 +193,24 @@ def _cmd_simulate(args) -> None:
     rows = [",".join(map(repr, row)) for row in data.tolist()]
     _require(len(rows) == args.n and data.shape[1] == args.p,
              "internal: simulated data has wrong shape")
-    _write_text(args.out, "\n".join(rows) + "\n")
-
     truth = {
         "p": args.p,
         "arcs": [list(a) for a in dag.arcs()],
         "weights": [[t, h, model.weights[(t, h)]] for t, h in dag.arcs()],
     }
-    _write_json(args.truth, truth)
+    return {args.out: "\n".join(rows) + "\n", args.truth: _json_text(truth)}
 
 
-def _load_stats(path: str):
+def _load_stats(texts: dict, path: str):
     # One degenerate-data policy for every command that fits a model:
     # rank-deficient data are rejected before any search or scoring.
-    stats = stats_from_csv(path)
+    stats = stats_from_csv(texts[path], path)
     require_full_rank(stats, path)
     return stats
 
 
-def _cmd_discover(args) -> None:
-    stats = _load_stats(args.data)
+def _cmd_discover(args, texts: dict, stages: dict) -> dict:
+    stats = _load_stats(texts, args.data)
     try:
         config = SearchConfig(strategy=_STRATEGIES[args.strategy],
                               subset_cap=args.subset_cap,
@@ -261,12 +231,12 @@ def _cmd_discover(args) -> None:
         "trace": trace.to_json(),
     }
     _require(isinstance(result["score"], float), "internal: score must be a float")
-    _write_json(args.out, result)
+    return {args.out: _json_text(result)}
 
 
-def _cmd_score(args) -> None:
-    stats = _load_stats(args.data)
-    p, arcs, edges = parse_graph_text(_read_text(args.graph))
+def _cmd_score(args, texts: dict, stages: dict) -> dict:
+    stats = _load_stats(texts, args.data)
+    p, arcs, edges = parse_graph_text(texts[args.graph])
     _require(not edges, "graph file must contain only directed arcs ('a -> b')")
     _require(p == stats.p,
              f"graph has {p} nodes but data has {stats.p} columns")
@@ -274,10 +244,10 @@ def _cmd_score(args) -> None:
     value = score_mec(mec_of(dag), stats, LocalScoreCache(stats))
     result = {"p": p, "score": value,
               "graph": _graph_json(p, arcs, [])}
-    _write_json(args.out, result)
+    return {args.out: _json_text(result)}
 
 
-def _cmd_analyze_polytope(args) -> dict:
+def _cmd_analyze_polytope(args, texts: dict, stages: dict) -> dict:
     _require((args.p is None) != (args.skeleton is None),
              "exactly one of --p and --skeleton is required")
     _require(args.threads is None or args.threads >= 1, "--threads must be at least 1")
@@ -291,22 +261,20 @@ def _cmd_analyze_polytope(args) -> dict:
         _require(2 <= args.p <= 4, "--p must be between 2 and 4")
         vertex_set = enumerate_mecs(args.p)
     else:
-        p, arcs, edges = parse_graph_text(_read_text(args.skeleton))
+        p, arcs, edges = parse_graph_text(texts[args.skeleton])
         _require(not arcs, "skeleton file must contain only undirected edges ('a -- b')")
         vertex_set = enumerate_mecs_with_skeleton(UndirectedGraph.from_edges(p, edges))
-    stages = {"enumerate": time.perf_counter() - start}
-    census = edge_census(vertex_set, seconds=stages)
-    _write_json(args.out, census)
-    return stages
+    stages["enumerate"] = time.perf_counter() - start
+    return {args.out: _json_text(edge_census(vertex_set, seconds=stages))}
 
 
-def _cmd_compare(args) -> None:
-    result = _load_json(args.result)
+def _cmd_compare(args, texts: dict, stages: dict) -> dict:
+    result = _load_json(texts, args.result)
     _require(isinstance(result, dict) and "essential_graph" in result,
              f"{args.result} missing field 'essential_graph'")
     found = _mec_from_graph_json(result["essential_graph"])
 
-    truth = _load_json(args.truth)
+    truth = _load_json(texts, args.truth)
     p = _graph_fields(truth, ("p", "arcs"), args.truth)
     try:
         true_dag = Dag.from_arcs(p, _node_pairs(truth["arcs"], p, f"{args.truth} 'arcs'"))
@@ -316,8 +284,8 @@ def _cmd_compare(args) -> None:
     _require(true_mec.p == found.p,
              f"truth has {true_mec.p} nodes, result has {found.p}")
     report = {"shd": shd(found, true_mec), "recovered": found == true_mec}
-    _write_json(args.out, report)
     print(json.dumps(report, sort_keys=True))
+    return {args.out: _json_text(report)}
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +359,28 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     t0 = time.time()
     try:
-        inputs, outputs = _run_files(args)
-        stages = args.func(args)
-        _write_manifest(args, inputs, outputs, t0, stages)
+        inputs, outputs, manifest = _run_files(args)
+        texts, input_hashes, stages = {}, {}, {}
+        for path in dict.fromkeys(inputs):
+            texts[path], input_hashes[path] = read_input(path)
+        written = args.func(args, texts, stages)
+        run = {
+            "command": args.command,
+            "config": {k: v for k, v in vars(args).items() if k not in _HARNESS},
+            "seed": getattr(args, "seed", None),
+            "versions": {
+                "cimwalk": __version__,
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+            },
+            "input_hashes": input_hashes,
+            "output_hashes": {path: _write_text(path, written[path])
+                              for path in outputs},
+            "wall_clock_seconds": round(time.time() - t0, 3),
+        }
+        if stages:
+            run["stage_seconds"] = {k: round(v, 3) for k, v in stages.items()}
+        _write_text(manifest, _json_text(run))
         return 0
     except (ValidationError, ScoringError, CiTestError, GraphError,
             SimulationError, MoveError, ImsetError) as exc:

@@ -9,6 +9,7 @@ extension.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import itertools
 import math
@@ -125,6 +126,18 @@ def _first_fault(lines: list, first: int, path) -> str:
     return f"malformed CSV in {path}"
 
 
+def read_input(path) -> tuple[str, str]:
+    """An input file, read once: its text, decoded as text-mode ``open(path,
+    encoding="utf-8-sig")`` decodes it, and the SHA-256 of its bytes."""
+    try:
+        with open(path, "rb") as handle:
+            raw = handle.read()
+        text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig").read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScoringError(f"cannot read {path}: {exc}")
+    return text, hashlib.sha256(raw).hexdigest()
+
+
 def load_csv(path) -> np.ndarray:
     """Read a numeric CSV, one row per sample, into a float array.
 
@@ -132,11 +145,10 @@ def load_csv(path) -> np.ndarray:
     skipped, as are empty lines.  Ragged rows, empty, non-numeric and
     non-finite cells raise ScoringError naming the 1-based line.
     """
-    try:
-        with open(path, encoding="utf-8-sig") as handle:
-            text = handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ScoringError(f"cannot read {path}: {exc}")
+    return _parse_csv(read_input(path)[0], path)
+
+
+def _parse_csv(text: str, path) -> np.ndarray:
     head, _, rest = text.partition("\n")
     first = 0
     if head:
@@ -158,8 +170,8 @@ def load_csv(path) -> np.ndarray:
     return data
 
 
-def stats_from_csv(path) -> SufficientStats:
-    return SufficientStats.from_data(load_csv(path))
+def stats_from_csv(text: str, source) -> SufficientStats:
+    return SufficientStats.from_data(_parse_csv(text, source))
 
 
 def require_full_rank(stats: SufficientStats, source) -> None:

@@ -492,7 +492,7 @@ def _assert_discovers_a_realizable_class(data, algo, p):
     result = json.loads(out.read_text())
     assert result["p"] == p and result["trace"]
     mec = _mec_from_graph_json(result["essential_graph"])  # realizable or raises
-    stats = stats_from_csv(str(data))
+    stats = stats_from_csv(data.read_text(), str(data))
     assert result["score"] == score_mec(mec, stats, LocalScoreCache(stats))
 
 

@@ -1,13 +1,23 @@
-"""The run harness in `cli.main`: each command's declared files are read
-through one decoder, checked before the command runs, and recorded by one
-manifest writer."""
+"""The run harness in `cli.main`: each command's declared files are
+checked before the command runs, each input is read once through one
+decoder, each output is written once, and the manifest hashes exactly the
+bytes read and written."""
 
 import argparse
+import ast
+import hashlib
 import json
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
 from cimwalk import cli
+
+SRC = Path(cli.__file__).resolve().parent
 
 # argv of each command that reads files, with {name} for each input file
 _ARGV = {
@@ -151,3 +161,128 @@ def test_discover_help_names_the_ignored_flags(capsys):
     text = " ".join(capsys.readouterr().out.split())
     assert "ignored by greedy-cim and recurrent-cim" in text  # --alpha
     assert "ignored by recurrent-cim, which always takes the best improvement" in text
+
+
+@pytest.mark.parametrize("command, flag", [("discover", "data"), ("score", "graph"),
+                                           ("compare", "truth"),
+                                           ("analyze-polytope", "skeleton")])
+def test_an_out_hard_linked_to_an_input_is_rejected(tmp_path, capsys, command, flag):
+    files = _input_files(tmp_path)
+    out = tmp_path / "in" / "hard.json"
+    os.link(files[flag], out)
+    before = _snapshot(tmp_path)
+    capsys.readouterr()
+    assert cli.main(_argv(command, files, out)) == 2
+    assert f"--out and --{flag} name the same file" in capsys.readouterr().err
+    assert _snapshot(tmp_path) == before
+
+
+@pytest.mark.parametrize("where", ["input", "output"])
+def test_a_nul_byte_in_a_path_exits_2(tmp_path, capsys, where):
+    files = _input_files(tmp_path)
+    out = tmp_path / "out.json"
+    argv = _argv("score", files, out)
+    argv[argv.index("--data" if where == "input" else "--out") + 1] += "\0x"
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "embedded null byte" in err and "runtime error" not in err
+    assert not out.exists()
+
+
+# One JSON document that is both a result and its truth on two nodes
+_BOTH = {"essential_graph": {"p": 2, "arcs": [], "edges": [[0, 1]], "text": ""},
+         "p": 2, "arcs": [[0, 1]]}
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+@pytest.mark.parametrize("command", ["discover", "compare"])
+def test_a_fifo_input_is_read_once_and_hashed(tmp_path, command):
+    fifo, out = tmp_path / "in.fifo", tmp_path / "r.json"
+    if command == "discover":
+        raw = _input_files(tmp_path)["data"].read_bytes()
+        argv = ["discover", "--algo", "greedy-cim", "--data", str(fifo)]
+    else:  # one pipe named by two flags
+        raw = json.dumps(_BOTH).encode()
+        argv = ["compare", "--result", str(fifo), "--truth", str(fifo)]
+    os.mkfifo(fifo)
+
+    def feed():
+        try:
+            with open(fifo, "wb") as handle:
+                handle.write(raw)
+        except OSError:  # the reader went away
+            pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    try:
+        # A second read of the FIFO would wait for a writer that never comes.
+        run = subprocess.run([sys.executable, "-m", "cimwalk.cli", *argv, "--out", str(out)],
+                             capture_output=True, text=True, timeout=60, env=env)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"{command} on a FIFO input did not finish")
+    finally:
+        # Let a writer still waiting for a reader open the FIFO and fail.
+        os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert run.returncode == 0, run.stderr
+    manifest = json.loads((tmp_path / "r.json.manifest.json").read_text())
+    assert manifest["input_hashes"] == {str(fifo): hashlib.sha256(raw).hexdigest()}
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_a_dev_fd_input_is_hashed_as_read(tmp_path):
+    raw = _input_files(tmp_path)["data"].read_bytes()
+    assert len(raw) < 4096  # fits the pipe buffer, so the write does not block
+    out = tmp_path / "r.json"
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, raw)
+        os.close(write_end)
+        data = f"/dev/fd/{read_end}"
+        assert cli.main(["discover", "--algo", "greedy-cim", "--data", data,
+                         "--out", str(out)]) == 0
+    finally:
+        os.close(read_end)
+    manifest = json.loads((tmp_path / "r.json.manifest.json").read_text())
+    assert manifest["input_hashes"] == {data: hashlib.sha256(raw).hexdigest()}
+
+
+_ENDINGS = {"crlf": lambda raw: raw.replace(b"\n", b"\r\n"),
+            "cr": lambda raw: raw.replace(b"\n", b"\r"),
+            "bom-crlf": lambda raw: b"\xef\xbb\xbf" + raw.replace(b"\n", b"\r\n")}
+
+
+@pytest.mark.parametrize("ending", sorted(_ENDINGS))
+@pytest.mark.parametrize("command, flag", _INPUTS)
+def test_line_endings_change_no_output(tmp_path, command, flag, ending):
+    files = _input_files(tmp_path)
+    if flag == "result":  # spread the one-line JSON over several lines
+        files[flag].write_text(json.dumps(json.loads(files[flag].read_text()), indent=2))
+    raw = files[flag].read_bytes()
+    assert b"\n" in raw
+    plain, variant = tmp_path / "plain.json", tmp_path / "variant.json"
+    assert cli.main(_argv(command, files, plain)) == 0
+    files[flag].write_bytes(_ENDINGS[ending](raw))
+    assert cli.main(_argv(command, files, variant)) == 0
+    assert variant.read_bytes() == plain.read_bytes()
+
+
+def test_only_the_one_reader_and_the_one_writer_open_files():
+    """Every input goes through `scoring.read_input` and every output
+    through `cli._write_text`, so each file is opened once per run."""
+    calls = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if name in ("open", "read_text", "read_bytes", "write_text",
+                                "write_bytes"):
+                        calls.add((path.stem, getattr(top, "name", None), name))
+    assert calls == {("scoring", "read_input", "open"), ("cli", "_write_text", "open")}

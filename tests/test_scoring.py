@@ -150,7 +150,7 @@ def test_csv_loading(tmp_path):
     path.write_text("a,b\n1.0,2.0\n3.0,4.0\n")
     data = load_csv(path)
     assert data.tolist() == [[1.0, 2.0], [3.0, 4.0]]
-    stats = stats_from_csv(path)
+    stats = stats_from_csv(path.read_text(), path)
     assert stats.n == 2 and stats.p == 2
 
     headerless = tmp_path / "plain.csv"
