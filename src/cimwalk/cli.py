@@ -3,7 +3,7 @@
 Subcommands: simulate, discover, score, analyze-polytope, compare.  Each
 subparser declares which of its flags name input files (``reads``) and
 which name output files (``writes``, the primary output first).  ``main``
-checks every output, reads each input once, writes each output text the
+checks every output, reads each input file once, writes each output text the
 command returns, and writes a run manifest next to the primary output
 (``<out>.manifest.json``) recording the command, the full configuration,
 library versions, the SHA-256 of the bytes read and written, and
@@ -360,9 +360,11 @@ def main(argv=None) -> int:
     t0 = time.time()
     try:
         inputs, outputs, manifest = _run_files(args)
-        texts, input_hashes, stages = {}, {}, {}
-        for path in dict.fromkeys(inputs):
-            texts[path], input_hashes[path] = read_input(path)
+        texts, input_hashes, stages, read = {}, {}, {}, {}
+        for path in inputs:  # once per file, however many spellings name it
+            key = _file_id(path)
+            read[key] = read.get(key) or read_input(path)
+            texts[path], input_hashes[path] = read[key]
         written = args.func(args, texts, stages)
         run = {
             "command": args.command,

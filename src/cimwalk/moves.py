@@ -287,8 +287,10 @@ def _raw_turn_candidates(mec: Mec, cap: Optional[int]) -> Iterator[Move]:
                         yield Move(BUDDING, (a, b, nodes_of(s)), plus, minus)
 
 
-def _raw_edge_candidates(mec: Mec, cap: Optional[int]) -> Iterator[Move]:
-    """Parameter sweep for edge moves, additions and deletions.
+def _raw_edge_candidates(mec: Mec, cap: Optional[int],
+                         sides: tuple = (False, True)) -> Iterator[Move]:
+    """Parameter sweep for edge moves over the ordered pairs (i, j) whose
+    adjacency is in sides: False for additions, True for deletions.
 
     Non-adjacent ordered (i, j): the family {S + {i,j} : S within S*} is
     gained, so all its entries must be 0.  Adjacent (i, j): the same family
@@ -300,18 +302,16 @@ def _raw_edge_candidates(mec: Mec, cap: Optional[int]) -> Iterator[Move]:
 
     for i in range(p):
         for j in range(p):
-            if i == j:
+            adjacent = bool(ne[i] >> j & 1)
+            if i == j or adjacent not in sides:
                 continue
-            adjacent = ne[i] >> j & 1
             ij = 1 << i | 1 << j
             for s_star in [0] + [t for t in _admissible(mec, i, cap) if not t >> j & 1]:
                 fam = family(s_star, ij)
-                if adjacent:
-                    if all(map(c, fam)):
-                        yield Move(EDGE_PAIR, (i, j, nodes_of(s_star)), frozenset(), fam)
-                else:
-                    if not any(map(c, fam)):
-                        yield Move(EDGE_PAIR, (i, j, nodes_of(s_star)), fam, frozenset())
+                if adjacent and all(map(c, fam)):
+                    yield Move(EDGE_PAIR, (i, j, nodes_of(s_star)), frozenset(), fam)
+                elif not adjacent and not any(map(c, fam)):
+                    yield Move(EDGE_PAIR, (i, j, nodes_of(s_star)), fam, frozenset())
 
 
 def _tree_paths(mec: Mec) -> Iterator[tuple]:
@@ -320,7 +320,7 @@ def _tree_paths(mec: Mec) -> Iterator[tuple]:
     On a tree these are the unique simple paths between node pairs, in both
     orientations.  On a cycle, walks that keep advancing in one direction may
     wrap past the start, as long as no middle triple repeats; both directions
-    and all start points are produced.
+    and all start points are produced.  Any other skeleton has none.
     """
     skel = mec.skeleton
     p = skel.p
@@ -353,8 +353,6 @@ def _tree_paths(mec: Mec) -> Iterator[tuple]:
             for direction in (1, -1):
                 for n_nodes in range(4, p + 3):
                     yield tuple(order[(s + direction * k) % p] for k in range(n_nodes))
-    else:
-        raise MoveError("shifts and splits require a tree or single-cycle skeleton")
 
 
 def _raw_tree_candidates(mec: Mec) -> Iterator[Move]:
@@ -409,5 +407,5 @@ def enumerate_edge_moves(mec: Mec, cap: Optional[int] = None) -> list:
 
 
 def enumerate_tree_moves(mec: Mec) -> list:
-    """All verified shifts and splits from mec (tree or single-cycle skeleton)."""
+    """All verified shifts and splits from mec: none unless its skeleton is a tree or a cycle."""
     return list(_verified(mec, _raw_tree_candidates(mec)))

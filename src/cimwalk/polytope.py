@@ -882,8 +882,7 @@ def _pair_move_kinds(vs: VertexSet) -> dict:
         found[i] = targets(i, _raw_turn_candidates(mec, None))
         if any(len(mec.skeleton.edges ^ s) == 1 for s in skeletons):
             found[i] += targets(i, _raw_edge_candidates(mec, None))
-        if mec.skeleton.is_tree() or mec.skeleton.is_single_cycle():
-            found[i] += targets(i, _raw_tree_candidates(mec))
+        found[i] += targets(i, _raw_tree_candidates(mec))
     for i, source, k in zip(*(a.tolist() for a in _orbit_walk(label, images))):
         found[i] = [(perms[k][j], kind) for j, kind in found[source]]
     kinds = {}

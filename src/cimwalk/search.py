@@ -1,12 +1,12 @@
 """Greedy edge-walk search drivers.
 
-Each phase scans candidate moves in a fixed deterministic order and
-applies BIC-improving ones until a fixpoint: turn phases walk between
-classes sharing a skeleton, edge phases add or delete one edge.  The
-drivers compose phases into the two-stage skeletal search, the
-from-scratch alternating search, and a recurrent phased variant that
-separates additions from deletions and always takes the best move of
-a scan.
+Each driver is one walk: a start class and a tuple of phases, repeated
+until a full cycle of them leaves the class unchanged (a single phase
+runs once, to its fixpoint).  A phase scans its candidate moves in a
+fixed deterministic order and applies BIC-improving ones until a
+fixpoint: turn phases walk between classes sharing a skeleton, edge
+phases add or delete one edge, forward phases only add and backward
+phases only delete.
 
 Score comparisons use strict ``>`` with no epsilon slack, so every
 applied move strictly increases the score and termination follows from
@@ -15,7 +15,7 @@ the finiteness of the class space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
 # consistent_extension stays importable here for perfbench's tracer
@@ -56,6 +56,10 @@ class SearchError(Exception):
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """Every driver reads `subset_cap`, and `tree_moves_enabled` in its turn
+    phases; all but recurrent, which always takes the best improvement, read
+    `strategy`; only skeletal reads `alpha`."""
+
     strategy: str = FIRST_IMPROVEMENT
     subset_cap: Optional[int] = None
     tree_moves_enabled: bool = False
@@ -108,19 +112,17 @@ class _Run:
         self.steps: list[TraceStep] = []
 
 
+# The adjacency sides each edge phase sweeps: False for additions, True for deletions
+_EDGE_SIDES = {"edge": (False, True), "forward": (False,), "backward": (True,)}
+
+
 def _candidates(mec: Mec, phase: str, config: SearchConfig) -> Iterator[Move]:
     if phase == "turn":
         yield from _raw_turn_candidates(mec, config.subset_cap)
         if config.tree_moves_enabled:
-            skel = mec.skeleton
-            if skel.is_tree() or skel.is_single_cycle():
-                yield from _raw_tree_candidates(mec)
-    elif phase == "edge":
-        yield from _raw_edge_candidates(mec, config.subset_cap)
-    elif phase in ("forward", "backward"):
-        for move in _raw_edge_candidates(mec, config.subset_cap):
-            if not (move.removed if phase == "forward" else move.added):
-                yield move
+            yield from _raw_tree_candidates(mec)
+    elif phase in _EDGE_SIDES:
+        yield from _raw_edge_candidates(mec, config.subset_cap, _EDGE_SIDES[phase])
     else:
         raise SearchError(f"unknown phase {phase!r}")
 
@@ -139,8 +141,7 @@ def _estimate(move: Move, cache: LocalScoreCache) -> Optional[float]:
         return None
 
 
-def _run_phase(mec: Mec, score: float, phase: str, strategy: str,
-               config: SearchConfig, run: _Run):
+def _run_phase(mec: Mec, score: float, phase: str, config: SearchConfig, run: _Run):
     """Drive one phase to its fixpoint; returns (mec, score).
 
     Candidates come through the verified enumeration: deduplicated by
@@ -165,7 +166,7 @@ def _run_phase(mec: Mec, score: float, phase: str, strategy: str,
             delta = _extension_delta(current, target, run)
             if delta > 0.0 and (best is None or delta > best[0]):
                 best = (delta, move, target)
-                if strategy == FIRST_IMPROVEMENT:
+                if config.strategy == FIRST_IMPROVEMENT:
                     break
         if best is None:
             return current, score
@@ -175,49 +176,39 @@ def _run_phase(mec: Mec, score: float, phase: str, strategy: str,
         score += delta
 
 
-def _single_phase(start: Mec, stats: SufficientStats, config: SearchConfig,
-                  phase: str):
+def _walk(start: Mec, stats: SufficientStats, config: SearchConfig, phases: tuple):
+    """Run the phases in turn from start until a full cycle of them leaves
+    the class unchanged; a single phase runs once, to its fixpoint."""
     run = _Run(stats)
-    out, _ = _run_phase(start, score_mec(start, stats, run.cache), phase,
-                        config.strategy, config, run)
-    return out, SearchTrace(tuple(run.steps))
-
-
-def turn_phase(mec: Mec, stats: SufficientStats, config: SearchConfig):
-    return _single_phase(mec, stats, config, "turn")
-
-
-def edge_phase(mec: Mec, stats: SufficientStats, config: SearchConfig):
-    return _single_phase(mec, stats, config, "edge")
-
-
-def _cycle_phases(stats: SufficientStats, config: SearchConfig, phases: tuple,
-                  strategy: str):
-    """Run the phases in turn from the empty class until a full cycle of
-    them leaves the class unchanged."""
-    run = _Run(stats)
-    current = mec_of(Dag.from_arcs(stats.p, []))
-    score = score_mec(current, stats, run.cache)
+    current, score = start, score_mec(start, stats, run.cache)
     while True:
         previous = current
         for phase in phases:
-            current, score = _run_phase(current, score, phase, strategy, config, run)
-        if current == previous:
+            current, score = _run_phase(current, score, phase, config, run)
+        if len(phases) == 1 or current == previous:
             return current, SearchTrace(tuple(run.steps))
+
+
+def turn_phase(mec: Mec, stats: SufficientStats, config: SearchConfig):
+    return _walk(mec, stats, config, ("turn",))
+
+
+def edge_phase(mec: Mec, stats: SufficientStats, config: SearchConfig):
+    return _walk(mec, stats, config, ("edge",))
 
 
 def greedy_cim(stats: SufficientStats, config: SearchConfig):
     """Alternate edge and turn phases from the empty class to a joint fixpoint."""
-    return _cycle_phases(stats, config, ("edge", "turn"), config.strategy)
+    return _walk(mec_of(Dag.from_arcs(stats.p, [])), stats, config, ("edge", "turn"))
 
 
 def skeletal_greedy_cim(stats: SufficientStats, config: SearchConfig):
     """CI-recovered skeleton, low-to-high orientation, then turn phase."""
     skel, _ = pc_skeleton(stats, config.alpha)
-    start = mec_of(Dag.from_arcs(stats.p, sorted(skel.edges)))
-    return _single_phase(start, stats, config, "turn")
+    return _walk(mec_of(Dag.from_arcs(stats.p, sorted(skel.edges))), stats, config, ("turn",))
 
 
 def recurrent_phased_greedy_cim(stats: SufficientStats, config: SearchConfig):
     """Forward, backward and turn phases cycled with best-improvement scans."""
-    return _cycle_phases(stats, config, ("forward", "backward", "turn"), BEST_IMPROVEMENT)
+    return _walk(mec_of(Dag.from_arcs(stats.p, [])), stats,
+                 replace(config, strategy=BEST_IMPROVEMENT), ("forward", "backward", "turn"))

@@ -199,6 +199,22 @@ def test_all_algorithms_run(tmp_path):
         assert json.loads(out.read_text())["algo"] == algo
 
 
+def test_greedy_cim_with_tree_moves_recovers_a_tree_skeleton(tmp_path):
+    # a linear SEM on the tree 0-1-2-3, 1-4, 4-5: the walk's last turn phase
+    # sweeps shifts and splits from a tree class
+    arcs = [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5)]
+    noise = np.random.default_rng(3).standard_normal((2000, 6))
+    x = noise.copy()
+    for tail, head in arcs:
+        x[:, head] += 0.8 * x[:, tail]
+    data, result = tmp_path / "tree.csv", tmp_path / "result.json"
+    np.savetxt(data, x, delimiter=",")
+    assert _run("discover", "--algo", "greedy-cim", "--tree-moves", "--data", str(data),
+                "--out", str(result)) == 0
+    mec = _mec_from_graph_json(json.loads(result.read_text())["essential_graph"])
+    assert mec.skeleton.edges == frozenset(arcs)
+
+
 def test_discover_is_byte_reproducible(tmp_path):
     data, _ = _simulate(tmp_path, p=5, d=1.5, n=500, seed=9)
     first = tmp_path / "r1.json"

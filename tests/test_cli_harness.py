@@ -234,6 +234,39 @@ def test_a_fifo_input_is_read_once_and_hashed(tmp_path, command):
     assert manifest["input_hashes"] == {str(fifo): hashlib.sha256(raw).hexdigest()}
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_one_fifo_named_by_two_spellings_is_read_once(tmp_path):
+    raw = json.dumps(_BOTH).encode()
+    os.mkfifo(tmp_path / "x.fifo")
+
+    def feed():
+        try:
+            with open(tmp_path / "x.fifo", "wb") as handle:
+                handle.write(raw)
+        except OSError:  # the reader went away
+            pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    argv = ["compare", "--result", "x.fifo", "--truth", "./x.fifo", "--out", "r.json"]
+    try:
+        # A read per spelling would wait in the second open for a writer that never comes.
+        run = subprocess.run([sys.executable, "-m", "cimwalk.cli", *argv], cwd=tmp_path,
+                             capture_output=True, text=True, timeout=60, env=env)
+    except subprocess.TimeoutExpired:
+        pytest.fail("compare on one FIFO named twice did not finish")
+    finally:
+        os.close(os.open(tmp_path / "x.fifo", os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(timeout=10)
+    assert run.returncode == 0, run.stderr
+    assert json.loads((tmp_path / "r.json").read_text()) == {"recovered": True, "shd": 0}
+    manifest = json.loads((tmp_path / "r.json.manifest.json").read_text())
+    digest = hashlib.sha256(raw).hexdigest()
+    assert manifest["input_hashes"] == {"x.fifo": digest, "./x.fifo": digest}
+
+
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
 def test_a_dev_fd_input_is_hashed_as_read(tmp_path):
     raw = _input_files(tmp_path)["data"].read_bytes()

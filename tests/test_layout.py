@@ -1,6 +1,7 @@
 """`src/` holds what something runs: every public top-level function or class
 of a `cimwalk` module is referenced elsewhere in `src/`, listed in an
-`__all__`, wrapped by perfbench's tracer, or kept below with its reason."""
+`__all__`, wrapped by perfbench's tracer, or kept below with its reason; and
+one function owns the tree/single-cycle rule of shifts and splits."""
 
 import ast
 import importlib
@@ -88,3 +89,18 @@ def test_every_public_definition_is_run_listed_wrapped_or_kept():
 def test_every_kept_name_is_defined():
     defined = {name for _, name in _public_defs(_trees())}
     assert set(KEPT) <= defined, sorted(set(KEPT) - defined)
+
+
+def test_only_moves_tree_paths_asks_whether_a_skeleton_is_a_tree_or_a_cycle():
+    """Shifts and splits need a tree or single-cycle skeleton, and
+    `moves._tree_paths` is the one place that checks it: it yields no path
+    on any other skeleton, so no sweep's caller checks again."""
+    callers = set()
+    for module, tree in _trees().items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in ("is_tree", "is_single_cycle")):
+                    callers.add((module, getattr(top, "name", None), node.func.attr))
+    assert {(module, owner) for module, owner, _ in callers if module != "graphs"} == {
+        ("moves", "_tree_paths")}, sorted(callers)

@@ -433,3 +433,16 @@ def test_turn_candidates_match_the_unhoisted_sweep_on_all_small_classes():
 def test_turn_candidates_match_the_unhoisted_sweep_on_random_classes(mec):
     for cap in (None, 2):
         assert _turn_candidates(mec, cap) == list(_turn_candidates_unhoisted(mec, cap))
+
+
+def test_each_side_of_the_edge_sweep_is_the_full_sweep_filtered_in_order():
+    """The reference is the full sweep filtered afterwards: additions remove
+    nothing and deletions add nothing."""
+    for p in range(1, 5):
+        for mec in all_mecs(p):
+            for cap in (None, 1, 2):
+                full = list(_raw_edge_candidates(mec, cap))
+                assert list(_raw_edge_candidates(mec, cap, (False,))) == [
+                    m for m in full if not m.removed]
+                assert list(_raw_edge_candidates(mec, cap, (True,))) == [
+                    m for m in full if not m.added]

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 import cimwalk.search as search_mod
 from cimwalk.graphs import Dag, mec_of
 from cimwalk.imset import imset_delta
-from cimwalk.moves import (V_STRUCTURE_ADDITION, MoveError, apply_move,
-                           enumerate_edge_moves, enumerate_turn_moves)
+from cimwalk.moves import (BUDDING, FLIP, SHIFT, SPLIT, V_STRUCTURE_ADDITION,
+                           MoveError, apply_move, enumerate_edge_moves,
+                           enumerate_tree_moves, enumerate_turn_moves)
 from cimwalk.polytope import enumerate_mecs
 from cimwalk.scoring import (LocalScoreCache, SufficientStats, score_delta,
                              score_mec)
@@ -19,6 +20,7 @@ from cimwalk.search import (BEST_IMPROVEMENT, FIRST_IMPROVEMENT, SearchConfig,
                             recurrent_phased_greedy_cim, skeletal_greedy_cim,
                             turn_phase)
 from cimwalk.simulate import assign_weights, make_rng, random_dag, sample
+from imset_reference import tuple_keys
 
 CHAIN_COV = [[1.0, 1.0, 1.0], [1.0, 2.0, 2.0], [1.0, 2.0, 3.0]]
 COLLIDER_COV = [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 3.0]]
@@ -170,7 +172,7 @@ def test_screen_estimate_matches_score_delta_on_every_p4_class():
     assert sum(_assert_estimates_match(mec, stats) for mec in enumerate_mecs(4).mecs) > 0
 
 
-def _unscreened_run_phase(mec, score, phase, strategy, config, run):
+def _unscreened_run_phase(mec, score, phase, config, run):
     """The phase loop without the screen: every deduplicated candidate is
     materialised, checked against full imsets and scored."""
     current = mec
@@ -194,7 +196,7 @@ def _unscreened_run_phase(mec, score, phase, strategy, config, run):
             delta = search_mod._extension_delta(current, target, run)
             if delta > 0.0 and (best is None or delta > best[0]):
                 best = (delta, move, target)
-                if strategy == FIRST_IMPROVEMENT:
+                if config.strategy == FIRST_IMPROVEMENT:
                     break
         if best is None:
             return current, score
@@ -228,3 +230,34 @@ def test_screen_leaves_traces_and_results_unchanged(monkeypatch, index):
     if index % 3 == 0:
         monkeypatch.setattr(search_mod, "_SCREEN_MAX", 0)
         assert _all_runs(stats) == screened
+
+
+_TREES = SearchConfig(tree_moves_enabled=True)
+
+
+def test_turn_candidates_with_tree_moves_hold_the_path4_shift_and_the_cycle5_splits():
+    at_1 = mec_of(Dag.from_arcs(4, [(0, 1), (2, 1), (2, 3)]))
+    shifts = [move for move in search_mod._candidates(at_1, "turn", _TREES)
+              if move.kind == SHIFT]
+    assert [tuple_keys(move.added) for move in shifts] == [{(1, 2, 3)}]
+    assert [tuple_keys(move.removed) for move in shifts] == [{(0, 1, 2)}]
+    one = mec_of(Dag.from_arcs(5, [(0, 1), (1, 2), (3, 2), (3, 4), (4, 0)]))
+    splits = [move for move in search_mod._candidates(one, "turn", _TREES)
+              if move.kind == SPLIT]
+    assert ((frozenset({(0, 1, 2), (2, 3, 4)}), frozenset({(1, 2, 3)}))
+            in [(tuple_keys(m.added), tuple_keys(m.removed)) for m in splits])
+    assert {m.kind for m in search_mod._candidates(one, "turn", SearchConfig())} <= {
+        V_STRUCTURE_ADDITION, BUDDING, FLIP}
+
+
+@pytest.mark.parametrize("arcs", [
+    [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)],          # a 4-cycle with a chord
+    [(0, 1), (1, 2), (3, 4)],                          # a forest
+    [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)],  # two cycles
+])
+def test_turn_candidates_hold_no_tree_move_off_trees_and_single_cycles(arcs):
+    mec = mec_of(Dag.from_arcs(6, arcs))
+    assert not mec.skeleton.is_tree() and not mec.skeleton.is_single_cycle()
+    assert not [move for move in search_mod._candidates(mec, "turn", _TREES)
+                if move.kind in (SHIFT, SPLIT)]
+    assert enumerate_tree_moves(mec) == []
