@@ -265,7 +265,7 @@ def _required_arcs(mec: Mec) -> tuple:
     return parents, children, und
 
 
-@lru_cache(maxsize=1_000_000)
+@lru_cache(maxsize=4_096)  # a walk reuses only its recent classes
 def consistent_extension(mec: Mec) -> Optional[Dag]:
     """Find a DAG inducing the given class, or None if there is none.
 

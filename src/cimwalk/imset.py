@@ -129,7 +129,7 @@ def _triangles(edges: Iterable) -> set:
     return {1 << a | 1 << b | 1 << c for a, b in edges for c in _bits(higher[a] & higher[b])}
 
 
-@lru_cache(maxsize=1_000_000)
+@lru_cache(maxsize=4_096)  # a walk reuses only its recent classes
 def mec_restricted_imset(mec: Mec) -> CharImset:
     """Restricted imset of a class straight from skeleton and v-structures.
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import io
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -254,35 +253,22 @@ def local_bic(node: int, parents: Iterable[int], stats: SufficientStats) -> floa
 
 @dataclass
 class LocalScoreCache:
-    """Memo table for local scores keyed by (node, canonical parent set)."""
+    """Memo table for local scores keyed by (node, parent bitmask)."""
 
     stats: SufficientStats
     hits: int = 0
     misses: int = 0
     _table: dict = field(default_factory=dict, repr=False)
-    _mobius: dict = field(default_factory=dict, repr=False)
 
-    def local(self, node: int, parents: Iterable[int]) -> float:
-        key = (node, tuple(sorted(set(parents))))
+    def local(self, node: int, parents_mask: int) -> float:
+        key = (node, parents_mask)
         if key in self._table:
             self.hits += 1
             return self._table[key]
+        if parents_mask < 0:
+            raise ScoringError(f"parent mask {parents_mask} is negative")
         self.misses += 1
-        value = local_bic(key[0], key[1], self.stats)
-        self._table[key] = value
-        return value
-
-    def mobius(self, key: int) -> float:
-        """Coefficient r(S) of imset entry S = key in the (affine) class score:
-        the sum over T within S - {i} of (-1)^(|S|-1-|T|) local(i, T), i = max(S),
-        taken in (size, lex) order of T."""
-        value = self._mobius.get(key)
-        if value is None:
-            *rest, i = nodes_of(key)
-            value = self._mobius[key] = sum(
-                (-1) ** (len(rest) - r) * self.local(i, sub)
-                for r in range(len(rest) + 1)
-                for sub in itertools.combinations(rest, r))
+        value = self._table[key] = local_bic(node, nodes_of(parents_mask), self.stats)
         return value
 
     def __len__(self) -> int:
@@ -303,7 +289,7 @@ def score_dag(dag: Dag, stats: SufficientStats,
     if dag.p != stats.p:
         raise ScoringError(f"graph has {dag.p} nodes, stats have {stats.p}")
     table = _cache_for(stats, cache)
-    return sum(table.local(i, dag.parent_set(i)) for i in range(dag.p))
+    return sum(table.local(i, pa) for i, pa in enumerate(dag.parent_masks))
 
 
 def score_mec(mec: Mec, stats: SufficientStats,
@@ -325,7 +311,7 @@ def class_delta(source: Mec, target: Mec, cache: LocalScoreCache) -> float:
     if before is None or after is None:
         raise GraphError("class admits no consistent extension")
     delta = 0.0
-    for i, (pa_b, pa_a) in enumerate(zip(before.parents, after.parents)):
+    for i, (pa_b, pa_a) in enumerate(zip(before.parent_masks, after.parent_masks)):
         if pa_b != pa_a:
             delta += cache.local(i, pa_a) - cache.local(i, pa_b)
     return delta
@@ -334,5 +320,4 @@ def class_delta(source: Mec, target: Mec, cache: LocalScoreCache) -> float:
 def score_delta(source: Mec, move: Move, stats: SufficientStats,
                 cache: Optional[LocalScoreCache] = None) -> float:
     """Score change of a move, from the source class to the target it reaches."""
-    table = _cache_for(stats, cache)
-    return class_delta(source, apply_move(source, move), table)
+    return class_delta(source, apply_move(source, move), _cache_for(stats, cache))

@@ -21,13 +21,12 @@ from typing import Iterator, Optional
 # consistent_extension stays importable here for perfbench's tracer
 from .graphs import Dag, Mec, consistent_extension, mec_of
 # full_imset stays importable here for perfbench's tracer
-from .imset import full_imset
+from .imset import full_imset, key_of, nodes_of
 # apply_move, verify_pair and _class_imset stay importable here for perfbench's tracer
-from .moves import (Move, apply_move, verify_pair, _class_imset,
-                    _raw_edge_candidates, _raw_tree_candidates,
+from .moves import (BUDDING, EDGE_PAIR, FLIP, Move, apply_move, verify_pair,
+                    _class_imset, _raw_edge_candidates, _raw_tree_candidates,
                     _raw_turn_candidates, _verified)
-from .scoring import (LocalScoreCache, ScoringError, SufficientStats,
-                      class_delta, score_mec)
+from .scoring import LocalScoreCache, SufficientStats, class_delta, score_mec
 from .ci_tests import pc_skeleton
 
 __all__ = [
@@ -46,8 +45,6 @@ __all__ = [
 
 FIRST_IMPROVEMENT = "first_improvement"
 BEST_IMPROVEMENT = "best_improvement"
-
-_SCREEN_MAX = 8  # largest screened |S|: r(S) costs 2^(|S|-1) local scores
 
 
 class SearchError(Exception):
@@ -131,14 +128,32 @@ def _extension_delta(source: Mec, target: Mec, run: _Run) -> float:
     return class_delta(source, target, run.cache)
 
 
-def _estimate(move: Move, cache: LocalScoreCache) -> Optional[float]:
-    """Sum of Möbius coefficients over the move's delta; None past _SCREEN_MAX."""
-    if max(map(int.bit_count, move.added | move.removed), default=0) > _SCREEN_MAX:
-        return None
-    try:
-        return sum(map(cache.mobius, move.added)) - sum(map(cache.mobius, move.removed))
-    except ScoringError:  # singular statistics: leave it to the full path
-        return None
+def _gain(cache: LocalScoreCache, h: int, t: int, a: int) -> float:
+    """L(h, a + t) - L(h, a): r(S) summed over the family {T + {h, t} : T within a}."""
+    return cache.local(h, a | 1 << t) - cache.local(h, a)
+
+
+def _side(cache: LocalScoreCache, h: int, t: int, s: int, c: int) -> float:
+    """r(S) summed over {T + {h, t} : T within s, T not within c}."""
+    return _gain(cache, h, t, s) - _gain(cache, h, t, s & c)
+
+
+def _estimate(move: Move, ne: tuple, cache: LocalScoreCache) -> float:
+    """r(S) summed over the added entries minus the removed ones, with no target
+    class: a score-equivalent score telescopes each parent-set family to two gains."""
+    sign = 1 if move.added else -1
+    if move.kind == EDGE_PAIR:
+        h, t, s = move.params
+        return sign * _gain(cache, h, t, key_of(s))
+    if move.kind == BUDDING:
+        h, t, s = move.params
+        return sign * _side(cache, h, t, key_of(s), ne[t])
+    if move.kind == FLIP:
+        i, j, s_i, s_j = move.params
+        return _side(cache, i, j, key_of(s_i), ne[j]) - _side(cache, j, i, key_of(s_j), ne[i])
+    # v-structure additions, shifts and splits: each size-3 key's r(S), head max(S)
+    return (sum(_side(cache, h, t, 1 << m, 0) for t, m, h in map(nodes_of, move.added))
+            - sum(_side(cache, h, t, 1 << m, 0) for t, m, h in map(nodes_of, move.removed)))
 
 
 def _run_phase(mec: Mec, score: float, phase: str, config: SearchConfig, run: _Run):
@@ -153,12 +168,12 @@ def _run_phase(mec: Mec, score: float, phase: str, config: SearchConfig, run: _R
     is within the margin of its estimate.
     """
 
-    def promising(move: Move) -> bool:  # reads best and margin as they change
-        est = _estimate(move, run.cache)
-        return est is None or est + margin > (best[0] if best else 0.0)
+    def promising(move: Move) -> bool:  # reads ne, best and margin as they change
+        return _estimate(move, ne, run.cache) + margin > (best[0] if best else 0.0)
 
     current = mec
     while True:
+        ne = current.skeleton.neighbor_masks
         margin = 1e-9 * max(1.0, abs(score))
         best = None
         for move, target in _verified(current, _candidates(current, phase, config),

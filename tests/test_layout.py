@@ -104,3 +104,18 @@ def test_only_moves_tree_paths_asks_whether_a_skeleton_is_a_tree_or_a_cycle():
                     callers.add((module, getattr(top, "name", None), node.func.attr))
     assert {(module, owner) for module, owner, _ in callers if module != "graphs"} == {
         ("moves", "_tree_paths")}, sorted(callers)
+
+
+def test_only_the_score_cache_computes_a_local_score():
+    """Every local score in `src/` goes through `LocalScoreCache.local`, the
+    one memo table keyed on (node, parent mask): no other code names
+    `local_bic`."""
+    users = set()
+    for module, tree in _trees().items():
+        for top in tree.body:
+            for inner in top.body if isinstance(top, ast.ClassDef) else [top]:
+                for node in ast.walk(inner):
+                    if (isinstance(node, ast.Name) and node.id == "local_bic"
+                            or isinstance(node, ast.Attribute) and node.attr == "local_bic"):
+                        users.add((module, getattr(top, "name", None), getattr(inner, "name", None)))
+    assert users == {("scoring", "LocalScoreCache", "local")}, sorted(users)

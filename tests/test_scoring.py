@@ -98,6 +98,27 @@ def test_cache_counts_hits_and_misses():
     assert cache.misses == 3 and cache.hits == 3
 
 
+def test_cache_is_keyed_on_parent_masks():
+    stats = _random_stats(3)
+    cache = LocalScoreCache(stats)
+    assert cache.local(1, 0b101) == local_bic(1, (0, 2), stats)
+    assert cache.local(1, 0b101) == cache.local(1, 5)
+    assert (cache.misses, cache.hits, len(cache)) == (1, 2, 1)
+
+
+def test_cache_rejects_a_negative_mask_and_a_parent_out_of_range():
+    """A negative mask has no finite set of bits, so it is refused before it
+    is decoded; a bit at or above p is refused by local_bic."""
+    cache = LocalScoreCache(_random_stats(3))
+    with pytest.raises(ScoringError, match="negative"):
+        cache.local(0, -1)
+    with pytest.raises(ScoringError, match="out of range"):
+        cache.local(0, 1 << 3)
+    with pytest.raises(ScoringError, match="own parent"):
+        cache.local(0, 0b1)
+    assert len(cache) == 0
+
+
 def test_cache_rejects_foreign_stats():
     cache = LocalScoreCache(_random_stats(3, seed=1))
     with pytest.raises(ScoringError):

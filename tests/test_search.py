@@ -1,26 +1,30 @@
 """Search drivers: phases, traces, determinism, candidate screen."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cimwalk.search as search_mod
-from cimwalk.graphs import Dag, mec_of
-from cimwalk.imset import imset_delta
-from cimwalk.moves import (BUDDING, FLIP, SHIFT, SPLIT, V_STRUCTURE_ADDITION,
-                           MoveError, apply_move, enumerate_edge_moves,
-                           enumerate_tree_moves, enumerate_turn_moves)
+from cimwalk.ci_tests import CiTestError
+from cimwalk.graphs import Dag, consistent_extension, mec_of
+from cimwalk.imset import imset_delta, mec_restricted_imset
+from cimwalk.moves import (BUDDING, EDGE_PAIR, FLIP, SHIFT, SPLIT,
+                           V_STRUCTURE_ADDITION, MoveError, apply_move,
+                           enumerate_edge_moves, enumerate_tree_moves,
+                           enumerate_turn_moves)
 from cimwalk.polytope import enumerate_mecs
-from cimwalk.scoring import (LocalScoreCache, SufficientStats, score_delta,
-                             score_mec)
+from cimwalk.scoring import (LocalScoreCache, ScoringError, SufficientStats,
+                             score_delta, score_mec)
 from cimwalk.search import (BEST_IMPROVEMENT, FIRST_IMPROVEMENT, SearchConfig,
                             SearchError, TraceStep, edge_phase, greedy_cim,
                             recurrent_phased_greedy_cim, skeletal_greedy_cim,
                             turn_phase)
 from cimwalk.simulate import assign_weights, make_rng, random_dag, sample
 from imset_reference import tuple_keys
+from score_reference import mobius_sum
 
 CHAIN_COV = [[1.0, 1.0, 1.0], [1.0, 2.0, 2.0], [1.0, 2.0, 3.0]]
 COLLIDER_COV = [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 3.0]]
@@ -136,16 +140,18 @@ def _sampled_stats(p, seed, n=500):
     return stats
 
 
+_TREES = SearchConfig(tree_moves_enabled=True)
+
+
 def _assert_estimates_match(mec, stats):
     """On every turn and edge candidate that passes apply_move and the
-    full-imset check, the Möbius estimate equals the extension delta to
+    full-imset check, the local-term estimate equals the extension delta to
     within a thousandth of the screen's margin."""
     cache = LocalScoreCache(stats)
     tolerance = 1e-9 * max(1.0, abs(score_mec(mec, stats, cache))) / 1000
     checked = 0
     for move, _ in enumerate_turn_moves(mec) + enumerate_edge_moves(mec):
-        est = search_mod._estimate(move, cache)
-        assert est is not None
+        est = search_mod._estimate(move, mec.skeleton.neighbor_masks, cache)
         assert abs(est - score_delta(mec, move, stats, cache)) <= tolerance
         checked += 1
     return checked
@@ -170,6 +176,78 @@ def test_screen_estimate_matches_score_delta_on_random_classes(case):
 def test_screen_estimate_matches_score_delta_on_every_p4_class():
     stats = _sampled_stats(4, 17)
     assert sum(_assert_estimates_match(mec, stats) for mec in enumerate_mecs(4).mecs) > 0
+
+
+def test_estimate_is_the_mobius_sum_on_every_raw_candidate_up_to_p4():
+    """Every raw turn, tree and edge candidate of every class with p <= 4,
+    including those that apply_move or the family check would reject: the
+    local terms telescope the Möbius sum over the delta, whatever the class."""
+    kinds = set()
+    full = _sampled_stats(4, 44)
+    for p in (2, 3, 4):
+        cache = LocalScoreCache(_stats([row[:p] for row in full.cov[:p]], full.n))
+        for mec in enumerate_mecs(p).mecs:
+            ne = mec.skeleton.neighbor_masks
+            for phase in ("turn", "edge"):
+                for move in search_mod._candidates(mec, phase, _TREES):
+                    want = mobius_sum(move, cache)
+                    assert abs(search_mod._estimate(move, ne, cache) - want) <= 1e-9 * max(
+                        1.0, abs(want)), move
+                    kinds.add(move.kind)
+    assert kinds == {V_STRUCTURE_ADDITION, BUDDING, FLIP, EDGE_PAIR, SHIFT, SPLIT}
+
+
+def test_an_edge_candidate_over_eleven_nodes_is_screened_by_its_delta():
+    """Node 0 has nine pairwise non-adjacent parents and node 10 is isolated:
+    adding 10 -> 0 with S* all nine parents gains an entry over all eleven
+    nodes, and its estimate is the score change."""
+    dag = Dag.from_arcs(11, [(k, 0) for k in range(1, 10)])
+    _, stats = sample(assign_weights(dag, make_rng(5)), 500, make_rng(6))
+    mec = mec_of(dag)
+    cache = LocalScoreCache(stats)
+    [move] = [m for m in search_mod._candidates(mec, "edge", SearchConfig())
+              if m.params == (0, 10, tuple(range(1, 10)))]
+    assert move.added and max(map(int.bit_count, move.added)) == 11
+    est = search_mod._estimate(move, mec.skeleton.neighbor_masks, cache)
+    assert est is not None
+    margin = 1e-9 * max(1.0, abs(score_mec(mec, stats, cache)))
+    assert abs(est - score_delta(mec, move, stats, cache)) <= margin / 1000
+
+
+def _duplicated_column_stats(seed):
+    """Five sampled columns with column 4 an exact copy of column 2."""
+    data, _ = sample(assign_weights(random_dag(5, 2.0, make_rng(seed)), make_rng(seed + 1)),
+                     500, make_rng(seed + 2))
+    data[:, 4] = data[:, 2]
+    return SufficientStats.from_data(data)
+
+
+def test_an_exactly_duplicated_column_stops_each_driver_with_its_error():
+    """The screen scores candidates through the same cache as the applied
+    move, so a singular local score raises from the driver; the CLI rejects
+    such data before any driver runs."""
+    stats = _duplicated_column_stats(0)
+    for driver in (greedy_cim, recurrent_phased_greedy_cim):
+        with pytest.raises(ScoringError, match=re.escape(
+                "zero residual variance for node 2 given parents [4]")):
+            driver(stats, SearchConfig())
+    with pytest.raises(CiTestError, match=re.escape(
+            "singular covariance block for (2,4) given []")):
+        skeletal_greedy_cim(stats, SearchConfig())
+    for seed in range(1, 6):
+        stats = _duplicated_column_stats(seed)
+        for driver in (greedy_cim, recurrent_phased_greedy_cim):
+            with pytest.raises(ScoringError):
+                driver(stats, SearchConfig())
+        with pytest.raises(CiTestError):
+            skeletal_greedy_cim(stats, SearchConfig())
+
+
+def test_the_class_caches_hold_at_most_4096_classes():
+    """A walk reuses only the current class and the targets of its last
+    step, so neither per-class cache grows with the classes it materialises."""
+    for cached in (consistent_extension, mec_restricted_imset):
+        assert cached.cache_parameters()["maxsize"] == 4096
 
 
 def _unscreened_run_phase(mec, score, phase, config, run):
@@ -227,12 +305,7 @@ def test_screen_leaves_traces_and_results_unchanged(monkeypatch, index):
     with monkeypatch.context() as patch:
         patch.setattr(search_mod, "_run_phase", _unscreened_run_phase)
         assert _all_runs(stats) == screened
-    if index % 3 == 0:
-        monkeypatch.setattr(search_mod, "_SCREEN_MAX", 0)
-        assert _all_runs(stats) == screened
 
-
-_TREES = SearchConfig(tree_moves_enabled=True)
 
 
 def test_turn_candidates_with_tree_moves_hold_the_path4_shift_and_the_cycle5_splits():
