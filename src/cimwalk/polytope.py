@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -766,6 +766,9 @@ def _batch_size(rmat) -> int:
     return max(1, _BATCH_BYTES // (tableau_bytes + 25 * n))
 
 
+_Lift = namedtuple("_Lift", "vs syms decided ids label images")
+
+
 @dataclass(frozen=True)
 class EdgeSurvey:
     """All certified edges of a vertex set, with their orbits and LP stats.
@@ -773,7 +776,8 @@ class EdgeSurvey:
     orbits maps the first edge of each orbit of edges under _symmetries to
     the orbit's size.  certificates is built on first access, from the
     pairs that passed the prefilter: the _orbit_walk over their images that
-    moves each witness to the other pairs of its orbit runs only then.
+    moves each witness to the other pairs of its orbit runs only then.  The
+    census files move kinds straight under those pairs' orbit labels.
     seconds holds the wall-clock time of the prefilter and certify stages;
     it is kept out of stats so that stats stays deterministic.
     """
@@ -783,22 +787,23 @@ class EdgeSurvey:
     stats: dict
     seconds: dict
     # vs, its relabellings, the decisions of the orbits' first pairs, the
-    # pairs that passed the prefilter, their orbit labels and their images
-    _lift: tuple = field(repr=False, compare=False)
+    # sorted ids u n + v of the pairs that passed the prefilter, the position
+    # of each one's orbit's first pair, and their images
+    _lift: _Lift = field(repr=False, compare=False)
 
     @cached_property
     def certificates(self) -> dict:
         """Every edge's certificate.  An edge decided by symmetry takes the
         witness of the pair it was reached from, with the weights moved to
         its own coordinates."""
-        vs, syms, decided, (i, j), label, images = self._lift
-        varying, _ = _restricted(vs)
-        pairs = list(zip(i.tolist(), j.tolist()))
-        decided = dict(decided)
+        lift = self._lift
+        varying, _ = _restricted(lift.vs)
+        pairs = [divmod(q, len(lift.vs)) for q in lift.ids.tolist()]
+        decided = dict(lift.decided)
         # under syms[s], restricted weight k of a pair moves to position moved[s][k]
         column = {pos: k for k, pos in enumerate(varying)}
-        moved = [[column[g.coords[pos]] for pos in varying] for g in syms]
-        for q, source, s in zip(*(a.tolist() for a in _orbit_walk(label, images))):
+        moved = [[column[g.coords[pos]] for pos in varying] for g in lift.syms]
+        for q, source, s in zip(*(a.tolist() for a in _orbit_walk(lift.label, lift.images))):
             is_edge, margin, mode, weights, objective = decided[pairs[source]]
             if is_edge:
                 image = [0.0] * len(weights)
@@ -806,7 +811,7 @@ class EdgeSurvey:
                     image[k] = w
                 weights = tuple(image)
             decided[pairs[q]] = (is_edge, margin, mode, weights, objective)
-        return {(u, v): _certificate(vs, varying, u, v, *decided[(u, v)][1:])
+        return {(u, v): _certificate(lift.vs, varying, u, v, *decided[(u, v)][1:])
                 for u, v in self.edges}
 
 
@@ -855,41 +860,55 @@ def certify_all_edges(vs: VertexSet) -> EdgeSurvey:
         "edges": len(edges),
     }
     seconds = {"prefilter": t1 - t0, "certify": time.perf_counter() - t1}
-    return EdgeSurvey(edges, orbits, stats, seconds, (vs, syms, decided, (i, j), label, images))
+    lift = _Lift(vs, syms, decided, i * n + j, label, images)
+    return EdgeSurvey(edges, orbits, stats, seconds, lift)
 
 
 # ---------------------------------------------------------------------------
 # Edge classification and census
 
 
-def _pair_move_kinds(vs: VertexSet) -> dict:
-    """Map vertex pair -> set of move kinds whose delta joins the pair.
+def _pair_move_kinds(survey: EdgeSurvey) -> tuple:
+    """(kinds, uncertified): the move kinds joining the first pair of each
+    edge orbit of survey, and the sorted move pairs that are not edges.
 
-    A relabelling of the nodes maps a class's moves to its image's moves of
-    the same kinds, so the moves are enumerated for the first class of each
-    orbit under _symmetries and carried along the rest of the orbit by
-    _orbit_walk.  An edge move adds or removes one skeleton edge, so edge
-    moves are skipped for a class when no class of vs has such a skeleton.
+    A relabelling maps a class's moves to its image's moves of the same
+    kinds, so each move has an image in its pair orbit from the first class
+    of its class orbit.  Only those classes' moves are swept, and each kind
+    is filed under its pair's orbit, found among the survey's pair ids; a
+    pair prefiltered or in no edge orbit is uncertified, with its images.
+    Edge moves are skipped for a class no skeleton of vs is one edge from.
     """
+    lift = survey._lift
+    vs, n = lift.vs, len(lift.vs)
     skeletons = {mec.skeleton.edges for mec in vs.mecs}
-    perms = [g.rows for g in _symmetries(vs)]
-    images = [np.array(perm) for perm in perms]
-    label = _orbit_labels(len(vs), images)
     targets = _move_targets(vs)
-    found = {}
-    for i in np.nonzero(label == np.arange(len(vs)))[0].tolist():
+    label = _orbit_labels(n, [np.array(g.rows) for g in lift.syms])
+    found = []
+    for i in np.nonzero(label == np.arange(n))[0].tolist():
         mec = vs.mecs[i]
-        found[i] = targets(i, _raw_turn_candidates(mec, None))
+        moves = targets(i, _raw_turn_candidates(mec, None)) + targets(i, _raw_tree_candidates(mec))
         if any(len(mec.skeleton.edges ^ s) == 1 for s in skeletons):
-            found[i] += targets(i, _raw_edge_candidates(mec, None))
-        found[i] += targets(i, _raw_tree_candidates(mec))
-    for i, source, k in zip(*(a.tolist() for a in _orbit_walk(label, images))):
-        found[i] = [(perms[k][j], kind) for j, kind in found[source]]
-    kinds = {}
-    for i, targets in found.items():
-        for j, kind in targets:
-            kinds.setdefault((min(i, j), max(i, j)), set()).add(kind)
-    return kinds
+            moves += targets(i, _raw_edge_candidates(mec, None))
+        found += [(min(i, j) * n + max(i, j), kind) for j, kind in moves]
+    ids = np.array([q for q, _ in found], dtype=np.int64)
+    # a pair past the last survivor, or not among them, meets the sentinel -1
+    at = np.searchsorted(lift.ids, ids)
+    root = np.where(np.append(lift.ids, -1)[at] == ids,
+                    np.append(lift.ids[lift.label], -1)[at], -1)
+    kinds, uncertified = {}, set()
+    for (q, kind), r in zip(found, root.tolist()):
+        if divmod(r, n) in survey.orbits:
+            kinds.setdefault(divmod(r, n), set()).add(kind)
+        else:
+            uncertified.add(divmod(q, n))
+    stack = list(uncertified)
+    while stack:
+        a, b = stack.pop()
+        images = {tuple(sorted((g.rows[a], g.rows[b]))) for g in lift.syms} - uncertified
+        uncertified |= images
+        stack += images
+    return kinds, sorted(uncertified)
 
 
 @lru_cache(maxsize=4096)
@@ -946,31 +965,25 @@ def classify_edges(vs: VertexSet, edges: Iterable, kinds: dict) -> dict:
     Families are tried in a fixed order; every further family that also
     matches is kept in the tags list, so overlaps stay visible.  An edge
     pair whose vectors differ in exactly one coordinate (necessarily the
-    2-set of the gained edge) is an edge addition.  kinds is the pair map
-    _pair_move_kinds(vs), which the caller computes once per census.
+    2-set of the gained edge) is an edge addition.  kinds maps each edge to
+    its move kinds, as _pair_move_kinds gives them for orbits' first edges.
     """
     tags = {}
     for (i, j) in edges:
         matched = [k for k in _FAMILY_ORDER if k in kinds.get((i, j), ())]
-        if not matched:
-            tags[(i, j)] = (UNCLASSIFIED,)
-            continue
-        resolved = []
-        for kind in matched:
-            if kind == EDGE_PAIR:
-                differing = sum(
-                    1 for a, b in zip(vs.matrix[i], vs.matrix[j]) if a != b
-                )
-                kind = EDGE_ADDITION if differing == 1 else EDGE_PAIR_OTHER
-            resolved.append(kind)
-        tags[(i, j)] = tuple(resolved)
+        if EDGE_PAIR in matched:
+            differing = sum(a != b for a, b in zip(vs.matrix[i], vs.matrix[j]))
+            pair = EDGE_ADDITION if differing == 1 else EDGE_PAIR_OTHER
+            matched = [pair if k == EDGE_PAIR else k for k in matched]
+        tags[(i, j)] = tuple(matched) or (UNCLASSIFIED,)
     return tags
 
 
 def edge_census(vs: VertexSet, seconds: Optional[dict] = None) -> dict:
     """Full LP census of the polytope's edges, grouped the way the counts
     are usually reported: turn pairs by kind, edge pairs by addition status,
-    and same-skeleton non-turn edges by skeleton isomorphism class.
+    and same-skeleton non-turn edges by skeleton isomorphism class.  Move
+    kinds are swept once per class orbit and read per edge orbit.
 
     If a dict is passed as seconds, the wall-clock times of the prefilter,
     certify and classify stages are stored in it; the census itself holds
@@ -978,11 +991,10 @@ def edge_census(vs: VertexSet, seconds: Optional[dict] = None) -> dict:
     """
     survey = certify_all_edges(vs)
     start = time.perf_counter()
-    kinds = _pair_move_kinds(vs)
+    kinds, uncertified_moves = _pair_move_kinds(survey)
     # a relabelling keeps move kinds, permutes coordinates and keeps skeleton
     # classes, so an orbit's edges share its first edge's tags and count by its size
     tags = classify_edges(vs, survey.orbits, kinds)
-    uncertified_moves = sorted(set(kinds) - set(survey.edges))
 
     counts = dict.fromkeys((V_STRUCTURE_ADDITION, BUDDING, FLIP, EDGE_ADDITION,
                             EDGE_PAIR_OTHER, SHIFT, SPLIT, UNCLASSIFIED), 0)

@@ -262,9 +262,10 @@ class LocalScoreCache:
 
     def local(self, node: int, parents_mask: int) -> float:
         key = (node, parents_mask)
-        if key in self._table:
+        value = self._table.get(key)
+        if value is not None:
             self.hits += 1
-            return self._table[key]
+            return value
         if parents_mask < 0:
             raise ScoringError(f"parent mask {parents_mask} is negative")
         self.misses += 1

@@ -1,5 +1,7 @@
 """Vertex sets, LP edge certification, censuses, and structural checks."""
 
+import dataclasses
+import hashlib
 import itertools
 import json
 import time
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cimwalk import cli
 from cimwalk import lp as lp_mod
 from cimwalk import moves as moves_mod
 from cimwalk import polytope
@@ -525,7 +528,70 @@ def _pair_move_kinds_by_vector(vs):
                                      ("complete", 4), ("complete", 5)])
 def test_pair_move_kinds_match_the_imset_vector_lookup(face, p):
     vs = _face(face, p)
-    assert polytope._pair_move_kinds(vs) == _pair_move_kinds_by_vector(vs)
+    _check_move_kinds(vs, certify_all_edges(vs))
+
+
+def _check_move_kinds(vs, survey):
+    """_pair_move_kinds(survey) against the vector lookup: the kinds of
+    each edge orbit's first pair, and the move pairs that are not edges."""
+    kinds, uncertified = polytope._pair_move_kinds(survey)
+    by_vector = _pair_move_kinds_by_vector(vs)
+    assert kinds == {pair: by_vector[pair] for pair in survey.orbits if pair in by_vector}
+    assert uncertified == sorted(set(by_vector) - set(survey.edges))
+
+
+@pytest.mark.parametrize("prefiltered", [False, True])
+@pytest.mark.parametrize("face, p", [("full", 3), ("full", 4), ("cycle", 6), ("path", 5)])
+def test_a_move_on_a_dropped_edge_orbit_is_reported_with_its_whole_orbit(monkeypatch, face, p,
+                                                                          prefiltered):
+    # no face has an uncertified move, so the largest edge orbit that some
+    # move joins is taken out of the survey's edges, and with prefiltered
+    # out of its survivors too: every pair of that orbit is reported
+    vs = _face(face, p)
+    survey = certify_all_edges(vs)
+    pair = max(polytope._pair_move_kinds(survey)[0], key=lambda q: (survey.orbits[q], q))
+    lift = survey._lift
+    root = {divmod(q, len(vs)): r for q, r in
+            zip(lift.ids.tolist(), lift.ids[lift.label].tolist())}
+    orbit = [q for q in survey.edges if root[q] == root[pair]]
+    assert len(orbit) == survey.orbits[pair] > 1
+    if prefiltered:
+        keep = lift.ids[lift.label] != root[pair]
+        lift = lift._replace(ids=lift.ids[keep], label=np.searchsorted(
+            np.nonzero(keep)[0], lift.label[keep]))
+    dropped = dataclasses.replace(
+        survey, edges=tuple(q for q in survey.edges if root[q] != root[pair]),
+        orbits={q: size for q, size in survey.orbits.items() if q != pair}, _lift=lift)
+    monkeypatch.setattr(polytope, "certify_all_edges", lambda _: dropped)
+    census = edge_census(vs)
+    assert census["moves_not_certified"] == [list(q) for q in orbit]
+    assert json.dumps(census) == json.dumps(_census_per_edge(vs))
+    _check_move_kinds(vs, dropped)
+
+
+def test_a_face_with_no_surviving_pair_has_no_move_kinds():
+    # p = 1: one class and no pair; p = 2 with its one pair taken out of
+    # the survivors: the move joining the two classes is uncertified
+    one = enumerate_mecs_with_skeleton(UndirectedGraph.from_edges(1, []))
+    survey = certify_all_edges(one)
+    assert len(survey._lift.ids) == 0
+    assert polytope._pair_move_kinds(survey) == ({}, [])
+    assert edge_census(one)["moves_not_certified"] == []
+    survey = certify_all_edges(enumerate_mecs(2))
+    lift = survey._lift._replace(ids=survey._lift.ids[:0], label=survey._lift.label[:0])
+    bare = dataclasses.replace(survey, edges=(), orbits={}, _lift=lift)
+    assert polytope._pair_move_kinds(bare) == ({}, [(0, 1)])
+
+
+@pytest.mark.parametrize("p, digest", [
+    (2, "bd89bdfd91d168421bad23b4c2d2b67feb05f7aa95d4de78a4ba9c5684129716"),
+    (3, "7e2d416197d866b89ada7a25f9bd89a7bd6838b76a606268b73f2ac0dc78ef91"),
+    (4, "cb24c58687a7d0da73a66f834da823fdd6be6ab487e2e589a663f3b8a177e184"),
+])
+def test_census_bytes_are_pinned(p, digest):
+    # every key, value and list order of the written census, lp_stats included
+    text = cli._json_text(edge_census(enumerate_mecs(p)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_edge_census_reports_stage_seconds_apart_from_the_census():
@@ -617,7 +683,7 @@ def test_every_p4_certificate_checks_without_exact_resolves(runs):
 def test_pair_move_kinds_build_no_imset_and_apply_or_verify_no_move(monkeypatch):
     # a move's target is looked up among the rows, so no full imset is
     # built and no move is applied to a class or verified
-    vs = enumerate_mecs(4)
+    survey = certify_all_edges(enumerate_mecs(4))
     calls = Counter()
 
     def counting(name, fn):
@@ -631,7 +697,7 @@ def test_pair_move_kinds_build_no_imset_and_apply_or_verify_no_move(monkeypatch)
         monkeypatch.setattr(module, "full_imset", counting("full_imset", full_imset))
     for name in ("apply_move", "verify_pair"):
         monkeypatch.setattr(moves_mod, name, counting(name, getattr(moves_mod, name)))
-    assert polytope._pair_move_kinds(vs)
+    assert polytope._pair_move_kinds(survey)[0]
     assert not calls
     assert search_mod._class_imset is moves_mod._class_imset
 
@@ -724,7 +790,7 @@ def test_a_spent_symmetry_budget_only_costs_lps(monkeypatch, budget, generators,
     assert {pair: cert.mode for pair, cert in spent.certificates.items()} == \
         {pair: cert.mode for pair, cert in full.certificates.items()}
     assert all(cert.check(vs) for cert in spent.certificates.values())
-    assert polytope._pair_move_kinds(vs) == _pair_move_kinds_by_vector(vs)
+    _check_move_kinds(vs, spent)
 
 
 def _per_pair_survey(vs):
@@ -766,9 +832,9 @@ def test_certificates_do_not_depend_on_the_lp_batching(monkeypatch, kind, p, bat
 
 def _census_per_edge(vs):
     """edge_census before orbit weighting: every edge is classified and
-    counted on its own."""
+    counted on its own, with the move kinds of the vector lookup."""
     survey = polytope.certify_all_edges(vs)
-    kinds = polytope._pair_move_kinds(vs)
+    kinds = _pair_move_kinds_by_vector(vs)
     tags = polytope.classify_edges(vs, survey.edges, kinds)
     uncertified_moves = sorted(set(kinds) - set(survey.edges))
     counts = Counter()
@@ -1264,8 +1330,9 @@ def test_carried_tableaux_equal_the_rebuilt_lps_in_every_round(monkeypatch, kind
 
 def test_a_p4_census_walks_no_pair_orbit_and_inverts_no_basis(monkeypatch):
     # counts, not times: the pair orbits are labelled with arrays and never
-    # walked, the class orbits are walked once, each batch builds its
-    # margin LPs once, and later rounds carry tableaux.  polytope keeps the
+    # walked, the move kinds are filed straight into those labels so no
+    # class orbit is walked either, each batch builds its margin LPs once,
+    # and later rounds carry tableaux.  polytope keeps the
     # name simplex_max only for perfbench's tracer; the census never calls it
     vs = enumerate_mecs(4)
     _, rmat = _restricted(vs)
@@ -1293,7 +1360,7 @@ def test_a_p4_census_walks_no_pair_orbit_and_inverts_no_basis(monkeypatch):
             patch.setattr(polytope, "_orbit_walk", walking)
             census = edge_census(vs)
         assert census["lp_stats"]["lp_solved"] == 204
-        assert walked == [185]
+        assert walked == []
         assert calls["_margin_lps"] == batches
         # every p = 4 box fits in the first round's columns
         assert calls["_add_columns"] == 0
