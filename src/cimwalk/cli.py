@@ -211,13 +211,10 @@ def _load_stats(texts: dict, path: str):
 
 def _cmd_discover(args, texts: dict, stages: dict) -> dict:
     stats = _load_stats(texts, args.data)
-    try:
-        config = SearchConfig(strategy=_STRATEGIES[args.strategy],
-                              subset_cap=args.subset_cap,
-                              tree_moves_enabled=args.tree_moves,
-                              alpha=args.alpha)
-    except SearchError as exc:
-        raise ValidationError(str(exc))
+    config = SearchConfig(strategy=_STRATEGIES[args.strategy],
+                          subset_cap=args.subset_cap,
+                          tree_moves_enabled=args.tree_moves,
+                          alpha=args.alpha)
     driver = {"greedy-cim": greedy_cim,
               "skeletal-greedy-cim": skeletal_greedy_cim,
               "recurrent-cim": recurrent_phased_greedy_cim}[args.algo]
@@ -385,7 +382,7 @@ def main(argv=None) -> int:
         _write_text(manifest, _json_text(run))
         return 0
     except (ValidationError, ScoringError, CiTestError, GraphError,
-            SimulationError, MoveError, ImsetError) as exc:
+            SimulationError, MoveError, ImsetError, SearchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

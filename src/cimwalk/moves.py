@@ -206,7 +206,7 @@ def verify_pair(source: Mec, target: Mec, move: Move) -> bool:
 # ---------------------------------------------------------------------------
 # Candidate generation
 
-@lru_cache(maxsize=200_000)
+@lru_cache(maxsize=4_096)  # a walk reuses only its recent classes
 def _admissible(mec: Mec, i: int, cap: Optional[int]) -> tuple:
     """Keys of the subsets T of ne(i) whose every nonempty subset S has
     entry(S+{i}) == 1.

@@ -23,7 +23,7 @@ import time
 from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -77,8 +77,7 @@ class VertexSet:
 
     coords holds the subset key of each column.  Rows are sorted by vector,
     so the order is reproducible for a given set of classes.  All vectors
-    are pairwise distinct.  The lru caches below are keyed by whole vertex
-    sets, so the hash is computed once per instance.
+    are pairwise distinct.
     """
 
     p: int
@@ -88,13 +87,6 @@ class VertexSet:
 
     def __len__(self) -> int:
         return len(self.mecs)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.p, self.mecs, self.coords, self.matrix))
 
 
 def _all_coords(p: int) -> tuple:
@@ -115,7 +107,6 @@ def _build_vertex_set(p: int, classes: Iterable) -> VertexSet:
     return VertexSet(p, tuple(m for _, m in rows), coords, matrix)
 
 
-@lru_cache(maxsize=64)
 def _coord_pos(vs: VertexSet) -> dict:
     return {key: k for k, key in enumerate(vs.coords)}
 
@@ -154,7 +145,6 @@ def enumerate_mecs(p: int) -> VertexSet:
     return _build_vertex_set(p, all_classes(p))
 
 
-@lru_cache(maxsize=4096)
 def _mecs_with_skeleton(g: UndirectedGraph) -> tuple:
     """skeleton_classes(g): each MEC whose skeleton is exactly g, in order of
     first orientation, with that orientation's parent bitmasks."""
@@ -208,7 +198,6 @@ def _refined_colours(adj: list) -> list:
         colours = refined
 
 
-@lru_cache(maxsize=64)
 def _symmetries(vs: VertexSet) -> tuple:
     """Generators of the node relabellings that map vs onto itself.
 
@@ -384,7 +373,6 @@ def _dot(w, row) -> float:
     return sum(a * b for a, b in zip(w, row))
 
 
-@lru_cache(maxsize=64)
 def _restricted(vs: VertexSet) -> tuple:
     """Columns that vary across the vertex set, and the matrix restricted to them.
 
@@ -911,7 +899,6 @@ def _pair_move_kinds(survey: EdgeSurvey) -> tuple:
     return kinds, sorted(uncertified)
 
 
-@lru_cache(maxsize=4096)
 def _canonical_skeleton(g: UndirectedGraph) -> tuple:
     """The lexicographically smallest sorted edge tuple of any relabelling of g.
 
@@ -983,7 +970,8 @@ def edge_census(vs: VertexSet, seconds: Optional[dict] = None) -> dict:
     """Full LP census of the polytope's edges, grouped the way the counts
     are usually reported: turn pairs by kind, edge pairs by addition status,
     and same-skeleton non-turn edges by skeleton isomorphism class.  Move
-    kinds are swept once per class orbit and read per edge orbit.
+    kinds are swept once per class orbit and read per edge orbit, and each
+    distinct skeleton is canonicalised once.
 
     If a dict is passed as seconds, the wall-clock times of the prefilter,
     certify and classify stages are stored in it; the census itself holds
@@ -999,7 +987,7 @@ def edge_census(vs: VertexSet, seconds: Optional[dict] = None) -> dict:
     counts = dict.fromkeys((V_STRUCTURE_ADDITION, BUDDING, FLIP, EDGE_ADDITION,
                             EDGE_PAIR_OTHER, SHIFT, SPLIT, UNCLASSIFIED), 0)
     multiplicities = same_turn = same_non_turn = 0
-    by_class = {}
+    by_skeleton = Counter()
     for (i, j), size in survey.orbits.items():
         primary = tags[(i, j)][0]
         counts[primary] += size
@@ -1011,8 +999,10 @@ def edge_census(vs: VertexSet, seconds: Optional[dict] = None) -> dict:
             same_turn += size
         else:
             same_non_turn += size
-            canon = _canonical_skeleton(vs.mecs[i].skeleton)
-            by_class[canon] = by_class.get(canon, 0) + size
+            by_skeleton[vs.mecs[i].skeleton] += size
+    by_class = Counter()
+    for skeleton, size in by_skeleton.items():
+        by_class[_canonical_skeleton(skeleton)] += size
 
     turn_total = counts[V_STRUCTURE_ADDITION] + counts[BUDDING] + counts[FLIP]
     class_rows = sorted(

@@ -75,7 +75,10 @@ def random_dag(p: int, d: float, rng: np.random.Generator) -> Dag:
     if p == 1:
         return Dag.from_arcs(1, [])
     prob = d / (p - 1)
-    order = rng.permutation(p)
+    try:
+        order = rng.permutation(p)
+    except (MemoryError, ValueError) as exc:
+        raise SimulationError(f"cannot draw an order of p={p} nodes: {exc}")
     position = {int(node): rank for rank, node in enumerate(order)}
     arcs = []
     for i, j in combinations(range(p), 2):
@@ -102,7 +105,10 @@ def sample(model: SemModel, n: int, rng: np.random.Generator):
         raise SimulationError(f"need n >= 1, got {n}")
     p = model.p
     scale = float(np.sqrt(model.noise_variance))
-    data = rng.standard_normal((n, p)) * scale
+    try:
+        data = rng.standard_normal((n, p)) * scale
+    except (MemoryError, ValueError) as exc:
+        raise SimulationError(f"cannot draw n={n} rows of p={p} columns: {exc}")
     for node in topological_order(model.dag):
         # Float sums depend on their order, which here is the parent
         # frozenset's: Dag.from_arcs must keep building its sets as it does

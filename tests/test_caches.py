@@ -20,3 +20,8 @@ def test_no_cache_is_unbounded():
     caches = dict(_caches())
     assert "cimwalk.graphs.consistent_extension" in caches
     assert [name for name, maxsize in caches.items() if maxsize is None] == []
+
+
+def test_the_census_keeps_no_cache():
+    # a census derives its tables once per survey and keeps none past the call
+    assert [name for name, _ in _caches() if name.startswith("cimwalk.polytope.")] == []

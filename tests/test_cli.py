@@ -135,6 +135,18 @@ def test_a_failed_simulate_leaves_no_file_behind(tmp_path, capsys, bad):
     assert sorted(path.name for path in tmp_path.rglob("*")) == ["sub"]
 
 
+@pytest.mark.parametrize("p, d, n", [(3, 1, 10**14), (3, 1, 10**23),
+                                     (10**12, 0, 5), (10**23, 0, 5)])
+def test_a_draw_too_large_to_allocate_is_an_input_error(tmp_path, capsys, p, d, n):
+    # each draw fails at allocation at once, far past any machine's memory
+    assert _run("simulate", "--p", str(p), "--d", str(d), "--n", str(n),
+                "--out", str(tmp_path / "d.csv"), "--truth", str(tmp_path / "t.json")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot draw") and f"p={p}" in err
+    assert d == 0 or f"n={n}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("p, seed, n, data_sha, truth_sha", [
     (5, 3, 200, "c801d686037bc06dbdde38c679098f51e6adfc79036571ac4943d27517154e76",
      "6f03f976cd4e19979da042e7134fc044bd8dacb96c0b7f70ec0fe40dad38fffa"),
@@ -236,6 +248,20 @@ def test_discover_validation_errors(tmp_path):
     bad.write_text("1.0,2.0\n3.0\n")
     assert _run("discover", "--algo", "greedy-cim", "--data", str(bad),
                 "--out", str(tmp_path / "r.json")) == 2
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--subset-cap", "0", "error: subset_cap must be positive when given\n"),
+    ("--alpha", "nan", "error: alpha must be in (0,1), got nan\n"),
+])
+def test_a_bad_search_setting_is_an_input_error(tmp_path, capsys, flag, value, message):
+    data, _ = _simulate(tmp_path, p=3, d=1.0, n=50, seed=1)
+    out = tmp_path / "r.json"
+    capsys.readouterr()
+    assert _run("discover", "--algo", "greedy-cim", "--data", str(data),
+                flag, value, "--out", str(out)) == 2
+    assert capsys.readouterr().err == message
+    assert not out.exists() and not (tmp_path / "r.json.manifest.json").exists()
 
 
 def test_discover_takes_no_seed(tmp_path):

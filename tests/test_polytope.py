@@ -18,7 +18,7 @@ from cimwalk import lp as lp_mod
 from cimwalk import moves as moves_mod
 from cimwalk import polytope
 from cimwalk import search as search_mod
-from cimwalk.graphs import Dag, GraphError, Mec, UndirectedGraph, mec_of
+from cimwalk.graphs import Dag, GraphError, UndirectedGraph, mec_of
 from cimwalk.imset import full_imset, nodes_of
 from cimwalk.lp import OPTIMAL, LpResult, simplex_max
 from cimwalk.moves import (enumerate_edge_moves, enumerate_tree_moves,
@@ -594,6 +594,43 @@ def test_census_bytes_are_pinned(p, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+_FACES = {
+    "path5": (5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+    "cycle6": (6, [(k, (k + 1) % 6) for k in range(6)]),
+    "star5": (5, [(0, k) for k in range(1, 5)]),
+    "K4": (4, list(itertools.combinations(range(4), 2))),
+    "K2,3": (5, [(a, b) for a in (0, 1) for b in (2, 3, 4)]),
+    "triangle+tail": (4, [(0, 1), (1, 2), (0, 2), (2, 3)]),
+}
+
+
+@pytest.mark.parametrize("face, digest", [
+    ("path5", "4a1def38d1cef3a9780ea636507bbf0b8dadae90b37729e198ae2f4478870019"),
+    ("cycle6", "a2b2913873e101283abdd4a0278541f3c318f3e97d76fd1dea10029983b185d7"),
+    ("star5", "9984fa9c90386eaa997c89a05949d0ccdf59d771b67aca64697c03b9d7e2824a"),
+    ("K4", "722a66fe69d31bfd5ec3919b4636d65b37994a51511b5dfd4b78e7bd4e432b79"),
+    ("K2,3", "9c8da16132454dd12d3232717d831bed111050184873c8b0a3d137a107256f5b"),
+    ("triangle+tail", "90b006e0fd41e73a797093bd18028406d7e8921ed948aa416ff9b1d56a34e858"),
+])
+def test_face_census_bytes_are_pinned(face, digest):
+    p, edges = _FACES[face]
+    vs = enumerate_mecs_with_skeleton(UndirectedGraph.from_edges(p, edges))
+    text = cli._json_text(edge_census(vs))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("face, calls", [("full", 4), ("cycle6", 1), ("K2,3", 1), ("K4", 0)])
+def test_a_census_canonicalises_each_distinct_skeleton_once(monkeypatch, face, calls):
+    vs = (enumerate_mecs(4) if face == "full" else
+          enumerate_mecs_with_skeleton(UndirectedGraph.from_edges(*_FACES[face])))
+    seen = []
+    canonical = polytope._canonical_skeleton
+    monkeypatch.setattr(polytope, "_canonical_skeleton",
+                        lambda g: seen.append(g) or canonical(g))
+    edge_census(vs)
+    assert len(seen) == len(set(seen)) == calls
+
+
 def test_edge_census_reports_stage_seconds_apart_from_the_census():
     vs = enumerate_mecs(3)
     seconds = {}
@@ -750,26 +787,10 @@ def test_every_symmetry_maps_the_rows_onto_the_rows(kind, p):
             assert tuple(image) == vs.matrix[g.rows[i]]
 
 
-def test_a_vertex_set_is_hashed_once(monkeypatch):
-    vs = enumerate_mecs(4)
-    again = enumerate_mecs(4)
-    assert vs is not again and vs == again and hash(vs) == hash(again)
-    for cached in (polytope._restricted, polytope._coord_pos, polytope._symmetries):
-        cached(vs)
-    hashed = []
-    original = Mec.__hash__
-    monkeypatch.setattr(Mec, "__hash__", lambda mec: hashed.append(mec) or original(mec))
-    for cached in (polytope._restricted, polytope._coord_pos, polytope._symmetries):
-        cached(vs)
-    assert hashed == []
-    hash(vs.mecs[0])
-    assert hashed == [vs.mecs[0]]
-
-
 def test_symmetry_detection_on_the_star_face_is_fast():
     vs = enumerate_mecs_with_skeleton(star_over_cliques(9, (1,) * 8))
     start = time.perf_counter()
-    gens = polytope._symmetries.__wrapped__(vs)
+    gens = polytope._symmetries(vs)
     assert time.perf_counter() - start < 2
     assert len(gens) == 7
     assert all(g.nodes[8] == 8 for g in gens)  # the centre stays put
@@ -780,8 +801,7 @@ def test_a_spent_symmetry_budget_only_costs_lps(monkeypatch, budget, generators,
     vs = enumerate_mecs(3)
     full = certify_all_edges(vs)
     monkeypatch.setattr(polytope, "_SYMMETRY_BUDGET", budget)
-    assert len(polytope._symmetries.__wrapped__(vs)) == generators
-    monkeypatch.setattr(polytope, "_symmetries", polytope._symmetries.__wrapped__)
+    assert len(polytope._symmetries(vs)) == generators
     spent = certify_all_edges(vs)
     # solved counts the pairs decided with an LP or on a two-vertex face
     assert spent.stats["lp_solved"] + spent.stats["two_vertex_faces"] == solved
@@ -903,7 +923,6 @@ def test_orbit_weighted_census_with_finer_orbits(monkeypatch, p, budget):
     vs = enumerate_mecs(p)
     full = edge_census(vs)
     monkeypatch.setattr(polytope, "_SYMMETRY_BUDGET", budget)
-    monkeypatch.setattr(polytope, "_symmetries", polytope._symmetries.__wrapped__)
     # one survey serves the census and its reference, since without orbits
     # every survey solves all the LPs again
     survey = certify_all_edges(vs)
@@ -1047,7 +1066,7 @@ def test_canonical_skeleton_matches_brute_force_on_drawn_graphs(g):
 
 def test_canonical_skeleton_of_a_ten_node_path_is_fast():
     start = time.perf_counter()
-    canon = polytope._canonical_skeleton.__wrapped__(path_graph(10))
+    canon = polytope._canonical_skeleton(path_graph(10))
     assert time.perf_counter() - start < 1
     assert len(canon) == 9 and canon[:2] == ((0, 1), (0, 2))
 
@@ -1422,7 +1441,6 @@ def test_class_and_node_orbits_match_the_orbit_tree(kind, p):
 @pytest.mark.parametrize("p", [3, 4])
 def test_pair_orbits_match_the_orbit_tree_with_finer_orbits(monkeypatch, p, budget):
     monkeypatch.setattr(polytope, "_SYMMETRY_BUDGET", budget)
-    monkeypatch.setattr(polytope, "_symmetries", polytope._symmetries.__wrapped__)
     _check_pair_orbits(enumerate_mecs(p))
 
 
